@@ -4,8 +4,9 @@ Commands: build-tors, build-rel, check, labels, kappa, quotient, realize,
 sweep, census.  All structured output is JSON text with sorted keys; Hasse
 diagrams are DOT.  Exit codes: 0 success, 1 property violation (first
 witness on stderr) or search failure, 2 unusable input file (line and
-column for syntax errors).  Sweep timing goes to stderr so stdout stays
-byte-stable across runs and worker counts (TORSLAT_THREADS, default 1).
+column for syntax errors), flag value or TORSLAT_THREADS.  Sweep timing
+goes to stderr so stdout stays byte-stable across runs and worker counts
+(TORSLAT_THREADS, default 1, at most MAX_WORKERS).
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .galois import (
     verify_tors_lattice,
 )
 from .lattice import (
+    AntisymmetryViolation,
     FiniteLattice,
+    InternalInconsistency,
     NotALattice,
     NotSemidistributive,
     is_semidistributive,
@@ -59,9 +62,20 @@ from .oracle import (
 )
 from .quiver import QuiverPresentation, UnsupportedAlgebra
 
+MAX_WORKERS = 64
+
 
 class InputFileError(Exception):
-    """Unusable input file; maps to exit code 2."""
+    """Unusable input file, flag value or environment value; exit code 2."""
+
+
+def _is_int(v) -> bool:
+    """JSON integers only: true and false are not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))
 
 
 def _load_json(path: str):
@@ -82,7 +96,10 @@ def relation_from_json(path: str) -> BrickRelation:
     The diagonal is implicit; duplicate pairs (including explicit
     self-pairs) are rejected.
     """
-    obj = _load_json(path)
+    return _relation_from_obj(path, _load_json(path))
+
+
+def _relation_from_obj(path: str, obj) -> BrickRelation:
     if not isinstance(obj, dict) or "labels" not in obj or "arrows" not in obj:
         raise InputFileError(
             f"error: {path}: expected an object with 'labels' and 'arrows'"
@@ -96,11 +113,7 @@ def relation_from_json(path: str) -> BrickRelation:
     seen = set()
     pairs = []
     for entry in arrows:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) for v in entry)
-        ):
+        if not _is_int_pair(entry):
             raise InputFileError(f"error: {path}: arrow {entry!r} is not an [i, j] pair")
         x, y = entry
         if x == y:
@@ -119,7 +132,10 @@ def relation_from_json(path: str) -> BrickRelation:
 
 def quiver_from_json(path: str) -> QuiverPresentation:
     """Quiver file: {"vertices": n, "orientation": [...], "relations": [...]}."""
-    obj = _load_json(path)
+    return _quiver_from_obj(path, _load_json(path))
+
+
+def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
     if not isinstance(obj, dict) or "vertices" not in obj or "orientation" not in obj:
         raise InputFileError(
             f"error: {path}: expected an object with 'vertices' and 'orientation'"
@@ -127,14 +143,14 @@ def quiver_from_json(path: str) -> QuiverPresentation:
     vertices = obj["vertices"]
     orientation = obj["orientation"]
     relations = obj.get("relations", [])
-    if not isinstance(vertices, int):
+    if not _is_int(vertices):
         raise InputFileError(f"error: {path}: 'vertices' must be an integer")
     if not isinstance(orientation, list) or not all(
         isinstance(s, str) for s in orientation
     ):
         raise InputFileError(f"error: {path}: 'orientation' must be an array of strings")
     if not isinstance(relations, list) or not all(
-        isinstance(p, list) and all(isinstance(k, int) for k in p) for p in relations
+        isinstance(p, list) and all(_is_int(k) for k in p) for p in relations
     ):
         raise InputFileError(
             f"error: {path}: 'relations' must be an array of arrow index arrays"
@@ -156,38 +172,50 @@ def lattice_from_json(path: str) -> FiniteLattice:
         )
     n = obj["elements"]
     covers = obj["covers"]
-    if not isinstance(n, int) or not isinstance(covers, list):
+    if not _is_int(n) or not isinstance(covers, list):
         raise InputFileError(f"error: {path}: bad 'elements' or 'covers'")
     for entry in covers:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) for v in entry)
-        ):
+        if not _is_int_pair(entry):
             raise InputFileError(f"error: {path}: cover {entry!r} is not an [l, u] pair")
     try:
         return try_lattice(poset_from_pairs(n, [tuple(c) for c in covers]))
     except NotALattice as exc:
         raise InputFileError(f"error: {path}: not a lattice: {exc}")
-    except Exception as exc:
+    except (ValueError, AntisymmetryViolation, MemoryError) as exc:
         raise InputFileError(f"error: {path}: {exc}")
 
 
-def _sniff_relation(path: str) -> BrickRelation:
-    """Accept either a relation file or a quiver file; return the relation."""
+def _read_tors(path: str) -> tuple[QuiverPresentation | None, TorsLattice]:
+    """Parse a quiver or relation file once; the quiver is None for relations."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "vertices" in obj:
-        return tors_of_algebra(quiver_from_json(path)).relation
-    return relation_from_json(path)
+        Q = _quiver_from_obj(path, obj)
+        return Q, tors_of_algebra(Q).tors
+    return None, all_torsion_pairs(_relation_from_obj(path, obj))
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise InputFileError(f"error: {flag} must be at least 1, got {value}")
+    return value
+
+
+def _workers() -> int:
+    """TORSLAT_THREADS, checked before any worker process starts."""
+    raw = os.environ.get("TORSLAT_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InputFileError(
+            f"error: TORSLAT_THREADS must be an integer from 1 to {MAX_WORKERS}, got {raw!r}"
+        )
+    return workers
 
 
 def _class_label(TL: TorsLattice, i: int) -> str:
-    names = [
-        TL.relation.labels[b]
-        for b in range(TL.relation.m)
-        if TL.tset(i) >> b & 1
-    ]
-    return "{" + ",".join(names) + "}"
+    return "{" + ",".join(_class_list(TL, i)) + "}"
 
 
 def _class_list(TL: TorsLattice, i: int) -> list[str]:
@@ -238,7 +266,7 @@ def _cmd_build(args, TL: TorsLattice) -> int:
     label_error = None
     try:
         dot = _tors_dot(TL)
-    except (LabelMissing, LabelNotUnique) as exc:
+    except (LabelMissing, LabelNotUnique, InternalInconsistency) as exc:
         label_error = str(exc)
         dot = to_dot(
             TL.lattice, node_labels=[_class_label(TL, i) for i in range(TL.n)]
@@ -261,12 +289,9 @@ def _cmd_build(args, TL: TorsLattice) -> int:
 
 
 def _cmd_check(args) -> int:
-    obj = _load_json(args.input)
+    Q, TL = _read_tors(args.input)
     checks = []
-    if isinstance(obj, dict) and "vertices" in obj:
-        Q = quiver_from_json(args.input)
-        alg = tors_of_algebra(Q)
-        TL = alg.tors
+    if Q is not None:
         checks.append(
             {"name": "closure_axioms", "ok": closure_axiom_check(Q, TL)}
         )
@@ -278,8 +303,6 @@ def _cmd_check(args) -> int:
                 "violations": dich["violations"],
             }
         )
-    else:
-        TL = all_torsion_pairs(relation_from_json(args.input))
     witness = factorizability_violation(TL.relation)
     checks.insert(
         0,
@@ -315,10 +338,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    TL = all_torsion_pairs(_sniff_relation(args.input))
+    _, TL = _read_tors(args.input)
     try:
         labels = all_cover_labels(TL)
-    except (LabelMissing, LabelNotUnique) as exc:
+    except (LabelMissing, LabelNotUnique, InternalInconsistency) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
     table = [
@@ -336,7 +359,7 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    TL = all_torsion_pairs(_sniff_relation(args.input))
+    _, TL = _read_tors(args.input)
     L = TL.lattice
     try:
         table = [
@@ -409,7 +432,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_realize(args) -> int:
     L = lattice_from_json(args.input)
-    budget = SearchBudget(max_brick_set_size=args.max_bricks)
+    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-bricks", args.max_bricks))
     R = realize_sd_lattice(L, budget, factorizable_only=not args.unfiltered)
     if R is None:
         _emit(_dump({"realized": False, "reason": "none within budget"}), args.json)
@@ -436,8 +459,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    workers = int(os.environ.get("TORSLAT_THREADS", "1"))
-    budget = SearchBudget(max_brick_set_size=args.max_size)
+    workers = _workers()
+    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-size", args.max_size))
     report = sweep_factorizable(budget, literal_mono=args.literal_mono, workers=workers)
     runtime = report.pop("runtime_seconds")
     _emit(_dump(report), args.json)
@@ -450,7 +473,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    budget = SearchBudget(max_lattice_size=args.max_size)
+    budget = SearchBudget(max_lattice_size=_at_least_one("--max-size", args.max_size))
     lattices = lattice_census(budget)
     out = []
     for L in lattices:

@@ -3,8 +3,12 @@
 Elements are integers ``0..n-1``.  A poset is stored as a dense boolean
 matrix ``leq`` with ``leq[x, y]`` meaning ``x <= y``; a lattice adds the
 join and meet tables.  Everything here is sized for exhaustive small-case
-work (tens to low hundreds of elements), so the algorithms favour clarity
-and determinism over asymptotics.
+work (tens to low hundreds of elements).  Derived quantities (covers,
+irreducibles, semidistributivity witnesses) are computed once per lattice
+and cached on it; each is still cross-checked against a second
+characterization, once per lattice.  The table build and the
+semidistributivity test handle one element's row at a time in numpy, so
+scratch space stays O(n^2).
 
 The labelling machinery (``gamma_label``, ``mu_label``, ``kappa``,
 ``kappa_dual``) follows the standard theory of semidistributive lattices:
@@ -155,47 +159,61 @@ class FiniteLattice:
             uc[x].append(y)
         return tuple(tuple(v) for v in uc)
 
+    @cached_property
+    def _join_irreducibles(self) -> tuple[int, ...]:
+        return _irreducibles(self, dual=False)
+
+    @cached_property
+    def _meet_irreducibles(self) -> tuple[int, ...]:
+        return _irreducibles(self, dual=True)
+
+    @cached_property
+    def _jsd_witness(self) -> tuple[int, int, int] | None:
+        return join_semidistributivity_violation(self)
+
+    @cached_property
+    def _msd_witness(self) -> tuple[int, int, int] | None:
+        return meet_semidistributivity_violation(self)
+
 
 def try_lattice(p: FinitePoset) -> FiniteLattice:
     """Check that every pair has a join and a meet; return the tables.
 
-    Raises NotALattice naming the first offending pair otherwise.
+    Raises NotALattice naming the first offending pair otherwise: pairs
+    (x, y) with x <= y in lexicographic order, the join before the meet.
+
+    The common upper bounds U of x and y form an up-set, so z is their
+    least element iff z lies in U and |up(z)| == |U|; meets use down-sets
+    dually.  Each x handles all y >= x at once.
     """
     n, leq = p.n, p.leq
     if n == 0:
         raise NotALattice(0, 0, "join")
+    geq = np.ascontiguousarray(leq.T)
+    up_size = leq.sum(axis=1)
+    down_size = leq.sum(axis=0)
     join = np.zeros((n, n), dtype=np.intp)
     meet = np.zeros((n, n), dtype=np.intp)
     for x in range(n):
-        for y in range(x, n):
-            ub = leq[x] & leq[y]
-            j = _least_of(leq, ub)
-            if j is None:
-                raise NotALattice(x, y, "join")
-            lb = leq[:, x] & leq[:, y]
-            m = _greatest_of(leq, lb)
-            if m is None:
-                raise NotALattice(x, y, "meet")
-            join[x, y] = join[y, x] = j
-            meet[x, y] = meet[y, x] = m
+        has_join, j = _least_per_row(leq[x] & leq[x:], up_size)
+        has_meet, m = _least_per_row(geq[x] & geq[x:], down_size)
+        ok = has_join & has_meet
+        if not ok.all():
+            y = int(ok.argmin())
+            raise NotALattice(x, x + y, "meet" if has_join[y] else "join")
+        join[x, x:] = join[x:, x] = j
+        meet[x, x:] = meet[x:, x] = m
     bottom = int(np.argwhere(leq.all(axis=1))[0][0])
     top = int(np.argwhere(leq.all(axis=0))[0][0])
     return FiniteLattice(p, join, meet, bottom, top)
 
 
-def _least_of(leq: np.ndarray, members: np.ndarray) -> int | None:
-    """Least element of the member set, or None (vacuous set gives None)."""
-    for z in np.flatnonzero(members):
-        if not (members & ~leq[z]).any():
-            return int(z)
-    return None
-
-
-def _greatest_of(leq: np.ndarray, members: np.ndarray) -> int | None:
-    for z in np.flatnonzero(members):
-        if not (members & ~leq[:, z]).any():
-            return int(z)
-    return None
+def _least_per_row(sets: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, an up-set (down-set) given as a mask: whether it has a
+    least (greatest) element, and that element.  ``size[z]`` is the size of
+    the up-set (down-set) generated by z."""
+    least = sets & (size == sets.sum(axis=1, keepdims=True))
+    return least.any(axis=1), least.argmax(axis=1)
 
 
 def covers(L: FiniteLattice) -> tuple[CoverEdge, ...]:
@@ -206,53 +224,53 @@ def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover.
 
     Cross-checked against the definition (not a join of strictly smaller
-    elements); a mismatch would mean a bug in the cover or join tables.
+    elements) when first computed for L; a mismatch would mean a bug in
+    the cover or join tables.
     """
-    by_cover = tuple(
-        x for x in range(L.n) if x != L.bottom and len(L.lower_covers[x]) == 1
-    )
-    by_def = []
-    for x in range(L.n):
-        if x == L.bottom:
-            continue
-        below = [y for y in range(L.n) if L.leq[y, x] and y != x]
-        if L.join_of(below) != x:
-            by_def.append(x)
-    if by_cover != tuple(by_def):
-        raise InternalInconsistency(
-            f"join-irreducible characterizations disagree: {by_cover} vs {tuple(by_def)}"
-        )
-    return by_cover
+    return L._join_irreducibles
 
 
 def meet_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
-    by_cover = tuple(
-        x for x in range(L.n) if x != L.top and len(L.upper_covers[x]) == 1
+    """Elements with exactly one upper cover, cross-checked like the above."""
+    return L._meet_irreducibles
+
+
+def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
+    kind, covers_of, skip = (
+        ("meet", L.upper_covers, L.top) if dual else ("join", L.lower_covers, L.bottom)
     )
-    by_def = []
-    for x in range(L.n):
-        if x == L.top:
-            continue
-        above = [y for y in range(L.n) if L.leq[x, y] and y != x]
-        if L.meet_of(above) != x:
-            by_def.append(x)
-    if by_cover != tuple(by_def):
+    by_cover = tuple(x for x in range(L.n) if x != skip and len(covers_of[x]) == 1)
+    by_def = _irreducibles_by_definition(L, dual)
+    if by_cover != by_def:
         raise InternalInconsistency(
-            f"meet-irreducible characterizations disagree: {by_cover} vs {tuple(by_def)}"
+            f"{kind}-irreducible characterizations disagree: {by_cover} vs {by_def}"
         )
     return by_cover
+
+
+def _irreducibles_by_definition(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
+    """Elements other than the bottom that are not the join of the elements
+    strictly below them (dual: top, meet, above)."""
+    fold, skip, strictly = (
+        (L.meet_of, L.top, L.leq) if dual else (L.join_of, L.bottom, L.leq.T)
+    )
+    return tuple(
+        x
+        for x in range(L.n)
+        if x != skip and fold(y for y in np.flatnonzero(strictly[x]) if y != x) != x
+    )
 
 
 def j_star(L: FiniteLattice, j: int) -> int:
     """The unique lower cover of a join-irreducible."""
-    if j not in join_irreducibles(L):
+    if j not in L._join_irreducibles:
         raise NotIrreducible(f"element {j} is not join-irreducible")
     return L.lower_covers[j][0]
 
 
 def m_star(L: FiniteLattice, m: int) -> int:
     """The unique upper cover of a meet-irreducible."""
-    if m not in meet_irreducibles(L):
+    if m not in L._meet_irreducibles:
         raise NotIrreducible(f"element {m} is not meet-irreducible")
     return L.upper_covers[m][0]
 
@@ -266,95 +284,71 @@ def join_semidistributivity_violation(
     the set {y : x v y = t} has a minimum whenever it is nonempty.  The two
     views must agree; a disagreement is an implementation bug.
     """
-    join, meet = L.join, L.meet
-    witness = None
-    for x in range(L.n):
-        for y in range(L.n):
-            for z in range(L.n):
-                if join[x, y] == join[x, z] and join[x, meet[y, z]] != join[x, y]:
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    has_minima = True
-    for x in range(L.n):
-        row = np.asarray(join[x])
-        for t in set(row.tolist()):
-            fiber = [y for y in range(L.n) if join[x, y] == t]
-            m = L.meet_of(fiber)
-            if int(join[x, m]) != t:
-                has_minima = False
-                break
-        if not has_minima:
-            break
-    if (witness is None) != has_minima:
-        raise InternalInconsistency(
-            "join-semidistributivity characterizations disagree: "
-            f"triple witness {witness}, fibers-have-minima {has_minima}"
-        )
-    return witness
+    return _semidistributivity_violation(L.join, L.meet, "join")
 
 
 def meet_semidistributivity_violation(
     L: FiniteLattice,
 ) -> tuple[int, int, int] | None:
-    join, meet = L.join, L.meet
+    """First triple (x, y, z) with x ^ y = x ^ z but x ^ (y v z) != x ^ y.
+
+    Cross-checked against the maximum-element characterization, dually.
+    """
+    return _semidistributivity_violation(L.meet, L.join, "meet")
+
+
+def _semidistributivity_violation(
+    op: np.ndarray, dual: np.ndarray, kind: str
+) -> tuple[int, int, int] | None:
+    """First (x, y, z) in lexicographic order with op[x, y] == op[x, z] but
+    op[x, dual[y, z]] != op[x, y], testing all (y, z) of one x at once.
+
+    Cross-check: there is no such triple iff every fiber {y : op[x, y] = t}
+    keeps op[x, f] == t at the dual-fold f of its members (its minimum for
+    joins, its maximum for meets).
+    """
+    n = op.shape[0]
     witness = None
-    for x in range(L.n):
-        for y in range(L.n):
-            for z in range(L.n):
-                if meet[x, y] == meet[x, z] and meet[x, join[y, z]] != meet[x, y]:
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
+    for x in range(n):
+        row = op[x]
+        bad = (row[:, None] == row) & (row[dual] != row[:, None])
+        if bad.any():
+            witness = (x, *divmod(int(bad.argmax()), n))
             break
-    has_maxima = True
-    for x in range(L.n):
-        row = np.asarray(meet[x])
-        for t in set(row.tolist()):
-            fiber = [y for y in range(L.n) if meet[x, y] == t]
-            j = L.join_of(fiber)
-            if int(meet[x, j]) != t:
-                has_maxima = False
+    dual_rows = dual.tolist()
+    closed = True
+    for row in op.tolist():
+        fibers: dict[int, list[int]] = {}
+        for y, t in enumerate(row):
+            fibers.setdefault(t, []).append(y)
+        for t, fiber in fibers.items():
+            f = fiber[0]
+            for y in fiber[1:]:
+                f = dual_rows[f][y]
+            if row[f] != t:
+                closed = False
                 break
-        if not has_maxima:
+        if not closed:
             break
-    if (witness is None) != has_maxima:
+    if (witness is None) != closed:
+        extrema = "minima" if kind == "join" else "maxima"
         raise InternalInconsistency(
-            "meet-semidistributivity characterizations disagree: "
-            f"triple witness {witness}, fibers-have-maxima {has_maxima}"
+            f"{kind}-semidistributivity characterizations disagree: "
+            f"triple witness {witness}, fibers-have-{extrema} {closed}"
         )
     return witness
 
 
 def is_join_semidistributive(L: FiniteLattice) -> bool:
-    return _jsd_cache(L) is None
+    return L._jsd_witness is None
 
 
 def is_meet_semidistributive(L: FiniteLattice) -> bool:
-    return _msd_cache(L) is None
+    return L._msd_witness is None
 
 
 def is_semidistributive(L: FiniteLattice) -> bool:
     return is_join_semidistributive(L) and is_meet_semidistributive(L)
-
-
-def _jsd_cache(L: FiniteLattice) -> tuple[int, int, int] | None:
-    cache = L.__dict__
-    if "_jsd_witness" not in cache:
-        cache["_jsd_witness"] = join_semidistributivity_violation(L)
-    return cache["_jsd_witness"]
-
-
-def _msd_cache(L: FiniteLattice) -> tuple[int, int, int] | None:
-    cache = L.__dict__
-    if "_msd_witness" not in cache:
-        cache["_msd_witness"] = meet_semidistributivity_violation(L)
-    return cache["_msd_witness"]
 
 
 def gamma_label(L: FiniteLattice, c: CoverEdge) -> int:
@@ -365,7 +359,7 @@ def gamma_label(L: FiniteLattice, c: CoverEdge) -> int:
     x, y = c
     if not (L.leq[x, y] and c in L.poset.covers):
         raise ValueError(f"({x}, {y}) is not a cover")
-    w = _jsd_cache(L)
+    w = L._jsd_witness
     if w is not None:
         raise NotSemidistributive(
             f"lattice is not join-semidistributive, witness {w}", w
@@ -387,7 +381,7 @@ def mu_label(L: FiniteLattice, c: CoverEdge) -> int:
     x, y = c
     if not (L.leq[x, y] and c in L.poset.covers):
         raise ValueError(f"({x}, {y}) is not a cover")
-    w = _msd_cache(L)
+    w = L._msd_witness
     if w is not None:
         raise NotSemidistributive(
             f"lattice is not meet-semidistributive, witness {w}", w

@@ -92,6 +92,55 @@ def same_tors(a: TorsLattice, b: TorsLattice) -> bool:
     return a.pairs == b.pairs and bool(np.array_equal(a.lattice.leq, b.lattice.leq))
 
 
+def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
+    """try_lattice by scanning bound sets; same tables, same first failure.
+
+    For each pair x <= y in lexicographic order, the common upper bounds
+    are scanned for one below all the others, then the common lower
+    bounds for one above all the others.
+    """
+    n, leq = p.n, p.leq
+    if n == 0:
+        raise NotALattice(0, 0, "join")
+    join = np.zeros((n, n), dtype=np.intp)
+    meet = np.zeros((n, n), dtype=np.intp)
+    for x in range(n):
+        for y in range(x, n):
+            j = _least_member(leq, leq[x] & leq[y])
+            if j is None:
+                raise NotALattice(x, y, "join")
+            m = _least_member(leq.T, leq[:, x] & leq[:, y])
+            if m is None:
+                raise NotALattice(x, y, "meet")
+            join[x, y] = join[y, x] = j
+            meet[x, y] = meet[y, x] = m
+    bottom = int(np.argwhere(leq.all(axis=1))[0][0])
+    top = int(np.argwhere(leq.all(axis=0))[0][0])
+    return FiniteLattice(p, join, meet, bottom, top)
+
+
+def _least_member(leq: np.ndarray, members: np.ndarray) -> int | None:
+    for z in np.flatnonzero(members):
+        if not (members & ~leq[z]).any():
+            return int(z)
+    return None
+
+
+def brute_semidistributivity_violation(
+    L: FiniteLattice, meet: bool = False
+) -> tuple[int, int, int] | None:
+    """First triple (x, y, z) against join- (meet=True: meet-)
+    semidistributivity, by the plain triple loop over all elements."""
+    op, dual = (L.meet, L.join) if meet else (L.join, L.meet)
+    op, dual = op.tolist(), dual.tolist()
+    for x in range(L.n):
+        for y in range(L.n):
+            for z in range(L.n):
+                if op[x][y] == op[x][z] and op[x][dual[y][z]] != op[x][y]:
+                    return (x, y, z)
+    return None
+
+
 def subset_is_torsion_closed(Q: QuiverPresentation, mask: int) -> bool:
     """Closure axioms for a set of indecomposables, checked module-wise.
 

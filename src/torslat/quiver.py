@@ -105,6 +105,32 @@ class QuiverPresentation:
         """(tail, head) of every arrow in index order."""
         return tuple(arrow_ends(self, k) for k in range(self.n - 1))
 
+    @cached_property
+    def _indecomposables(self) -> tuple[IntervalModule, ...]:
+        out = tuple(
+            M
+            for a in range(1, self.n + 1)
+            for b in range(a, self.n + 1)
+            if is_valid_interval(self, M := IntervalModule(a, b))
+        )
+        for M in out:
+            if hom_dim(self, M, M).dim != 1:
+                raise InternalInconsistency(
+                    f"interval {M} has endomorphism dimension != 1"
+                )
+        return out
+
+    @cached_property
+    def _hom_relation(self) -> BrickRelation:
+        bs = bricks(self)
+        arrows = [
+            (i, j)
+            for i, M in enumerate(bs)
+            for j, N in enumerate(bs)
+            if i != j and hom_dim(self, M, N).dim > 0
+        ]
+        return relation_from_arrows((M.label(self.n) for M in bs), arrows)
+
 
 def arrow_ends(Q: QuiverPresentation, k: int) -> tuple[int, int]:
     if Q.orientation[k] == "right":
@@ -131,19 +157,9 @@ def indecomposables(Q: QuiverPresentation) -> tuple[IntervalModule, ...]:
     """All interval modules of the algebra, sorted by (a, b).
 
     Each one is confirmed to have a one-dimensional endomorphism space.
+    Computed once per presentation.
     """
-    out = tuple(
-        M
-        for a in range(1, Q.n + 1)
-        for b in range(a, Q.n + 1)
-        if is_valid_interval(Q, M := IntervalModule(a, b))
-    )
-    for M in out:
-        if hom_dim(Q, M, M).dim != 1:
-            raise InternalInconsistency(
-                f"interval {M} has endomorphism dimension != 1"
-            )
-    return out
+    return Q._indecomposables
 
 
 @dataclass(frozen=True)
@@ -218,20 +234,19 @@ def is_brick(Q: QuiverPresentation, M: IntervalModule) -> bool:
 
 
 def bricks(Q: QuiverPresentation) -> tuple[IntervalModule, ...]:
-    """Indecomposables with one-dimensional endomorphism ring."""
-    return tuple(M for M in indecomposables(Q) if is_brick(Q, M))
+    """Indecomposables with one-dimensional endomorphism ring.
+
+    That is all of them: indecomposables() confirms it for each.
+    """
+    return indecomposables(Q)
 
 
 def hom_relation(Q: QuiverPresentation) -> BrickRelation:
-    """The reflexive relation "Hom(x, y) is nonzero" on the bricks of Q."""
-    bs = bricks(Q)
-    arrows = [
-        (i, j)
-        for i, M in enumerate(bs)
-        for j, N in enumerate(bs)
-        if i != j and hom_dim(Q, M, N).dim > 0
-    ]
-    return relation_from_arrows((M.label(Q.n) for M in bs), arrows)
+    """The reflexive relation "Hom(x, y) is nonzero" on the bricks of Q.
+
+    Computed once per presentation.
+    """
+    return Q._hom_relation
 
 
 def submodules(Q: QuiverPresentation, M: IntervalModule) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from torslat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -278,3 +280,123 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("a2_tors.json")
+
+
+def write_json(tmp_path, obj) -> Path:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def one_line_error(rc, out, err) -> bool:
+    return rc == 2 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "arrows",
+    [
+        # semidistributive, epi-cycle (3, 5); a brick's left perp is not meet-irreducible
+        [[0, 1], [0, 2], [0, 3], [0, 5], [1, 4], [2, 3], [3, 4], [3, 5], [5, 3], [5, 4]],
+        # a cover without a brick label; brick closures that are not join-irreducible
+        [[0, 4], [0, 5], [1, 2], [1, 4], [2, 4], [3, 0], [3, 2], [3, 4], [3, 5], [4, 0],
+         [5, 3], [5, 4]],
+        # a cover with two brick labels
+        [[1, 0], [1, 2], [1, 3], [2, 0], [2, 1], [3, 0], [4, 0], [4, 2], [5, 0]],
+    ],
+)
+def test_check_reports_invariant_failures_of_non_factorizable_relations(
+    capsys, tmp_path, arrows
+):
+    path = write_json(tmp_path, {"labels": [f"b{i}" for i in range(6)], "arrows": arrows})
+    rc, out, err = run(capsys, "check", path)
+    assert rc == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["factorizable"]["ok"] is False
+    assert checks["torsion_lattice_properties"]["ok"] is False
+    assert checks["torsion_lattice_properties"]["problems"]
+    assert err == "violation: factorizable failed\n"
+
+
+@pytest.mark.parametrize("command", ["check", "labels", "build-rel"])
+def test_brick_label_off_gamma_is_a_violation(capsys, tmp_path, command):
+    # semidistributive but not factorizable: cover (1, 3) is labelled by
+    # brick 0, whose closure is not the cover's gamma label
+    path = write_json(
+        tmp_path, {"labels": ["a", "b", "c"], "arrows": [[0, 1], [0, 2], [1, 2], [2, 0]]}
+    )
+    rc, out, err = run(capsys, command, path)
+    assert rc == 1
+    assert err.startswith("violation: ")
+    if command == "labels":
+        assert "disagrees with gamma label" in err
+
+
+@pytest.mark.parametrize(
+    "command,obj",
+    [
+        ("build-rel", {"labels": ["a", "b"], "arrows": [[True, False]]}),
+        ("build-tors", {"vertices": True, "orientation": []}),
+        (
+            "build-tors",
+            {"vertices": 3, "orientation": ["left", "left"], "relations": [[True, False]]},
+        ),
+        ("realize", {"elements": True, "covers": []}),
+        ("realize", {"elements": 2, "covers": [[False, True]]}),
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, command, obj):
+    assert one_line_error(*run(capsys, command, write_json(tmp_path, obj)))
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"elements": 2, "covers": [[0, 5]]}, "out of range"),
+        ({"elements": 2, "covers": [[0, 1], [1, 0]]}, "antisymmetry"),
+        ({"elements": -1, "covers": []}, "negative"),
+        ({"elements": 10**9, "covers": []}, "allocate"),  # fails before allocating
+    ],
+)
+def test_bad_lattice_files_exit_two(capsys, tmp_path, obj, message):
+    rc, out, err = run(capsys, "realize", write_json(tmp_path, obj))
+    assert one_line_error(rc, out, err)
+    assert message in err
+
+
+def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, tmp_path):
+    import torslat.cli
+
+    def broken(poset):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(torslat.cli, "try_lattice", broken)
+    with pytest.raises(RuntimeError):
+        main(["realize", str(DATA / "n5_lattice.json")])
+
+
+@pytest.mark.parametrize("value", ["abc", "", "0", "-2", "1.5", "65", "100000", "9" * 5000])
+def test_bad_thread_count_exits_two_before_any_worker(capsys, monkeypatch, value):
+    import torslat.oracle
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(torslat.oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("TORSLAT_THREADS", value)
+    rc, out, err = run(capsys, "sweep", "--max-size", "3")
+    assert one_line_error(rc, out, err)
+    assert "TORSLAT_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--max-size", "0"),
+        ("census", "--max-size", "-1"),
+        ("realize", DATA / "n5_lattice.json", "--max-bricks", "0"),
+    ],
+)
+def test_size_flags_below_one_exit_two(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert one_line_error(rc, out, err)
+    assert "must be at least 1" in err
