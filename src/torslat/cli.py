@@ -63,6 +63,10 @@ from .oracle import (
 from .quiver import QuiverPresentation, UnsupportedAlgebra
 
 MAX_WORKERS = 64
+# A lattice realized by m bricks has at most 2^m elements, and realize
+# cannot get through 8 bricks (2^56 candidate relations), so larger
+# lattice files are refused before any O(n^2) table is allocated.
+MAX_LATTICE_ELEMENTS = 1 << 8
 
 
 class InputFileError(Exception):
@@ -174,6 +178,11 @@ def lattice_from_json(path: str) -> FiniteLattice:
     covers = obj["covers"]
     if not _is_int(n) or not isinstance(covers, list):
         raise InputFileError(f"error: {path}: bad 'elements' or 'covers'")
+    if n > MAX_LATTICE_ELEMENTS:
+        raise InputFileError(
+            f"error: {path}: refusing to allocate tables for {n} elements;"
+            f" at most {MAX_LATTICE_ELEMENTS} are supported"
+        )
     for entry in covers:
         if not _is_int_pair(entry):
             raise InputFileError(f"error: {path}: cover {entry!r} is not an [l, u] pair")
@@ -181,7 +190,7 @@ def lattice_from_json(path: str) -> FiniteLattice:
         return try_lattice(poset_from_pairs(n, [tuple(c) for c in covers]))
     except NotALattice as exc:
         raise InputFileError(f"error: {path}: not a lattice: {exc}")
-    except (ValueError, AntisymmetryViolation, MemoryError) as exc:
+    except (ValueError, AntisymmetryViolation) as exc:
         raise InputFileError(f"error: {path}: {exc}")
 
 

@@ -22,6 +22,7 @@ reading breaks factorizability on relations that should satisfy it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -175,6 +176,11 @@ class TorsLattice:
     def index_of_tset(self) -> dict[int, int]:
         return {p.tset: i for i, p in enumerate(self.pairs)}
 
+    @cached_property
+    def cover_labels(self) -> dict[CoverEdge, int]:
+        """Cover-to-brick table; a labelling failure propagates, uncached."""
+        return {c: cover_brick_label(self, c) for c in self.lattice.poset.covers}
+
     def tset(self, i: int) -> int:
         return self.pairs[i].tset
 
@@ -193,16 +199,28 @@ def all_torsion_pairs(R: BrickRelation) -> TorsLattice:
     left perps (plus the full class), not by scanning all subsets.
     """
     principals = [perp_left(R, 1 << y) for y in range(R.m)]
-    closed = {R.full_mask}
-    frontier = [R.full_mask]
+    return _tors_from_closed(R, _closed_sets(principals, R.full_mask))
+
+
+def _closed_sets(
+    principals: list[int], full: int, cap: float = math.inf
+) -> set[int] | None:
+    """The full set and all intersections of the principal left perps.
+
+    Returns None as soon as there are more than ``cap`` of them.
+    """
+    closed = {full}
+    frontier = [full]
     while frontier:
         s = frontier.pop()
         for p in principals:
             t = s & p
             if t not in closed:
                 closed.add(t)
+                if len(closed) > cap:
+                    return None
                 frontier.append(t)
-    return _tors_from_closed(R, closed)
+    return closed
 
 
 def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
@@ -318,7 +336,7 @@ def cover_brick_label(TL: TorsLattice, c: CoverEdge) -> int:
 
 
 def all_cover_labels(TL: TorsLattice) -> dict[CoverEdge, int]:
-    return {c: cover_brick_label(TL, c) for c in TL.lattice.poset.covers}
+    return dict(TL.cover_labels)
 
 
 def ji_of_brick(TL: TorsLattice, b: int) -> int:
@@ -366,14 +384,17 @@ def four_class_diagram(TL: TorsLattice, b: int) -> tuple[int, int, int, int]:
 
 
 def interval_label_set(TL: TorsLattice, u: int, v: int) -> int:
-    """Bitmask of bricks labelling covers inside the interval [u, v]."""
+    """Bitmask of bricks labelling covers inside the interval [u, v].
+
+    Raises if any cover of the lattice, inside [u, v] or not, has no label.
+    """
     if not TL.lattice.leq[u, v]:
         raise NotComparable(f"{u} is not below {v}")
     leq = TL.lattice.leq
     mask = 0
-    for c in TL.lattice.poset.covers:
+    for c, brick in TL.cover_labels.items():
         if leq[u, c.lower] and leq[c.upper, v]:
-            mask |= 1 << cover_brick_label(TL, c)
+            mask |= 1 << brick
     return mask
 
 

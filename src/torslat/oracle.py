@@ -9,6 +9,9 @@ A census of all small lattices up to isomorphism feeds the realization
 search: every semidistributive lattice should be the torsion lattice of
 some factorizable relation, and lattices like M3 should be reachable
 only once the factorizability filter is dropped.
+
+The sweep and the realization search test factorizability with one numpy
+kernel on blocks of at most BLOCK candidates, in canonical order.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ import numpy as np
 from .galois import (
     BrickRelation,
     TorsLattice,
+    _closed_sets,
     _tors_from_closed,
     all_torsion_pairs,
+    derived_epi,
     perp_left,
     perp_right,
     relation_from_arrows,
@@ -49,7 +54,6 @@ from .quiver import (
     hom_dim,
     hom_relation,
     indecomposables,
-    quotients,
     submodules,
     summands,
 )
@@ -148,22 +152,38 @@ def subset_is_torsion_closed(Q: QuiverPresentation, mask: int) -> bool:
     inside; (b) extension-closed: an indecomposable with a submodule and
     corresponding quotient whose summands all lie inside is itself inside.
     """
+    return _axioms_hold(_closure_tables(Q), mask)
+
+
+def _closure_tables(Q: QuiverPresentation) -> list[tuple[int, tuple[int, ...]]]:
+    """Per indecomposable E, as masks over the indecomposables: the summands
+    of all quotients of E, and for each submodule the summands of it and of
+    its quotient (the parts of an extension with middle term E)."""
     ind = indecomposables(Q)
     index = {M: i for i, M in enumerate(ind)}
-    members = [M for i, M in enumerate(ind) if mask >> i & 1]
-    for M in members:
-        for q in quotients(Q, M):
-            for S in summands(q):
-                if not mask >> index[S] & 1:
-                    return False
-    for i, E in enumerate(ind):
-        if mask >> i & 1:
-            continue
+
+    def mask_of(vertices) -> int:
+        return sum(1 << index[S] for S in summands(vertices))
+
+    tables = []
+    for E in ind:
         supp = set(E.vertices)
+        quots, parts = 0, set()
         for sub in submodules(Q, E):
-            parts = summands(sub) + summands(supp - set(sub))
-            if parts and all(mask >> index[S] & 1 for S in parts):
+            q = mask_of(supp - set(sub))
+            quots |= q
+            parts.add(mask_of(sub) | q)
+        tables.append((quots, tuple(parts)))
+    return tables
+
+
+def _axioms_hold(tables: list[tuple[int, tuple[int, ...]]], mask: int) -> bool:
+    for i, (quots, parts) in enumerate(tables):
+        if mask >> i & 1:
+            if quots & ~mask:
                 return False
+        elif any(p & ~mask == 0 for p in parts):
+            return False
     return True
 
 
@@ -171,93 +191,72 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
     """The perp-generated torsion classes match the closure-axiom ones.
 
     Every enumerated class must satisfy the quotient and extension axioms,
-    and every subset of indecomposables satisfying them must appear.
+    and every subset of indecomposables satisfying them must appear.  The
+    module data behind the axioms is derived once; each subset is then a
+    few mask operations.
     """
     ind = indecomposables(Q)
     if TL.relation.labels != tuple(M.label(Q.n) for M in ind):
         raise InternalInconsistency(
             "torsion lattice bricks do not match the algebra's indecomposables"
         )
+    tables = _closure_tables(Q)
     enumerated = {p.tset for p in TL.pairs}
-    axiom = {s for s in range(1 << len(ind)) if subset_is_torsion_closed(Q, s)}
+    axiom = {s for s in range(1 << len(ind)) if _axioms_hold(tables, s)}
     return enumerated == axiom
 
 
-def _derived_masks(rows: tuple[int, ...], literal_mono: bool) -> tuple[list[int], list[int]]:
-    """epi[x] and mono[x] as bitmasks over y, from row masks alone."""
-    m = len(rows)
-    cols = [0] * m
-    for x in range(m):
-        r = rows[x]
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << x
-            r ^= low
-    epi = [0] * m
-    mono = [0] * m
-    for x in range(m):
-        ex = 0
-        mx = 0
-        for y in range(m):
-            if rows[y] & ~rows[x] == 0:
-                ex |= 1 << y
-            if literal_mono:
-                if rows[x] & ~rows[y] == 0:
-                    mx |= 1 << y
-            elif cols[x] & ~cols[y] == 0:
-                mx |= 1 << y
-        epi[x] = ex
-        mono[x] = mx
-    return epi, mono
+BLOCK = 1024  # candidate relations per kernel call; bounds scratch for any m
+
+
+def factorizable_batch(rows, literal_mono: bool = False) -> np.ndarray:
+    """Factorizability of N relations at once, from their row masks.
+
+    ``rows`` is an (N, m) integer array: in relation n, brick x has arrows
+    to the bricks in ``rows[n, x]`` (diagonal included).  Returns an (N,)
+    bool array that agrees with ``factorizability_violation(...) is None``
+    entry by entry; that function stays the witness-producing reference.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n, m = rows.shape
+    bit = np.left_shift(1, np.arange(m, dtype=np.int64))
+    arrow = (rows[:, :, None] & bit) != 0
+    # epi[n, x, y]: every brick hit by y is hit by x
+    epi = (rows[:, None, :] & ~rows[:, :, None]) == 0
+    epi_t = epi.transpose(0, 2, 1)
+    if literal_mono:
+        mono = epi_t
+    else:
+        # mono[n, x, y]: every brick hitting x hits y
+        cols = bit @ arrow
+        mono = (cols[:, :, None] & ~cols[:, None, :]) == 0
+    cycle = (epi & epi_t) | (mono & (mono.transpose(0, 2, 1) | epi_t))
+    cycle &= ~np.eye(m, dtype=bool)
+    # an arrow x -> z factors iff epi[x, y] and mono[y, z] for some y; the
+    # boolean product is counted in float32, exact up to 2^24 bricks
+    unfactored = arrow & (np.matmul(epi, mono, dtype=np.float32) == 0)
+    return ~(cycle | unfactored).reshape(n, m * m).any(axis=1)
 
 
 def _quick_factorizable(rows: tuple[int, ...], literal_mono: bool = False) -> bool:
-    """Mask-only factorizability; agrees with factorizability_violation."""
-    m = len(rows)
-    epi, mono = _derived_masks(rows, literal_mono)
-    for x in range(m):
-        for y in range(x + 1, m):
-            if epi[x] >> y & 1 and epi[y] >> x & 1:
-                return False
-            if mono[x] >> y & 1 and mono[y] >> x & 1:
-                return False
-            if mono[x] >> y & 1 and epi[y] >> x & 1:
-                return False
-            if mono[y] >> x & 1 and epi[x] >> y & 1:
-                return False
-    for x in range(m):
-        targets = rows[x]
-        while targets:
-            low = targets & -targets
-            z = low.bit_length() - 1
-            targets ^= low
-            mids = epi[x]
-            ok = False
-            while mids:
-                lm = mids & -mids
-                if mono[lm.bit_length() - 1] >> z & 1:
-                    ok = True
-                    break
-                mids ^= lm
-            if not ok:
-                return False
-    return True
+    """factorizable_batch on a single relation."""
+    return bool(factorizable_batch([rows], literal_mono)[0])
+
+
+def _rows_of_masks(masks, m: int) -> np.ndarray:
+    """Decode sweep masks into an (N, m) array of row masks.
+
+    A mask holds m*(m-1) off-diagonal bits, row-major: the m-1 bits of
+    row x start at bit x*(m-1), and bit x is spliced in as the diagonal.
+    """
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    x = np.arange(m)
+    return _row_choice((masks >> x * (m - 1)) & ((1 << (m - 1)) - 1), x)
 
 
 def _rows_of_mask(mask: int, m: int) -> tuple[int, ...]:
-    """Decode a sweep mask: m*(m-1) off-diagonal bits, row-major."""
-    rows = []
-    pos = 0
-    for x in range(m):
-        r = 1 << x
-        for y in range(m):
-            if y == x:
-                continue
-            if mask >> pos & 1:
-                r |= 1 << y
-            pos += 1
-        rows.append(r)
-    return tuple(rows)
+    """Decode one sweep mask."""
+    return tuple(_rows_of_masks([mask], m)[0].tolist())
 
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
@@ -270,15 +269,11 @@ def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
 
 def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
     """Within each brick's closure, arrows into the brick are derived epis."""
-    epi, _ = _derived_masks(R.row_masks, False)
+    epi = derived_epi(R).tolist()
     for b in range(R.m):
         closure = tors_closure(R, 1 << b)
-        x_mask = closure
-        while x_mask:
-            low = x_mask & -x_mask
-            x = low.bit_length() - 1
-            x_mask ^= low
-            if R.row_masks[x] >> b & 1 and not epi[x] >> b & 1:
+        for x in range(R.m):
+            if closure >> x & 1 and R.row_masks[x] >> b & 1 and not epi[x][b]:
                 return False
     return True
 
@@ -288,17 +283,18 @@ def _sweep_chunk(args: tuple[int, int, int, bool]) -> tuple[int, list, int]:
     factorizable = 0
     violations = []
     dichotomy_failures = 0
-    for mask in range(start, stop):
-        rows = _rows_of_mask(mask, m)
-        if not _quick_factorizable(rows, literal_mono):
-            continue
-        factorizable += 1
-        R = _relation_of_rows(rows)
-        problems = verify_tors_lattice(all_torsion_pairs(R))
-        if problems:
-            violations.append({"m": m, "mask": mask, "problems": problems})
-        if not _abstract_dichotomy_holds(R):
-            dichotomy_failures += 1
+    for lo in range(start, stop, BLOCK):
+        masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
+        rows = _rows_of_masks(masks, m)
+        keep = factorizable_batch(rows, literal_mono)
+        for mask, r in zip(masks[keep].tolist(), rows[keep].tolist()):
+            factorizable += 1
+            R = _relation_of_rows(tuple(r))
+            problems = verify_tors_lattice(all_torsion_pairs(R))
+            if problems:
+                violations.append({"m": m, "mask": mask, "problems": problems})
+            if not _abstract_dichotomy_holds(R):
+                dichotomy_failures += 1
     return factorizable, violations, dichotomy_failures
 
 
@@ -439,9 +435,13 @@ def realize_sd_lattice(
 
     Enumeration order is canonical: rows are bitmasks chosen in ascending
     order with earlier rows more significant, so the first hit is stable.
+    Candidates are tested in numpy blocks of at most BLOCK, in that order,
+    with the deadline checked once per block; a BudgetExceeded names the
+    brick count and how many candidates of that size were examined.
     Following the derived-cycle conditions, rows are forced pairwise
-    distinct while the filter is on, which prunes most of the space
-    before any full factorizability test.
+    distinct while the filter is on, and only tuples that
+    factorizable_batch accepts reach the closure count and the
+    isomorphism test.
     """
     budget = budget or SearchBudget(max_brick_set_size=5)
     deadline = budget.deadline()
@@ -471,50 +471,67 @@ def _search_relations(
     factorizable_only: bool,
     deadline: float,
 ) -> BrickRelation | None:
-    if m == 0:
-        rows: tuple[int, ...] = ()
-        if _rows_realize(L, key, rows, factorizable_only):
-            return _relation_of_rows(rows)
-        return None
-    # each row has its diagonal bit forced and m-1 free bits around it
-    row_choices: list[list[int]] = []
-    for x in range(m):
-        opts = []
-        for free in range(1 << (m - 1)):
-            r = 1 << x
-            pos = 0
-            for y in range(m):
-                if y == x:
-                    continue
-                if free >> pos & 1:
-                    r |= 1 << y
-                pos += 1
-            opts.append(r)
-        row_choices.append(sorted(opts))
-
-    def rec(prefix: tuple[int, ...]):
-        x = len(prefix)
-        if x == m:
-            yield prefix
-            return
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("realization search ran past its time limit")
-        for r in row_choices[x]:
-            if factorizable_only and r in prefix:
-                continue
-            yield from rec(prefix + (r,))
-
-    for rows in rec(()):
-        if _rows_realize(L, key, rows, factorizable_only):
-            return _relation_of_rows(rows)
+    for rows in _candidate_blocks(m, factorizable_only, deadline):
+        for r in rows.tolist():
+            if _rows_realize(L, key, tuple(r)):
+                return _relation_of_rows(tuple(r))
     return None
 
 
-def _rows_realize(
-    L: FiniteLattice, key: tuple, rows: tuple[int, ...], factorizable_only: bool
-) -> bool:
-    if factorizable_only and not _quick_factorizable(rows):
-        return False
+def _candidate_blocks(m: int, factorizable_only: bool, deadline: float):
+    """Every m-tuple of rows in canonical order, as arrays of <= BLOCK tuples.
+
+    Row x ranges over the k = 2^(m-1) masks with bit x set, ascending, and
+    earlier rows are more significant, so a tuple is an m-digit number in
+    base k.  The last j digits span at least BLOCK tuples (or all m do) and
+    are cut into consecutive blocks; the leading digits are a Python loop
+    around them, so scratch is O(BLOCK * m^2) whatever k^m is.  With the
+    filter on, only tuples with pairwise distinct rows that pass
+    factorizable_batch are kept, in order.
+    """
+    if m > 62:
+        raise BudgetExceeded(f"{m} bricks do not fit in 64-bit row masks")
+    k = 1 << (m - 1) if m else 1
+    j = 0
+    while j < m and k**j < BLOCK:
+        j += 1
+    size = k**j
+    tail_shifts = (m - 1) * np.arange(j - 1, -1, -1)
+    tail_rows = np.arange(m - j, m)
+    examined = 0
+    for p in range(k ** (m - j)):
+        head = [
+            _row_choice((p >> (m - 1) * (m - j - 1 - x)) & (k - 1), x)
+            for x in range(m - j)
+        ]
+        if factorizable_only and len(set(head)) < len(head):
+            examined += size
+            continue
+        for lo in range(0, size, BLOCK):
+            if time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"realization search ran past its time limit on {m} bricks,"
+                    f" after {examined:,} of 2^{m * (m - 1)} candidate relations"
+                )
+            digits = np.arange(lo, min(lo + BLOCK, size))[:, None] >> tail_shifts
+            rows = np.empty((len(digits), m), dtype=np.int64)
+            rows[:, : m - j] = head
+            rows[:, m - j :] = _row_choice(digits & (k - 1), tail_rows)
+            examined += len(rows)
+            if factorizable_only:
+                ordered = np.sort(rows, axis=1)
+                rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+                rows = rows[factorizable_batch(rows)]
+            yield rows
+
+
+def _row_choice(d, x):
+    """The d-th mask with bit x set, in ascending order: bit x spliced into d."""
+    low = (1 << x) - 1
+    return ((d & ~low) << 1) | (1 << x) | (d & low)
+
+
+def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
     m = len(rows)
     full = (1 << m) - 1
     cols = [0] * m
@@ -524,19 +541,8 @@ def _rows_realize(
             low = r & -r
             cols[low.bit_length() - 1] |= 1 << x
             r ^= low
-    principals = [full & ~cols[y] for y in range(m)]
-    closed = {full}
-    frontier = [full]
-    while frontier:
-        s = frontier.pop()
-        for p in principals:
-            t = s & p
-            if t not in closed:
-                closed.add(t)
-                if len(closed) > L.n:
-                    return False
-                frontier.append(t)
-    if len(closed) != L.n:
+    closed = _closed_sets([full & ~c for c in cols], full, cap=L.n)
+    if closed is None or len(closed) != L.n:
         return False
     R = _relation_of_rows(rows)
     TL = all_torsion_pairs(R)

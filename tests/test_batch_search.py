@@ -1,0 +1,282 @@
+"""The batch factorizability kernel and the block search built on it.
+
+factorizable_batch must agree with the witness-producing
+factorizability_violation on every relation of at most 4 bricks and on
+random relations of up to 8, in both readings of mono.  The block
+enumerator must hand the realization search exactly the tuples, in
+exactly the order, that a one-at-a-time loop over the product of row
+choices would.  The first hits below were recorded from the
+one-tuple-at-a-time search that preceded the kernel: keys are indices
+into the census of lattices up to 7 elements, values the row masks of the
+relation found (None: none within budget; BUDGET: BudgetExceeded).
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torslat.oracle as oracle_mod
+from torslat.galois import factorizability_violation, relation_from_arrows
+from torslat.lattice import (
+    _element_invariants,
+    is_semidistributive,
+    poset_from_pairs,
+    try_lattice,
+)
+from torslat.oracle import (
+    BudgetExceeded,
+    SearchBudget,
+    _rows_of_mask,
+    factorizable_batch,
+    lattice_census,
+    realize_sd_lattice,
+)
+
+BUDGET = "budget"
+
+SD_HITS = {
+    0: (),
+    1: (1,),
+    2: (1, 3),
+    3: (1, 2),
+    4: (1, 3, 7),
+    6: (1, 3, 6),
+    7: (1, 2, 7),
+    8: (1, 3, 5),
+    9: (1, 3, 7, 15),
+    15: (3, 14, 7, 12),
+    16: (1, 2, 5),
+    17: (1, 3, 7, 14),
+    18: (1, 3, 6, 15),
+    19: (1, 2, 7, 15),
+    21: (1, 3, 7, 13),
+    22: (1, 3, 5, 15),
+    23: (1, 3, 7, 11),
+    24: (1, 3, 7, 15, 31),
+    47: (1, 3, 5, 14),
+    50: (3, 30, 7, 15, 28),
+    51: (1, 3, 6, 14),
+    52: (3, 14, 7, 12, 31),
+    53: (1, 3, 7, 12),
+    54: (1, 2, 7, 13),
+    55: (1, 2, 5, 15),
+    57: (1, 3, 6, 11),
+    58: (1, 3, 7, 15, 30),
+    59: (1, 3, 7, 14, 31),
+    60: (1, 3, 6, 15, 31),
+    61: (1, 2, 7, 11),
+    62: (1, 2, 7, 15, 31),
+    68: (1, 7, 29, 15, 25),
+    69: (1, 3, 5, 11),
+    70: (1, 3, 7, 15, 29),
+    71: (1, 3, 7, 13, 31),
+    72: (1, 3, 5, 15, 31),
+    74: (1, 3, 7, 15, 27),
+    75: (1, 3, 7, 11, 31),
+    76: (1, 3, 7, 15, 23),
+    77: BUDGET,
+}
+
+NON_SD_HITS = {
+    5: None,
+    10: None,
+    11: None,
+    12: None,
+    13: None,
+    14: None,
+    20: None,
+}
+
+UNFILTERED_HITS = {
+    0: (),
+    1: (1,),
+    2: (1, 3),
+    3: (1, 2),
+    4: (1, 3, 7),
+    5: (3, 6, 5),
+    6: (1, 3, 6),
+    7: (1, 2, 7),
+    8: (1, 3, 5),
+    9: None,
+    10: None,
+    11: None,
+    12: None,
+    13: None,
+    14: None,
+    15: None,
+    16: (1, 2, 5),
+    17: None,
+    18: None,
+    19: None,
+    20: None,
+    21: None,
+    22: None,
+    23: None,
+    24: None,
+}
+
+CENSUS = lattice_census(SearchBudget(max_lattice_size=7))
+M3 = try_lattice(poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
+
+
+def relation_of_rows(rows):
+    m = len(rows)
+    return relation_from_arrows(
+        [f"b{i}" for i in range(m)],
+        [(x, y) for x in range(m) for y in range(m) if x != y and rows[x] >> y & 1],
+    )
+
+
+def reference(rows, literal_mono):
+    return factorizability_violation(relation_of_rows(rows), literal_mono) is None
+
+
+def row_choices(m):
+    return [[r for r in range(1 << m) if r >> x & 1] for x in range(m)]
+
+
+@pytest.mark.parametrize("literal_mono", [False, True])
+def test_kernel_matches_witness_form_on_every_small_relation(literal_mono):
+    counts = []
+    for m in range(1, 5):
+        rows = [_rows_of_mask(mask, m) for mask in range(1 << (m * (m - 1)))]
+        got = factorizable_batch(rows, literal_mono).tolist()
+        assert got == [reference(r, literal_mono) for r in rows]
+        counts.append(sum(got))
+    assert counts == ([1, 1, 1, 1] if literal_mono else [1, 3, 25, 507])
+
+
+@st.composite
+def same_size_relations(draw, max_bricks=8):
+    """1-6 relations on one random number of bricks, as row masks."""
+    m = draw(st.integers(0, max_bricks))
+    free = st.integers(0, (1 << m) - 1)
+    return [
+        tuple(draw(free) | 1 << x for x in range(m))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(same_size_relations(), st.booleans())
+def test_kernel_matches_witness_form_on_random_relations(batch, literal_mono):
+    m = len(batch[0])
+    rows = np.array(batch, dtype=np.int64).reshape(len(batch), m)
+    got = factorizable_batch(rows, literal_mono)
+    assert got.tolist() == [reference(r, literal_mono) for r in batch]
+
+
+def recorded_candidates(monkeypatch, m, factorizable_only):
+    seen = []
+
+    def record(L, key, rows):
+        seen.append(rows)
+        return False
+
+    monkeypatch.setattr(oracle_mod, "_rows_realize", record)
+    key = tuple(sorted(_element_invariants(M3)))
+    deadline = time.monotonic() + 60
+    assert oracle_mod._search_relations(M3, key, m, factorizable_only, deadline) is None
+    return seen
+
+
+def test_blocks_pass_the_filtered_product_in_order(monkeypatch):
+    expected = [
+        t
+        for t in itertools.product(*row_choices(4))
+        if len(set(t)) == 4 and reference(t, False)
+    ]
+    assert recorded_candidates(monkeypatch, 4, True) == expected
+
+
+def test_unfiltered_blocks_pass_the_whole_product_in_order(monkeypatch):
+    assert recorded_candidates(monkeypatch, 3, False) == list(
+        itertools.product(*row_choices(3))
+    )
+
+
+def hit(L, budget, factorizable_only=True):
+    try:
+        R = realize_sd_lattice(L, budget, factorizable_only)
+    except BudgetExceeded:
+        return BUDGET
+    return None if R is None else R.row_masks
+
+
+def test_pinned_hits_cover_the_intended_lattices():
+    assert sorted(SD_HITS) == [i for i, L in enumerate(CENSUS) if is_semidistributive(L)]
+    assert len(SD_HITS) == 40
+    assert sorted(NON_SD_HITS) == [
+        i for i, L in enumerate(CENSUS) if L.n <= 6 and not is_semidistributive(L)
+    ]
+    assert sorted(UNFILTERED_HITS) == [i for i, L in enumerate(CENSUS) if L.n <= 6]
+
+
+@pytest.mark.parametrize("index", sorted(SD_HITS))
+def test_semidistributive_first_hits_are_pinned(index):
+    assert hit(CENSUS[index], SearchBudget(max_brick_set_size=5)) == SD_HITS[index]
+
+
+@pytest.mark.parametrize("index", sorted(NON_SD_HITS))
+def test_non_semidistributive_absence_is_pinned(index):
+    assert hit(CENSUS[index], SearchBudget(max_brick_set_size=4)) == NON_SD_HITS[index]
+
+
+@pytest.mark.parametrize("index", sorted(UNFILTERED_HITS))
+def test_unfiltered_first_hits_are_pinned(index):
+    budget = SearchBudget(max_brick_set_size=3)
+    assert hit(CENSUS[index], budget, False) == UNFILTERED_HITS[index]
+
+
+def test_m3_has_no_factorizable_realization_up_to_five_bricks():
+    assert realize_sd_lattice(M3, SearchBudget(max_brick_set_size=5)) is None
+
+
+def aborted_search(L, budget):
+    """The BudgetExceeded message, the seconds and the traced peak bytes."""
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            realize_sd_lattice(L, budget)
+        return str(exc.value), time.monotonic() - t0, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_abort_names_its_stage_and_block_memory_stays_small():
+    budget = SearchBudget(max_brick_set_size=8, time_limit=0.5)
+    msg, seconds, peak = aborted_search(M3, budget)
+    found = re.search(r"on (\d+) bricks, after ([\d,]+) of 2\^(\d+) candidate", msg)
+    assert found, msg
+    m = int(found.group(1))
+    assert 3 <= m <= 8
+    examined, exponent = int(found.group(2).replace(",", "")), int(found.group(3))
+    assert exponent == m * (m - 1) and examined < 2**exponent
+    assert seconds < 5
+    assert peak < 4 * 2**20
+
+
+def test_search_on_eight_bricks_works_in_bounded_blocks():
+    # M8, eight atoms: not semidistributive, so the search starts at 8 bricks
+    atoms = range(1, 9)
+    m8 = try_lattice(poset_from_pairs(10, [(0, a) for a in atoms] + [(a, 9) for a in atoms]))
+    budget = SearchBudget(max_brick_set_size=8, time_limit=0.3)
+    msg, seconds, peak = aborted_search(m8, budget)
+    assert "on 8 bricks, after " in msg
+    assert seconds < 5
+    assert peak < 4 * 2**20
+
+
+def test_more_bricks_than_row_mask_bits_is_a_budget_error():
+    chain = try_lattice(poset_from_pairs(64, [(i, i + 1) for i in range(63)]))
+    with pytest.raises(BudgetExceeded, match="63 bricks do not fit"):
+        realize_sd_lattice(chain, SearchBudget(max_brick_set_size=63))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from torslat.cli import main
+from torslat.cli import MAX_LATTICE_ELEMENTS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -400,3 +400,27 @@ def test_size_flags_below_one_exit_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert one_line_error(rc, out, err)
     assert "must be at least 1" in err
+
+
+@pytest.mark.parametrize("elements", [MAX_LATTICE_ELEMENTS + 1, 10**9])
+def test_oversized_lattice_files_exit_two_before_allocating(
+    capsys, monkeypatch, tmp_path, elements
+):
+    import torslat.cli
+
+    def no_tables(*args):
+        raise AssertionError("an order table was allocated")
+
+    monkeypatch.setattr(torslat.cli, "poset_from_pairs", no_tables)
+    path = write_json(tmp_path, {"elements": elements, "covers": []})
+    rc, out, err = run(capsys, "realize", path)
+    assert one_line_error(rc, out, err)
+    assert f"at most {MAX_LATTICE_ELEMENTS}" in err
+
+
+def test_lattice_file_at_the_element_cap_is_read(tmp_path):
+    from torslat.cli import lattice_from_json
+
+    n = MAX_LATTICE_ELEMENTS
+    path = write_json(tmp_path, {"elements": n, "covers": [[i, i + 1] for i in range(n - 1)]})
+    assert lattice_from_json(str(path)).n == n

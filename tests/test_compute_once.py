@@ -3,22 +3,28 @@ behind it still run.
 
 Counts, not timings: the by-definition irreducible scan runs once per
 lattice during the invariant suite, the exact Hom solver runs a bounded
-number of times during `torslat check`, and tampered tables still trip
-the "two characterizations must agree" checks.
+number of times during `torslat check`, the closure-axiom scan derives
+each module's submodules once, the cover-to-brick table is built once per
+torsion lattice, and tampered tables still trip the "two
+characterizations must agree" checks.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 
+import torslat.galois as galois_mod
 import torslat.lattice as lattice_mod
+import torslat.oracle as oracle_mod
 import torslat.quiver as quiver_mod
 from torslat.bridge import tors_of_algebra
 from torslat.cli import main
-from torslat.galois import verify_tors_lattice
+from torslat.galois import all_torsion_pairs, relation_from_arrows, verify_tors_lattice
 from torslat.lattice import (
     FiniteLattice,
     InternalInconsistency,
@@ -27,7 +33,14 @@ from torslat.lattice import (
     poset_from_pairs,
     try_lattice,
 )
-from torslat.quiver import QuiverPresentation
+from torslat.oracle import closure_axiom_check, subset_is_torsion_closed
+from torslat.quiver import (
+    QuiverPresentation,
+    indecomposables,
+    quotients,
+    submodules,
+    summands,
+)
 
 LINEAR_A4 = QuiverPresentation(4, ("left",) * 3)
 
@@ -81,3 +94,98 @@ def test_tampered_join_table_trips_cross_checks():
         join_irreducibles(bad)
     with pytest.raises(InternalInconsistency, match="meet-semidistributivity"):
         meet_semidistributivity_violation(bad)
+
+
+def write_a4(tmp_path):
+    path = tmp_path / "a4.json"
+    path.write_text('{"vertices": 4, "orientation": ["left", "left", "left"]}')
+    return str(path)
+
+
+def test_check_derives_submodules_once_per_module(monkeypatch, tmp_path):
+    calls = Counter()
+    real_submodules = quiver_mod.submodules
+
+    def counting_submodules(Q, M):
+        calls[M] += 1
+        return real_submodules(Q, M)
+
+    monkeypatch.setattr(quiver_mod, "submodules", counting_submodules)
+    monkeypatch.setattr(oracle_mod, "submodules", counting_submodules)
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", write_a4(tmp_path)]) == 0
+    assert len(calls) == 10  # the indecomposables of linear A4
+    assert max(calls.values()) == 1
+
+
+def axioms_by_module(Q):
+    """The closure axioms read off module lists, one subset at a time."""
+    ind = indecomposables(Q)
+    index = {M: i for i, M in enumerate(ind)}
+    quots = [[summands(q) for q in quotients(Q, M)] for M in ind]
+    exts = [
+        [summands(sub) + summands(set(E.vertices) - set(sub)) for sub in submodules(Q, E)]
+        for E in ind
+    ]
+
+    def holds(mask):
+        inside = [bool(mask >> i & 1) for i in range(len(ind))]
+        for i in range(len(ind)):
+            if inside[i] and any(not inside[index[S]] for q in quots[i] for S in q):
+                return False
+            if not inside[i] and any(all(inside[index[S]] for S in p) for p in exts[i]):
+                return False
+        return True
+
+    return holds
+
+
+QUIVERS = [
+    QuiverPresentation(n, orientation)
+    for n in (3, 4)
+    for orientation in itertools.product(("left", "right"), repeat=n - 1)
+] + [
+    QuiverPresentation(3, ("right", "right"), ((0, 1),)),
+    QuiverPresentation(4, ("left",) * 3, ((1, 0),)),
+    QuiverPresentation(4, ("right",) * 3, ((0, 1), (1, 2))),
+]
+
+
+@pytest.mark.parametrize("q", QUIVERS, ids=repr)
+def test_closure_tables_keep_the_module_wise_answers(q):
+    assert closure_axiom_check(q, tors_of_algebra(q).tors)
+    reference = axioms_by_module(q)
+    tables = oracle_mod._closure_tables(q)  # what subset_is_torsion_closed reads
+    for mask in range(1 << len(indecomposables(q))):
+        assert oracle_mod._axioms_hold(tables, mask) == reference(mask)
+    full = (1 << len(indecomposables(q))) - 1
+    for mask in (0, full, full >> 1, 0b101):
+        assert subset_is_torsion_closed(q, mask) == reference(mask)
+
+
+def test_cover_labels_are_computed_once_per_lattice(monkeypatch):
+    calls = [0]
+    real_label = galois_mod.cover_brick_label
+
+    def counting_label(TL, c):
+        calls[0] += 1
+        return real_label(TL, c)
+
+    monkeypatch.setattr(galois_mod, "cover_brick_label", counting_label)
+    TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3)).tors
+    assert verify_tors_lattice(TL) == []
+    assert len(TL.lattice.poset.covers) == 84
+    assert calls[0] == 84
+
+
+def test_unlabellable_cover_is_reported_once_and_raises_directly():
+    # bricks a and b hit each other, so one cover carries both as labels
+    R = relation_from_arrows(list("abc"), [(0, 1), (1, 0)])
+    TL = all_torsion_pairs(R)
+    problems = verify_tors_lattice(TL)
+    assert sum("expected one" in p for p in problems) == 1
+    assert not any("label set mismatch" in p for p in problems)
+    with pytest.raises(galois_mod.LabelNotUnique):
+        galois_mod.all_cover_labels(TL)
+    with pytest.raises(galois_mod.LabelNotUnique):
+        galois_mod.interval_label_set(TL, 0, TL.n - 1)
