@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import (
-    BrickRelation,
-    TorsLattice,
-    all_torsion_pairs,
-    cover_brick_label,
+from .galois import BrickRelation, TorsLattice, all_torsion_pairs
+from .lattice import (
+    CoverEdge,
+    InternalInconsistency,
+    interval_covers,
+    is_lattice_quotient,
 )
-from .lattice import CoverEdge, InternalInconsistency, NotComparable, is_lattice_quotient
 from .quiver import (
     IntervalModule,
     QuiverPresentation,
@@ -116,19 +116,14 @@ def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
     Returns True when all three have the same truth value.
     """
     TL = qm.source.tors
-    L = TL.lattice
-    if not L.leq[u, v]:
-        raise NotComparable(f"{u} is not below {v}")
+    covers = interval_covers(TL.lattice, u, v)
+    labels = TL.cover_labels
     same_image = qm.element_map[u] == qm.element_map[v]
     between = TL.fset(u) & TL.tset(v)
     killed_gap = all(
         qm.brick_map[b] is None for b in range(TL.relation.m) if between >> b & 1
     )
-    killed_covers = all(
-        qm.brick_map[cover_brick_label(TL, c)] is None
-        for c in L.poset.covers
-        if L.leq[u, c.lower] and L.leq[c.upper, v]
-    )
+    killed_covers = all(qm.brick_map[labels[c]] is None for c in covers)
     return same_image == killed_gap == killed_covers
 
 
@@ -142,7 +137,6 @@ def label_preservation_check(qm: QuotientMap) -> bool:
             continue
         if CoverEdge(x, y) not in dst.lattice.poset.covers:
             return False
-        src_brick = qm.brick_map[cover_brick_label(src, c)]
-        if src_brick != cover_brick_label(dst, CoverEdge(x, y)):
+        if qm.brick_map[src.cover_labels[c]] != dst.cover_labels[CoverEdge(x, y)]:
             return False
     return True

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .bridge import (
     InvalidIdeal,
@@ -50,6 +51,8 @@ from .lattice import (
     try_lattice,
 )
 from .oracle import (
+    MAX_CENSUS_ELEMENTS,
+    MAX_SWEEP_BRICKS,
     BudgetExceeded,
     SearchBudget,
     brute_torsion_pairs,
@@ -206,6 +209,12 @@ def _read_tors(path: str) -> tuple[QuiverPresentation | None, TorsLattice]:
 def _at_least_one(flag: str, value: int) -> int:
     if value < 1:
         raise InputFileError(f"error: {flag} must be at least 1, got {value}")
+    return value
+
+
+def _at_most(flag: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise InputFileError(f"error: {flag} must be at most {cap}, got {value}")
     return value
 
 
@@ -469,7 +478,8 @@ def _cmd_realize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     workers = _workers()
-    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-size", args.max_size))
+    size = _at_most("--max-size", args.max_size, MAX_SWEEP_BRICKS)
+    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-size", size))
     report = sweep_factorizable(budget, literal_mono=args.literal_mono, workers=workers)
     runtime = report.pop("runtime_seconds")
     _emit(_dump(report), args.json)
@@ -482,24 +492,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    budget = SearchBudget(max_lattice_size=_at_least_one("--max-size", args.max_size))
-    lattices = lattice_census(budget)
-    out = []
-    for L in lattices:
-        out.append(
-            {
-                "elements": L.n,
-                "covers": [[c.lower, c.upper] for c in sorted(L.poset.covers)],
-                "semidistributive": is_semidistributive(L),
-            }
-        )
-    sizes: dict[str, int] = {}
-    sd: dict[str, int] = {}
-    for entry in out:
-        k = str(entry["elements"])
-        sizes[k] = sizes.get(k, 0) + 1
-        if entry["semidistributive"]:
-            sd[k] = sd.get(k, 0) + 1
+    size = _at_most("--max-size", args.max_size, MAX_CENSUS_ELEMENTS)
+    budget = SearchBudget(max_lattice_size=_at_least_one("--max-size", size))
+    out = [
+        {
+            "elements": L.n,
+            "covers": [[c.lower, c.upper] for c in sorted(L.poset.covers)],
+            "semidistributive": is_semidistributive(L),
+        }
+        for L in lattice_census(budget)
+    ]
+    sizes = Counter(str(e["elements"]) for e in out)
+    sd = Counter(str(e["elements"]) for e in out if e["semidistributive"])
     _emit(
         _dump({"sizes": sizes, "semidistributive": sd, "total": len(out), "lattices": out}),
         args.json,

@@ -356,44 +356,36 @@ def gamma_label(L: FiniteLattice, c: CoverEdge) -> int:
 
     Requires join-semidistributivity; the cover then determines j uniquely.
     """
-    x, y = c
-    if not (L.leq[x, y] and c in L.poset.covers):
-        raise ValueError(f"({x}, {y}) is not a cover")
-    w = L._jsd_witness
-    if w is not None:
-        raise NotSemidistributive(
-            f"lattice is not join-semidistributive, witness {w}", w
-        )
-    hits = [
-        j
-        for j in join_irreducibles(L)
-        if L.join[x, j] == y and L.join[x, j_star(L, j)] == x
-    ]
-    if len(hits) != 1:
-        raise InternalInconsistency(
-            f"cover ({x}, {y}) has {len(hits)} gamma labels; expected exactly 1"
-        )
-    return hits[0]
+    return _cover_label(L, c, dual=False)
 
 
 def mu_label(L: FiniteLattice, c: CoverEdge) -> int:
     """The unique meet-irreducible m with upper ^ m = lower, upper ^ m^* = upper."""
+    return _cover_label(L, c, dual=True)
+
+
+def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
     x, y = c
     if not (L.leq[x, y] and c in L.poset.covers):
         raise ValueError(f"({x}, {y}) is not a cover")
-    w = L._msd_witness
+    kind, name, w, op, near, far = (
+        ("meet", "mu", L._msd_witness, L.meet, y, x)
+        if dual
+        else ("join", "gamma", L._jsd_witness, L.join, x, y)
+    )
     if w is not None:
         raise NotSemidistributive(
-            f"lattice is not meet-semidistributive, witness {w}", w
+            f"lattice is not {kind}-semidistributive, witness {w}", w
         )
-    hits = [
-        m
-        for m in meet_irreducibles(L)
-        if L.meet[y, m] == x and L.meet[y, m_star(L, m)] == y
-    ]
+    irr, star = (
+        (meet_irreducibles(L), L.upper_covers)
+        if dual
+        else (join_irreducibles(L), L.lower_covers)
+    )
+    hits = [k for k in irr if op[near, k] == far and op[near, star[k][0]] == near]
     if len(hits) != 1:
         raise InternalInconsistency(
-            f"cover ({x}, {y}) has {len(hits)} mu labels; expected exactly 1"
+            f"cover ({x}, {y}) has {len(hits)} {name} labels; expected exactly 1"
         )
     return hits[0]
 
@@ -440,6 +432,22 @@ def interval_sublattice(
     )
     sub = FinitePoset(len(members), L.leq[np.ix_(members, members)])
     return try_lattice(sub), members
+
+
+def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
+    """The covers x <| y of L with u <= x and y <= v, upper cover ascending.
+
+    An interval is convex, so these are exactly the covers of the lattice
+    [u, v]; its join-irreducibles are the y with one lower cover here.
+    """
+    if not L.leq[u, v]:
+        raise NotComparable(f"{u} is not below {v}")
+    return tuple(
+        CoverEdge(x, int(y))
+        for y in np.flatnonzero(L.leq[u] & L.leq[:, v])
+        for x in L.lower_covers[y]
+        if L.leq[u, x]
+    )
 
 
 def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:

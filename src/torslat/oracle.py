@@ -59,6 +59,13 @@ from .quiver import (
 )
 
 
+# Caps of the exhaustive searches: a sweep to m bricks decodes all
+# 2^(m(m-1)) relations of size m (2^20 at 5, 2^30 at 6), and the census
+# enumerates every naturally labelled poset up to the element count.
+MAX_SWEEP_BRICKS = 5
+MAX_CENSUS_ELEMENTS = 7
+
+
 class BudgetExceeded(Exception):
     """A search exceeded its configured size or time budget."""
 
@@ -238,11 +245,6 @@ def factorizable_batch(rows, literal_mono: bool = False) -> np.ndarray:
     return ~(cycle | unfactored).reshape(n, m * m).any(axis=1)
 
 
-def _quick_factorizable(rows: tuple[int, ...], literal_mono: bool = False) -> bool:
-    """factorizable_batch on a single relation."""
-    return bool(factorizable_batch([rows], literal_mono)[0])
-
-
 def _rows_of_masks(masks, m: int) -> np.ndarray:
     """Decode sweep masks into an (N, m) array of row masks.
 
@@ -252,11 +254,6 @@ def _rows_of_masks(masks, m: int) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.int64)[:, None]
     x = np.arange(m)
     return _row_choice((masks >> x * (m - 1)) & ((1 << (m - 1)) - 1), x)
-
-
-def _rows_of_mask(mask: int, m: int) -> tuple[int, ...]:
-    """Decode one sweep mask."""
-    return tuple(_rows_of_masks([mask], m)[0].tolist())
 
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
@@ -313,8 +310,8 @@ def sweep_factorizable(
     runtime.  Output is identical for any worker count.
     """
     budget = budget or SearchBudget()
-    if budget.max_brick_set_size > 5:
-        raise BudgetExceeded("sweeps are capped at 5 bricks")
+    if budget.max_brick_set_size > MAX_SWEEP_BRICKS:
+        raise BudgetExceeded(f"sweeps are capped at {MAX_SWEEP_BRICKS} bricks")
     deadline = budget.deadline()
     t0 = time.monotonic()
     per_m: dict[str, dict] = {}
@@ -358,8 +355,8 @@ def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
     backtracking isomorphism inside invariant buckets.
     """
     budget = budget or SearchBudget()
-    if budget.max_lattice_size > 7:
-        raise BudgetExceeded("census is capped at 7 elements")
+    if budget.max_lattice_size > MAX_CENSUS_ELEMENTS:
+        raise BudgetExceeded(f"census is capped at {MAX_CENSUS_ELEMENTS} elements")
     deadline = budget.deadline()
     out: list[FiniteLattice] = []
     for n in range(1, budget.max_lattice_size + 1):

@@ -34,7 +34,7 @@ from torslat.lattice import (
 from torslat.oracle import (
     BudgetExceeded,
     SearchBudget,
-    _rows_of_mask,
+    _rows_of_masks,
     factorizable_batch,
     lattice_census,
     realize_sd_lattice,
@@ -147,7 +147,7 @@ def row_choices(m):
 def test_kernel_matches_witness_form_on_every_small_relation(literal_mono):
     counts = []
     for m in range(1, 5):
-        rows = [_rows_of_mask(mask, m) for mask in range(1 << (m * (m - 1)))]
+        rows = _rows_of_masks(range(1 << (m * (m - 1))), m).tolist()
         got = factorizable_batch(rows, literal_mono).tolist()
         assert got == [reference(r, literal_mono) for r in rows]
         counts.append(sum(got))

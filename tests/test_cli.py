@@ -1,12 +1,14 @@
 """End-to-end tests for the command line, including byte-exact goldens."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import torslat
 from torslat.cli import MAX_LATTICE_ELEMENTS, main
 
 DATA = Path(__file__).parent / "data"
@@ -273,10 +275,14 @@ def test_quotient_bad_ideal_values(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(torslat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "torslat.cli", "build-tors", str(DATA / "a2.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("a2_tors.json")
@@ -389,17 +395,28 @@ def test_bad_thread_count_exits_two_before_any_worker(capsys, monkeypatch, value
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("sweep", "--max-size", "0"),
-        ("census", "--max-size", "-1"),
-        ("realize", DATA / "n5_lattice.json", "--max-bricks", "0"),
+        (("sweep", "--max-size", "0"), "must be at least 1"),
+        (("census", "--max-size", "-1"), "must be at least 1"),
+        (("realize", DATA / "n5_lattice.json", "--max-bricks", "0"), "must be at least 1"),
+        (("sweep", "--max-size", "6"), "--max-size must be at most 5, got 6"),
+        (("census", "--max-size", "8"), "--max-size must be at most 7, got 8"),
     ],
+    ids=["sweep-0", "census--1", "realize-0", "sweep-6", "census-8"],
 )
-def test_size_flags_below_one_exit_two(capsys, argv):
+def test_size_flags_out_of_range_exit_two(capsys, monkeypatch, argv, message):
+    import torslat.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(torslat.cli, "sweep_factorizable", no_search)
+    monkeypatch.setattr(torslat.cli, "lattice_census", no_search)
+    monkeypatch.setattr(torslat.cli, "realize_sd_lattice", no_search)
     rc, out, err = run(capsys, *argv)
     assert one_line_error(rc, out, err)
-    assert "must be at least 1" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("elements", [MAX_LATTICE_ELEMENTS + 1, 10**9])

@@ -6,19 +6,30 @@ tables, the same first failing pair and kind, and the same first
 witness, on every census lattice up to 7 elements, on torsion lattices
 of random relations up to 8 bricks, and on random posets that are mostly
 not lattices.  Cached irreducibles must equal a scan of the definition
-that reads only the order relation.
+that reads only the order relation.  The covers of every interval, read
+off the lattice by interval_covers, must be those of the interval rebuilt
+as a lattice of its own by interval_sublattice, with the same
+join-irreducibles.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torslat.bridge import tors_of_algebra
 from torslat.galois import all_torsion_pairs, relation_from_arrows
 from torslat.lattice import (
+    CoverEdge,
     NotALattice,
+    NotComparable,
+    interval_covers,
+    interval_sublattice,
     join_irreducibles,
     join_semidistributivity_violation,
     meet_irreducibles,
@@ -32,6 +43,7 @@ from torslat.oracle import (
     brute_try_lattice,
     lattice_census,
 )
+from torslat.quiver import QuiverPresentation
 
 
 def outcome(build, poset):
@@ -67,6 +79,27 @@ def assert_core_matches_oracle(L):
     assert meet_irreducibles(L) == irreducibles_from_order(L.leq.T)
 
 
+def assert_intervals_match_sublattices(L):
+    """interval_covers against interval_sublattice on every pair of
+    elements; returns the number of intervals."""
+    checked = 0
+    for u, v in itertools.product(range(L.n), repeat=2):
+        if not L.leq[u, v]:
+            with pytest.raises(NotComparable):
+                interval_covers(L, u, v)
+            continue
+        sub, members = interval_sublattice(L, u, v)
+        got = interval_covers(L, u, v)
+        expected = [CoverEdge(members[x], members[y]) for x, y in sub.poset.covers]
+        assert sorted(got) == expected
+        lower_count = Counter(c.upper for c in got)
+        assert [y for y in members if lower_count[y] == 1] == [
+            members[j] for j in join_irreducibles(sub)
+        ]
+        checked += 1
+    return checked
+
+
 CENSUS = lattice_census(SearchBudget(max_lattice_size=7))
 
 
@@ -77,6 +110,15 @@ def test_census_has_every_lattice_up_to_seven():
 @pytest.mark.parametrize("index", range(len(CENSUS)))
 def test_census_lattice_matches_oracle(index):
     assert_core_matches_oracle(CENSUS[index])
+
+
+def test_interval_covers_match_sublattices_on_census_and_type_a():
+    checked = sum(assert_intervals_match_sublattices(L) for L in CENSUS)
+    for n in (2, 3, 4):
+        for orientation in itertools.product(("left", "right"), repeat=n - 1):
+            TL = tors_of_algebra(QuiverPresentation(n, orientation)).tors
+            checked += assert_intervals_match_sublattices(TL.lattice)
+    assert checked == 5260
 
 
 @st.composite
@@ -95,6 +137,7 @@ def test_torsion_lattices_match_oracle(R):
     L = all_torsion_pairs(R).lattice
     assume(L.n <= 64)  # keeps the cubic oracle loops short
     assert_core_matches_oracle(L)
+    assert_intervals_match_sublattices(L)
 
 
 @st.composite

@@ -12,6 +12,7 @@ import pytest
 from torslat.lattice import (
     AntisymmetryViolation,
     CoverEdge,
+    InternalInconsistency,
     NotALattice,
     NotComparable,
     NotIrreducible,
@@ -33,6 +34,7 @@ from torslat.lattice import (
     kappa_dual,
     m_star,
     meet_irreducibles,
+    meet_semidistributivity_violation,
     mu_label,
     poset_from_pairs,
     to_dot,
@@ -178,6 +180,30 @@ def test_pentagon_mu_labels(pentagon, edge, expected):
 def test_gamma_rejects_non_cover(pentagon):
     with pytest.raises(ValueError):
         gamma_label(pentagon, CoverEdge(0, 4))
+
+
+@pytest.mark.parametrize(
+    "label, kind, violation, irreducibles",
+    [
+        (gamma_label, "join", join_semidistributivity_violation, "_join_irreducibles"),
+        (mu_label, "meet", meet_semidistributivity_violation, "_meet_irreducibles"),
+    ],
+)
+def test_label_search_checks_in_order(diamond_m3, label, kind, violation, irreducibles):
+    """Not a cover first, then not semidistributive, then no unique label."""
+    with pytest.raises(ValueError, match=r"^\(0, 4\) is not a cover$"):
+        label(diamond_m3, CoverEdge(0, 4))
+    with pytest.raises(NotSemidistributive) as exc:
+        label(diamond_m3, CoverEdge(0, 1))
+    w = violation(diamond_m3)
+    assert exc.value.witness == w
+    assert str(exc.value) == f"lattice is not {kind}-semidistributive, witness {w}"
+    chain = lattice_from_covers(3, [(0, 1), (1, 2)])
+    chain.__dict__[irreducibles] = ()  # leaves no candidate label
+    name = "gamma" if kind == "join" else "mu"
+    with pytest.raises(InternalInconsistency) as exc:
+        label(chain, CoverEdge(0, 1))
+    assert str(exc.value) == f"cover (0, 1) has 0 {name} labels; expected exactly 1"
 
 
 def test_pentagon_kappa(pentagon):

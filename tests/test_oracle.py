@@ -27,8 +27,6 @@ from torslat.lattice import (
 from torslat.oracle import (
     BudgetExceeded,
     SearchBudget,
-    _quick_factorizable,
-    _rows_of_mask,
     brute_torsion_pairs,
     closure_axiom_check,
     lattice_census,
@@ -107,25 +105,6 @@ def test_closure_axioms_match_perp_enumeration(q):
     from torslat.bridge import tors_of_algebra
 
     assert closure_axiom_check(q, tors_of_algebra(q).tors)
-
-
-def test_quick_factorizable_matches_full():
-    for m in (1, 2, 3):
-        for mask in range(1 << (m * (m - 1))):
-            rows = _rows_of_mask(mask, m)
-            R = relation_from_arrows(
-                [f"b{i}" for i in range(m)],
-                [
-                    (x, y)
-                    for x in range(m)
-                    for y in range(m)
-                    if x != y and rows[x] >> y & 1
-                ],
-            )
-            assert _quick_factorizable(rows) == is_factorizable(R)
-            assert _quick_factorizable(rows, True) == is_factorizable(
-                R, literal_mono=True
-            )
 
 
 def test_sweep_counts_small():
