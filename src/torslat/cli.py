@@ -2,11 +2,13 @@
 
 Commands: build-tors, build-rel, check, labels, kappa, quotient, realize,
 sweep, census.  All structured output is JSON text with sorted keys; Hasse
-diagrams are DOT.  Exit codes: 0 success, 1 property violation (first
-witness on stderr) or search failure, 2 unusable input file (line and
-column for syntax errors), flag value or TORSLAT_THREADS.  Sweep timing
-goes to stderr so stdout stays byte-stable across runs and worker counts
-(TORSLAT_THREADS, default 1, at most MAX_WORKERS).
+diagrams are DOT.  Each command raises instead of returning a status, and
+main alone maps the outcome to an exit code and its one stderr line: 0
+success, 1 property violation (first witness) or search failure, 2
+unusable input file (line and column for syntax errors), output path,
+flag value or TORSLAT_THREADS.  Sweep timing goes to stderr so stdout
+stays byte-stable across runs and worker counts (TORSLAT_THREADS, default
+1, at most MAX_WORKERS).
 """
 
 from __future__ import annotations
@@ -73,7 +75,11 @@ MAX_LATTICE_ELEMENTS = 1 << 8
 
 
 class InputFileError(Exception):
-    """Unusable input file, flag value or environment value; exit code 2."""
+    """Unusable input file, output path, flag value or environment value; exit 2."""
+
+
+class Violation(Exception):
+    """A checked property failed after the report was written; exit code 1."""
 
 
 def _is_int(v) -> bool:
@@ -90,10 +96,16 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise InputFileError(f"error: {path}: file not found")
+        raise InputFileError(f"{path}: file not found")
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path}: not UTF-8 text: {exc.reason}")
+    except RecursionError:
+        raise InputFileError(f"{path}: JSON nested too deeply")
     except json.JSONDecodeError as exc:
         raise InputFileError(
-            f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
 
 
@@ -109,32 +121,32 @@ def relation_from_json(path: str) -> BrickRelation:
 def _relation_from_obj(path: str, obj) -> BrickRelation:
     if not isinstance(obj, dict) or "labels" not in obj or "arrows" not in obj:
         raise InputFileError(
-            f"error: {path}: expected an object with 'labels' and 'arrows'"
+            f"{path}: expected an object with 'labels' and 'arrows'"
         )
     labels = obj["labels"]
     arrows = obj["arrows"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise InputFileError(f"error: {path}: 'labels' must be an array of strings")
+        raise InputFileError(f"{path}: 'labels' must be an array of strings")
     if not isinstance(arrows, list):
-        raise InputFileError(f"error: {path}: 'arrows' must be an array of pairs")
+        raise InputFileError(f"{path}: 'arrows' must be an array of pairs")
     seen = set()
     pairs = []
     for entry in arrows:
         if not _is_int_pair(entry):
-            raise InputFileError(f"error: {path}: arrow {entry!r} is not an [i, j] pair")
+            raise InputFileError(f"{path}: arrow {entry!r} is not an [i, j] pair")
         x, y = entry
         if x == y:
             raise InputFileError(
-                f"error: {path}: arrow [{x}, {y}] duplicates the implicit diagonal"
+                f"{path}: arrow [{x}, {y}] duplicates the implicit diagonal"
             )
         if (x, y) in seen:
-            raise InputFileError(f"error: {path}: duplicate arrow [{x}, {y}]")
+            raise InputFileError(f"{path}: duplicate arrow [{x}, {y}]")
         seen.add((x, y))
         pairs.append((x, y))
     try:
         return relation_from_arrows(labels, pairs)
     except ValueError as exc:
-        raise InputFileError(f"error: {path}: {exc}")
+        raise InputFileError(f"{path}: {exc}")
 
 
 def quiver_from_json(path: str) -> QuiverPresentation:
@@ -145,29 +157,29 @@ def quiver_from_json(path: str) -> QuiverPresentation:
 def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
     if not isinstance(obj, dict) or "vertices" not in obj or "orientation" not in obj:
         raise InputFileError(
-            f"error: {path}: expected an object with 'vertices' and 'orientation'"
+            f"{path}: expected an object with 'vertices' and 'orientation'"
         )
     vertices = obj["vertices"]
     orientation = obj["orientation"]
     relations = obj.get("relations", [])
     if not _is_int(vertices):
-        raise InputFileError(f"error: {path}: 'vertices' must be an integer")
+        raise InputFileError(f"{path}: 'vertices' must be an integer")
     if not isinstance(orientation, list) or not all(
         isinstance(s, str) for s in orientation
     ):
-        raise InputFileError(f"error: {path}: 'orientation' must be an array of strings")
+        raise InputFileError(f"{path}: 'orientation' must be an array of strings")
     if not isinstance(relations, list) or not all(
         isinstance(p, list) and all(_is_int(k) for k in p) for p in relations
     ):
         raise InputFileError(
-            f"error: {path}: 'relations' must be an array of arrow index arrays"
+            f"{path}: 'relations' must be an array of arrow index arrays"
         )
     try:
         return QuiverPresentation(
             vertices, tuple(orientation), tuple(tuple(p) for p in relations)
         )
     except (ValueError, UnsupportedAlgebra) as exc:
-        raise InputFileError(f"error: {path}: {exc}")
+        raise InputFileError(f"{path}: {exc}")
 
 
 def lattice_from_json(path: str) -> FiniteLattice:
@@ -175,26 +187,26 @@ def lattice_from_json(path: str) -> FiniteLattice:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
         raise InputFileError(
-            f"error: {path}: expected an object with 'elements' and 'covers'"
+            f"{path}: expected an object with 'elements' and 'covers'"
         )
     n = obj["elements"]
     covers = obj["covers"]
     if not _is_int(n) or not isinstance(covers, list):
-        raise InputFileError(f"error: {path}: bad 'elements' or 'covers'")
+        raise InputFileError(f"{path}: bad 'elements' or 'covers'")
     if n > MAX_LATTICE_ELEMENTS:
         raise InputFileError(
-            f"error: {path}: refusing to allocate tables for {n} elements;"
+            f"{path}: refusing to allocate tables for {n} elements;"
             f" at most {MAX_LATTICE_ELEMENTS} are supported"
         )
     for entry in covers:
         if not _is_int_pair(entry):
-            raise InputFileError(f"error: {path}: cover {entry!r} is not an [l, u] pair")
+            raise InputFileError(f"{path}: cover {entry!r} is not an [l, u] pair")
     try:
         return try_lattice(poset_from_pairs(n, [tuple(c) for c in covers]))
     except NotALattice as exc:
-        raise InputFileError(f"error: {path}: not a lattice: {exc}")
+        raise InputFileError(f"{path}: not a lattice: {exc}")
     except (ValueError, AntisymmetryViolation) as exc:
-        raise InputFileError(f"error: {path}: {exc}")
+        raise InputFileError(f"{path}: {exc}")
 
 
 def _read_tors(path: str) -> tuple[QuiverPresentation | None, TorsLattice]:
@@ -206,15 +218,26 @@ def _read_tors(path: str) -> tuple[QuiverPresentation | None, TorsLattice]:
     return None, all_torsion_pairs(_relation_from_obj(path, obj))
 
 
-def _at_least_one(flag: str, value: int) -> int:
+def _int(text: str) -> int:
+    """ASCII digits with an optional leading '-', and nothing else.
+
+    int() alone also reads '1_0' as 10, ' 0 ' as 0 and a full-width '７'
+    as 7.  The ValueError also covers int()'s digit-count limit.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value: 'abc'"
+
+
+def _in_range(flag: str, value: int, cap: int | None = None) -> int:
     if value < 1:
-        raise InputFileError(f"error: {flag} must be at least 1, got {value}")
-    return value
-
-
-def _at_most(flag: str, value: int, cap: int) -> int:
-    if value > cap:
-        raise InputFileError(f"error: {flag} must be at most {cap}, got {value}")
+        raise InputFileError(f"{flag} must be at least 1, got {value}")
+    if cap is not None and value > cap:
+        raise InputFileError(f"{flag} must be at most {cap}, got {value}")
     return value
 
 
@@ -222,12 +245,12 @@ def _workers() -> int:
     """TORSLAT_THREADS, checked before any worker process starts."""
     raw = os.environ.get("TORSLAT_THREADS", "1")
     try:
-        workers = int(raw)
+        workers = _int(raw)
     except ValueError:
         workers = 0
     if not 1 <= workers <= MAX_WORKERS:
         raise InputFileError(
-            f"error: TORSLAT_THREADS must be an integer from 1 to {MAX_WORKERS}, got {raw!r}"
+            f"TORSLAT_THREADS must be an integer from 1 to {MAX_WORKERS}, got {raw!r}"
         )
     return workers
 
@@ -268,18 +291,28 @@ def _tors_dot(TL: TorsLattice) -> str:
 def _emit(text: str, dest: str | None):
     if dest is None or dest == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputFileError(f"{dest}: cannot write: {exc.strerror}")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(args, report: dict, dot: str | None = None):
+    """DOT goes to --dot when given; the JSON report goes to --json, or to
+    stdout unless the DOT took stdout."""
+    if args.dot is not None:
+        _emit(dot, args.dot)
+    if not (args.dot == "-" and args.json is None):
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
 
 
-def _cmd_build(args, TL: TorsLattice) -> int:
-    witness = None
-    if args.command == "build-rel":
+def _cmd_build(args):
+    if args.command == "build-tors":
+        TL, witness = tors_of_algebra(quiver_from_json(args.input)).tors, None
+    else:
+        TL = all_torsion_pairs(relation_from_json(args.input))
         witness = factorizability_violation(TL.relation)
     label_error = None
     try:
@@ -295,20 +328,28 @@ def _cmd_build(args, TL: TorsLattice) -> int:
         summary["violation"] = list(witness) if witness else None
     if label_error is not None:
         summary["label_error"] = label_error
-    if args.dot is not None:
-        _emit(dot, args.dot)
-    if not (args.dot == "-" and args.json is None):
-        _emit(_dump(summary), args.json)
+    _write(args, summary, dot)
     first = witness or label_error
     if first is not None:
-        print(f"violation: {first}", file=sys.stderr)
-        return 1
-    return 0
+        raise Violation(first)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     Q, TL = _read_tors(args.input)
-    checks = []
+    witness = factorizability_violation(TL.relation)
+    problems = verify_tors_lattice(TL)
+    checks = [
+        {
+            "name": "factorizable",
+            "ok": witness is None,
+            "witness": list(witness) if witness else None,
+        },
+        {
+            "name": "torsion_lattice_properties",
+            "ok": not problems,
+            "problems": problems,
+        },
+    ]
     if Q is not None:
         checks.append(
             {"name": "closure_axioms", "ok": closure_axiom_check(Q, TL)}
@@ -321,24 +362,6 @@ def _cmd_check(args) -> int:
                 "violations": dich["violations"],
             }
         )
-    witness = factorizability_violation(TL.relation)
-    checks.insert(
-        0,
-        {
-            "name": "factorizable",
-            "ok": witness is None,
-            "witness": list(witness) if witness else None,
-        },
-    )
-    problems = verify_tors_lattice(TL)
-    checks.insert(
-        1,
-        {
-            "name": "torsion_lattice_properties",
-            "ok": not problems,
-            "problems": problems,
-        },
-    )
     if TL.relation.m <= 12:
         checks.append(
             {
@@ -347,21 +370,14 @@ def _cmd_check(args) -> int:
             }
         )
     report = {"input": args.input, "checks": checks, "ok": all(c["ok"] for c in checks)}
-    _emit(_dump(report), args.json)
+    _write(args, report)
     if not report["ok"]:
         first = next(c for c in checks if not c["ok"])
-        print(f"violation: {first['name']} failed", file=sys.stderr)
-        return 1
-    return 0
+        raise Violation(f"{first['name']} failed")
 
 
-def _cmd_labels(args) -> int:
+def _cmd_labels(args):
     _, TL = _read_tors(args.input)
-    try:
-        labels = all_cover_labels(TL)
-    except (LabelMissing, LabelNotUnique, InternalInconsistency) as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
     table = [
         {
             "lower": c.lower,
@@ -370,47 +386,39 @@ def _cmd_labels(args) -> int:
             "upper_class": _class_list(TL, c.upper),
             "brick": TL.relation.labels[b],
         }
-        for c, b in sorted(labels.items())
+        for c, b in sorted(all_cover_labels(TL).items())
     ]
-    _emit(_dump({"covers": table}), args.json)
-    return 0
+    _write(args, {"covers": table})
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args):
     _, TL = _read_tors(args.input)
     L = TL.lattice
-    try:
-        table = [
-            {
-                "ji": j,
-                "ji_class": _class_list(TL, j),
-                "mi": (m := kappa(L, j)),
-                "mi_class": _class_list(TL, m),
-                "ji_back": kappa_dual(L, m),
-            }
-            for j in join_irreducibles(L)
-        ]
-    except NotSemidistributive as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
-    _emit(_dump({"kappa": table}), args.json)
-    return 0
+    table = [
+        {
+            "ji": j,
+            "ji_class": _class_list(TL, j),
+            "mi": (m := kappa(L, j)),
+            "mi_class": _class_list(TL, m),
+            "ji_back": kappa_dual(L, m),
+        }
+        for j in join_irreducibles(L)
+    ]
+    _write(args, {"kappa": table})
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args):
     Q = quiver_from_json(args.input)
     ideal = []
     for spec_str in args.ideal or []:
         try:
-            ideal.append(tuple(int(k) for k in spec_str.split(",") if k != ""))
+            ideal.append(tuple(_int(k) for k in spec_str.split(",") if k != ""))
         except ValueError:
-            print(f"error: bad --ideal value {spec_str!r}", file=sys.stderr)
-            return 2
+            raise InputFileError(f"bad --ideal value {spec_str!r}")
     try:
         qm = quotient_map(Q, tuple(ideal))
     except (InvalidIdeal, UnsupportedAlgebra) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputFileError(str(exc))
     src = qm.source.tors
     dst = qm.target.tors
     fibers: dict[int, list[int]] = {}
@@ -438,23 +446,18 @@ def _cmd_quotient(args) -> int:
         "label_preservation": labels_ok,
         "target": _tors_summary(dst),
     }
-    if args.dot is not None:
-        _emit(_tors_dot(dst), args.dot)
-    if not (args.dot == "-" and args.json is None):
-        _emit(_dump(report), args.json)
+    _write(args, report, _tors_dot(dst))
     if not (fiber_ok and labels_ok):
-        print("violation: quotient structure checks failed", file=sys.stderr)
-        return 1
-    return 0
+        raise Violation("quotient structure checks failed")
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args):
     L = lattice_from_json(args.input)
-    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-bricks", args.max_bricks))
+    budget = SearchBudget(max_brick_set_size=_in_range("--max-bricks", args.max_bricks))
     R = realize_sd_lattice(L, budget, factorizable_only=not args.unfiltered)
     if R is None:
-        _emit(_dump({"realized": False, "reason": "none within budget"}), args.json)
-        return 0
+        _write(args, {"realized": False, "reason": "none within budget"})
+        return
     arrows = [
         [x, y]
         for x in range(R.m)
@@ -462,38 +465,33 @@ def _cmd_realize(args) -> int:
         if x != y and R.row_masks[x] >> y & 1
     ]
     witness = factorizability_violation(R)
-    _emit(
-        _dump(
-            {
-                "realized": True,
-                "labels": list(R.labels),
-                "arrows": arrows,
-                "factorizable": witness is None,
-            }
-        ),
-        args.json,
+    _write(
+        args,
+        {
+            "realized": True,
+            "labels": list(R.labels),
+            "arrows": arrows,
+            "factorizable": witness is None,
+        },
     )
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     workers = _workers()
-    size = _at_most("--max-size", args.max_size, MAX_SWEEP_BRICKS)
-    budget = SearchBudget(max_brick_set_size=_at_least_one("--max-size", size))
+    size = _in_range("--max-size", args.max_size, MAX_SWEEP_BRICKS)
+    budget = SearchBudget(max_brick_set_size=size)
     report = sweep_factorizable(budget, literal_mono=args.literal_mono, workers=workers)
     runtime = report.pop("runtime_seconds")
-    _emit(_dump(report), args.json)
+    _write(args, report)
     print(f"runtime: {runtime}s", file=sys.stderr)
     if report["violations"]:
         v = report["violations"][0]
-        print(f"violation: m={v['m']} mask={v['mask']}: {v['problems'][0]}", file=sys.stderr)
-        return 1
-    return 0
+        raise Violation(f"m={v['m']} mask={v['mask']}: {v['problems'][0]}")
 
 
-def _cmd_census(args) -> int:
-    size = _at_most("--max-size", args.max_size, MAX_CENSUS_ELEMENTS)
-    budget = SearchBudget(max_lattice_size=_at_least_one("--max-size", size))
+def _cmd_census(args):
+    size = _in_range("--max-size", args.max_size, MAX_CENSUS_ELEMENTS)
+    budget = SearchBudget(max_lattice_size=size)
     out = [
         {
             "elements": L.n,
@@ -504,11 +502,9 @@ def _cmd_census(args) -> int:
     ]
     sizes = Counter(str(e["elements"]) for e in out)
     sd = Counter(str(e["elements"]) for e in out if e["semidistributive"])
-    _emit(
-        _dump({"sizes": sizes, "semidistributive": sd, "total": len(out), "lattices": out}),
-        args.json,
+    _write(
+        args, {"sizes": sizes, "semidistributive": sd, "total": len(out), "lattices": out}
     )
-    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -518,77 +514,62 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def io_flags(sp, dot=True):
+    def command(sp, run, reads_input=True, dot=False):
+        """Finish a subparser: its input, --json, --dot when dot, its handler."""
+        if reads_input:
+            sp.add_argument("input")
         sp.add_argument("--json", default=None, help="write JSON here instead of stdout")
         if dot:
             sp.add_argument("--dot", default=None, help="write DOT here ('-' for stdout)")
+        sp.set_defaults(run=run, dot=None)
 
-    sp = sub.add_parser("build-tors", help="torsion lattice of a quiver algebra")
-    sp.add_argument("input")
-    io_flags(sp)
-    sp = sub.add_parser("build-rel", help="torsion lattice of a brick relation")
-    sp.add_argument("input")
-    io_flags(sp)
-    sp = sub.add_parser("check", help="run the full property suite on an input")
-    sp.add_argument("input")
-    io_flags(sp, dot=False)
-    sp = sub.add_parser("labels", help="cover-to-brick label table")
-    sp.add_argument("input")
-    io_flags(sp, dot=False)
-    sp = sub.add_parser("kappa", help="join- to meet-irreducible bijection table")
-    sp.add_argument("input")
-    io_flags(sp, dot=False)
-    sp = sub.add_parser("quotient", help="quotient algebra and induced lattice quotient")
-    sp.add_argument("input")
+    add = sub.add_parser
+    command(add("build-tors", help="torsion lattice of a quiver algebra"), _cmd_build, dot=True)
+    command(add("build-rel", help="torsion lattice of a brick relation"), _cmd_build, dot=True)
+    command(add("check", help="run the full property suite on an input"), _cmd_check)
+    command(add("labels", help="cover-to-brick label table"), _cmd_labels)
+    command(add("kappa", help="join- to meet-irreducible bijection table"), _cmd_kappa)
+    sp = add("quotient", help="quotient algebra and induced lattice quotient")
     sp.add_argument(
         "--ideal",
         action="append",
         help="comma-separated arrow indices of a relation path; repeatable",
     )
-    io_flags(sp)
-    sp = sub.add_parser("realize", help="search for a relation with the given torsion lattice")
-    sp.add_argument("input")
-    sp.add_argument("--max-bricks", type=int, default=5)
+    command(sp, _cmd_quotient, dot=True)
+    sp = add("realize", help="search for a relation with the given torsion lattice")
+    sp.add_argument("--max-bricks", type=_int, default=5)
     sp.add_argument("--unfiltered", action="store_true")
-    io_flags(sp, dot=False)
-    sp = sub.add_parser("sweep", help="exhaustive relation sweep with invariant checks")
-    sp.add_argument("--max-size", type=int, default=4)
+    command(sp, _cmd_realize)
+    sp = add("sweep", help="exhaustive relation sweep with invariant checks")
+    sp.add_argument("--max-size", type=_int, default=4)
     sp.add_argument("--literal-mono", action="store_true")
-    io_flags(sp, dot=False)
-    sp = sub.add_parser("census", help="all small lattices up to isomorphism")
-    sp.add_argument("--max-size", type=int, default=6)
-    io_flags(sp, dot=False)
+    command(sp, _cmd_sweep, reads_input=False)
+    sp = add("census", help="all small lattices up to isomorphism")
+    sp.add_argument("--max-size", type=_int, default=6)
+    command(sp, _cmd_census, reads_input=False)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "build-tors":
-            return _cmd_build(args, tors_of_algebra(quiver_from_json(args.input)).tors)
-        if args.command == "build-rel":
-            return _cmd_build(args, all_torsion_pairs(relation_from_json(args.input)))
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "labels":
-            return _cmd_labels(args)
-        if args.command == "kappa":
-            return _cmd_kappa(args)
-        if args.command == "quotient":
-            return _cmd_quotient(args)
-        if args.command == "realize":
-            return _cmd_realize(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "census":
-            return _cmd_census(args)
+        args.run(args)
     except InputFileError as exc:
-        print(exc, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (
+        Violation,
+        LabelMissing,
+        LabelNotUnique,
+        InternalInconsistency,
+        NotSemidistributive,
+    ) as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 1
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -401,7 +401,12 @@ def interval_ji_check(TL: TorsLattice, u: int, v: int) -> bool:
     bijection onto the join-irreducibles of the interval [u, v], the
     elements with exactly one lower cover inside it.
     """
-    lower_count = Counter(c.upper for c in interval_covers(TL.lattice, u, v))
+    return _ji_check(TL, u, v, interval_covers(TL.lattice, u, v))
+
+
+def _ji_check(TL: TorsLattice, u: int, v: int, covers: tuple[CoverEdge, ...]) -> bool:
+    """interval_ji_check, given the covers of [u, v]."""
+    lower_count = Counter(c.upper for c in covers)
     sub_ji = {y for y, k in lower_count.items() if k == 1}
     domain = TL.fset(u) & TL.tset(v)
     image = []
@@ -478,12 +483,13 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
         except NotIrreducible as exc:
             problems.append(f"brick {b}: {exc}")
     for u, v in np.argwhere(L.leq).tolist():
+        covers = interval_covers(L, u, v)
         if not gap_nonempty_check(TL, u, v):
             problems.append(f"interval ({u}, {v}): gap/strictness equivalence fails")
-        if not interval_ji_check(TL, u, v):
+        if not _ji_check(TL, u, v, covers):
             problems.append(f"interval ({u}, {v}): join-irreducible map fails")
         expected = TL.fset(u) & TL.tset(v)
         # a cover that failed labelling is reported once, above
-        if labelled and interval_label_set(TL, u, v) != expected:
+        if labelled and _mask_of(TL.cover_labels[c] for c in covers) != expected:
             problems.append(f"interval ({u}, {v}): label set mismatch")
     return problems

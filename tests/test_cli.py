@@ -441,3 +441,96 @@ def test_lattice_file_at_the_element_cap_is_read(tmp_path):
     n = MAX_LATTICE_ELEMENTS
     path = write_json(tmp_path, {"elements": n, "covers": [[i, i + 1] for i in range(n - 1)]})
     assert lattice_from_json(str(path)).n == n
+
+
+def deep_json(tmp_path) -> Path:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return path
+
+
+def non_utf8(tmp_path) -> Path:
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"labels": ["é"], "arrows": []}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, make, message",
+    [
+        ("check", lambda tmp_path: tmp_path, "cannot read"),  # a directory
+        ("build-rel", non_utf8, "not UTF-8"),
+        ("realize", deep_json, "nested too deeply"),
+    ],
+    ids=["directory", "non-utf8", "nested-100000"],
+)
+def test_unreadable_input_exits_two_naming_the_file(
+    capsys, tmp_path, command, make, message
+):
+    path = make(tmp_path)
+    rc, out, err = run(capsys, command, path)
+    assert one_line_error(rc, out, err)
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_unwritable_output_path_exits_two_naming_it(capsys, tmp_path, flag):
+    dest = tmp_path / "missing" / "out.txt"
+    rc, out, err = run(capsys, "build-tors", DATA / "a2.json", flag, dest)
+    assert one_line_error(rc, out, err)
+    assert err.startswith("error: ") and str(dest) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", DATA / "n5_lattice.json", "--max-bricks", "1_0"),
+        ("realize", DATA / "n5_lattice.json", "--max-bricks", "+5"),
+        ("census", "--max-size", "７"),  # full-width 7
+        ("census", "--max-size", " 3 "),
+        ("sweep", "--max-size", "٣"),  # Arabic-Indic 3
+        ("sweep", "--max-size", "9" * 5000),
+    ],
+    ids=["underscore", "plus", "full-width", "spaces", "arabic-indic", "5000-digits"],
+)
+def test_size_flags_take_ascii_digits_only(capsys, monkeypatch, argv):
+    import torslat.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(torslat.cli, "sweep_factorizable", no_search)
+    monkeypatch.setattr(torslat.cli, "lattice_census", no_search)
+    monkeypatch.setattr(torslat.cli, "realize_sd_lattice", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "invalid int value" in err
+
+
+def test_negative_size_flag_still_reaches_the_range_check(capsys):
+    rc, out, err = run(capsys, "realize", DATA / "n5_lattice.json", "--max-bricks", "-3")
+    assert one_line_error(rc, out, err)
+    assert "--max-bricks must be at least 1, got -3" in err
+
+
+@pytest.mark.parametrize("spec", [" 0 ", "1_0", "０", "+0", "0, 1"])
+def test_ideal_entries_take_ascii_digits_only(capsys, spec):
+    rc, out, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", spec)
+    assert one_line_error(rc, out, err)
+    assert f"bad --ideal value {spec!r}" in err
+
+
+@pytest.mark.parametrize("value", [" 1 ", "1_0", "２", "+2", "2\n"])
+def test_thread_count_takes_ascii_digits_only(capsys, monkeypatch, value):
+    import torslat.oracle
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(torslat.oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("TORSLAT_THREADS", value)
+    rc, out, err = run(capsys, "sweep", "--max-size", "2")
+    assert one_line_error(rc, out, err)
+    assert "TORSLAT_THREADS" in err

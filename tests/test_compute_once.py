@@ -230,3 +230,21 @@ def test_quotient_labels_each_cover_once(monkeypatch, tmp_path):
         assert main(["quotient", write_a4(tmp_path), "--ideal", "2,1,0"]) == 0
     assert len(calls) == expected
     assert len({(id(TL), c) for TL, c in calls}) == expected
+
+
+def test_invariant_suite_reads_each_interval_once(monkeypatch):
+    """The join-irreducible and label checks of an interval share one read
+    of its covers: 399 comparable pairs on linear A4, 798 reads before."""
+    TL = tors_of_algebra(LINEAR_A4).tors
+    reads = [0]
+    real_covers = lattice_mod.interval_covers
+
+    def counting_covers(L, u, v):
+        reads[0] += 1
+        return real_covers(L, u, v)
+
+    monkeypatch.setattr(lattice_mod, "interval_covers", counting_covers)
+    monkeypatch.setattr(galois_mod, "interval_covers", counting_covers)
+    assert verify_tors_lattice(TL) == []
+    assert int(TL.lattice.leq.sum()) == 399
+    assert reads[0] == 399
