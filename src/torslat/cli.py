@@ -6,9 +6,10 @@ diagrams are DOT.  Each command raises instead of returning a status, and
 main alone maps the outcome to an exit code and its one stderr line: 0
 success, 1 property violation (first witness) or search failure, 2
 unusable input file (line and column for syntax errors), output path,
-flag value or TORSLAT_THREADS.  Sweep timing goes to stderr so stdout
-stays byte-stable across runs and worker counts (TORSLAT_THREADS, default
-1, at most MAX_WORKERS).
+flag value or TORSLAT_THREADS, or an input with more torsion classes
+than MAX_TORS_CLASSES.  Sweep timing goes to stderr so stdout stays
+byte-stable across runs and worker counts (TORSLAT_THREADS, default 1,
+at most MAX_WORKERS).
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .bridge import (
     tors_of_algebra,
 )
 from .galois import (
+    MAX_TORS_CLASSES,
     BrickRelation,
     LabelMissing,
     LabelNotUnique,
+    TooManyClasses,
     TorsLattice,
     all_cover_labels,
     all_torsion_pairs,
@@ -72,6 +75,10 @@ MAX_WORKERS = 64
 # cannot get through 8 bricks (2^56 candidate relations), so larger
 # lattice files are refused before any O(n^2) table is allocated.
 MAX_LATTICE_ELEMENTS = 1 << 8
+# The simple modules' subsets generate distinct torsion classes, so an
+# algebra on n vertices has at least 2^n of them: past this many vertices
+# it is over MAX_TORS_CLASSES, and is refused before any Hom is solved.
+MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
 
 
 class InputFileError(Exception):
@@ -164,6 +171,11 @@ def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
     relations = obj.get("relations", [])
     if not _is_int(vertices):
         raise InputFileError(f"{path}: 'vertices' must be an integer")
+    if vertices > MAX_QUIVER_VERTICES:
+        raise InputFileError(
+            f"{path}: {vertices} vertices have at least 2^{vertices} torsion"
+            f" classes; at most {MAX_QUIVER_VERTICES} vertices are supported"
+        )
     if not isinstance(orientation, list) or not all(
         isinstance(s, str) for s in orientation
     ):
@@ -554,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.run(args)
-    except InputFileError as exc:
+    except (InputFileError, TooManyClasses) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

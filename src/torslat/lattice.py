@@ -3,10 +3,14 @@
 Elements are integers ``0..n-1``.  A poset is stored as a dense boolean
 matrix ``leq`` with ``leq[x, y]`` meaning ``x <= y``; a lattice adds the
 join and meet tables.  Everything here is sized for exhaustive small-case
-work (tens to low hundreds of elements).  Derived quantities (covers,
-irreducibles, semidistributivity witnesses) are computed once per lattice
-and cached on it; each is still cross-checked against a second
-characterization, once per lattice.  The table build and the
+work (up to a few thousand elements).  Derived quantities (covers,
+irreducibles, semidistributivity witnesses, the gamma and mu label of
+every cover) are computed once per lattice, each by a few whole-lattice
+numpy passes, and cached on it; each is still cross-checked against a
+second characterization, once per lattice: irreducibles by their cover
+counts and by folding the join (meet) table over all elements at once,
+gamma against mu through kappa.  Boolean matrix products are counted in
+float32, which runs through BLAS.  The table build and the
 semidistributivity test handle one element's row at a time in numpy, so
 scratch space stays O(n^2).
 
@@ -16,7 +20,9 @@ on a join-semidistributive lattice every cover ``x <| y`` determines a
 unique join-irreducible ``j`` with ``x v j = y`` and ``x v j_* = x``, and
 dually.  ``kappa`` sends a join-irreducible ``j`` to ``mu`` of the cover
 ``j_* <| j`` and is a bijection onto the meet-irreducibles whenever the
-lattice is semidistributive.
+lattice is semidistributive.  gamma and mu of all covers come from one
+(covers x irreducibles) test each; the single-cover functions and kappa
+read those tables.
 """
 
 from __future__ import annotations
@@ -87,17 +93,42 @@ class FinitePoset:
         if clash.any():
             x, y = map(int, np.argwhere(clash)[0])
             raise AntisymmetryViolation(x, y)
-        if ((leq @ leq) & ~leq).any():
+        if (_composes(leq, leq) & ~leq).any():
             raise ValueError("order relation must be transitive")
         leq.setflags(write=False)
         object.__setattr__(self, "leq", leq)
 
     @cached_property
+    def cover_matrix(self) -> np.ndarray:
+        """cover_matrix[x, y]: x < y with nothing strictly between."""
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        cov = strict & ~_composes(strict, strict)
+        cov.setflags(write=False)
+        return cov
+
+    @cached_property
+    def cover_array(self) -> np.ndarray:
+        """The covers as a (covers, 2) array of (lower, upper), in order."""
+        return np.argwhere(self.cover_matrix)
+
+    @cached_property
     def covers(self) -> tuple[CoverEdge, ...]:
         """Cover pairs (x, y) with x < y and nothing strictly between."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = strict & ~(strict @ strict)
-        return tuple(CoverEdge(int(x), int(y)) for x, y in np.argwhere(cov))
+        return tuple(CoverEdge(x, y) for x, y in self.cover_array.tolist())
+
+    @cached_property
+    def cover_index(self) -> dict[CoverEdge, int]:
+        """Position of each cover in ``covers``."""
+        return {c: i for i, c in enumerate(self.covers)}
+
+
+def _composes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: some k has a[x, k] and b[k, y].
+
+    Counted in float32, which goes through BLAS (a bool matmul does not)
+    and is exact while the counts stay below 2^24.
+    """
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
 def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
@@ -108,7 +139,7 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
             raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
         leq[x, y] = True
     while True:
-        closed = leq | (leq @ leq)
+        closed = leq | _composes(leq, leq)
         if (closed == leq).all():
             break
         leq = closed
@@ -132,18 +163,6 @@ class FiniteLattice:
     @property
     def leq(self) -> np.ndarray:
         return self.poset.leq
-
-    def join_of(self, xs: Iterable[int]) -> int:
-        out = self.bottom
-        for x in xs:
-            out = int(self.join[out, x])
-        return out
-
-    def meet_of(self, xs: Iterable[int]) -> int:
-        out = self.top
-        for x in xs:
-            out = int(self.meet[out, x])
-        return out
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -174,6 +193,14 @@ class FiniteLattice:
     @cached_property
     def _msd_witness(self) -> tuple[int, int, int] | None:
         return meet_semidistributivity_violation(self)
+
+    @cached_property
+    def _gamma_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _label_table(self, dual=False)
+
+    @cached_property
+    def _mu_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _label_table(self, dual=True)
 
 
 def try_lattice(p: FinitePoset) -> FiniteLattice:
@@ -236,10 +263,10 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
 
 
 def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
-    kind, covers_of, skip = (
-        ("meet", L.upper_covers, L.top) if dual else ("join", L.lower_covers, L.bottom)
-    )
-    by_cover = tuple(x for x in range(L.n) if x != skip and len(covers_of[x]) == 1)
+    kind, axis, skip = ("meet", 1, L.top) if dual else ("join", 0, L.bottom)
+    one_cover = L.poset.cover_matrix.sum(axis=axis) == 1
+    one_cover[skip] = False
+    by_cover = tuple(np.flatnonzero(one_cover).tolist())
     by_def = _irreducibles_by_definition(L, dual)
     if by_cover != by_def:
         raise InternalInconsistency(
@@ -250,15 +277,23 @@ def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
 
 def _irreducibles_by_definition(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
     """Elements other than the bottom that are not the join of the elements
-    strictly below them (dual: top, meet, above)."""
-    fold, skip, strictly = (
-        (L.meet_of, L.top, L.leq) if dual else (L.join_of, L.bottom, L.leq.T)
-    )
-    return tuple(
-        x
-        for x in range(L.n)
-        if x != skip and fold(y for y in np.flatnonzero(strictly[x]) if y != x) != x
-    )
+    strictly below them (dual: top, meet, above).
+
+    All n joins are folded at once through the join table, pairwise: row x
+    holds the elements strictly below x and the bottom (the empty join)
+    elsewhere, and each pass joins neighbouring columns until one is left.
+    """
+    op, skip, below = (L.meet, L.top, L.leq) if dual else (L.join, L.bottom, L.leq.T)
+    n = L.n
+    strictly = below & ~np.eye(n, dtype=bool)
+    acc = np.where(strictly, np.arange(n), skip)
+    while acc.shape[1] > 1:
+        if acc.shape[1] % 2:
+            acc = np.column_stack([acc, np.full(n, skip)])
+        acc = op[acc[:, 0::2], acc[:, 1::2]]
+    folded = acc[:, 0]
+    folded[skip] = skip
+    return tuple(np.flatnonzero(folded != np.arange(n)).tolist())
 
 
 def j_star(L: FiniteLattice, j: int) -> int:
@@ -366,28 +401,45 @@ def mu_label(L: FiniteLattice, c: CoverEdge) -> int:
 
 def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
     x, y = c
-    if not (L.leq[x, y] and c in L.poset.covers):
+    if not (L.leq[x, y] and c in L.poset.cover_index):
         raise ValueError(f"({x}, {y}) is not a cover")
-    kind, name, w, op, near, far = (
-        ("meet", "mu", L._msd_witness, L.meet, y, x)
-        if dual
-        else ("join", "gamma", L._jsd_witness, L.join, x, y)
+    kind, name, w = (
+        ("meet", "mu", L._msd_witness) if dual else ("join", "gamma", L._jsd_witness)
     )
     if w is not None:
         raise NotSemidistributive(
             f"lattice is not {kind}-semidistributive, witness {w}", w
         )
-    irr, star = (
-        (meet_irreducibles(L), L.upper_covers)
-        if dual
-        else (join_irreducibles(L), L.lower_covers)
-    )
-    hits = [k for k in irr if op[near, k] == far and op[near, star[k][0]] == near]
-    if len(hits) != 1:
+    labels, hits = L._mu_table if dual else L._gamma_table
+    i = L.poset.cover_index[c]
+    if hits[i] != 1:
         raise InternalInconsistency(
-            f"cover ({x}, {y}) has {len(hits)} {name} labels; expected exactly 1"
+            f"cover ({x}, {y}) has {hits[i]} {name} labels; expected exactly 1"
         )
-    return hits[0]
+    return int(labels[i])
+
+
+def _label_table(L: FiniteLattice, dual: bool) -> tuple[np.ndarray, np.ndarray]:
+    """gamma (dual: mu) of every cover at once, and how many irreducibles
+    qualify for each, as one (covers x irreducibles) test.
+
+    For x <| y the candidates are the join-irreducibles j with x v j = y
+    and x v j_* = x (dual: the meet-irreducibles m with y ^ m = x and
+    y ^ m^* = y).  A label is meaningful only where exactly one qualifies.
+    """
+    lower, upper = L.poset.cover_array.T
+    if dual:
+        irr, op, near, far = meet_irreducibles(L), L.meet, upper, lower
+        star = [L.upper_covers[k][0] for k in irr]
+    else:
+        irr, op, near, far = join_irreducibles(L), L.join, lower, upper
+        star = [L.lower_covers[k][0] for k in irr]
+    irr, star = np.array(irr, dtype=np.intp), np.array(star, dtype=np.intp)
+    near = near[:, None]
+    ok = (op[near, irr] == far[:, None]) & (op[near, star] == near)
+    hits = ok.sum(axis=1)
+    labels = irr[ok.argmax(axis=1)] if irr.size else np.zeros(len(hits), np.intp)
+    return labels, hits
 
 
 def kappa(L: FiniteLattice, j: int) -> int:
@@ -404,21 +456,53 @@ def kappa_dual(L: FiniteLattice, m: int) -> int:
     return gamma_label(L, CoverEdge(m, m_star(L, m)))
 
 
+def _tables_read_whole(L: FiniteLattice) -> bool:
+    """Whether the checks below may read the gamma and mu tables as arrays:
+    the lattice is semidistributive and every cover has exactly one gamma
+    and one mu label.  Otherwise they walk kappa and the labels element by
+    element, so that the first failure raises just as a single call would.
+    """
+    return (
+        is_semidistributive(L)
+        and bool((L._gamma_table[1] == 1).all())
+        and bool((L._mu_table[1] == 1).all())
+    )
+
+
+def _star_covers(L: FiniteLattice, elements, dual: bool) -> list[int]:
+    """Positions in L.poset.covers of j_* <| j (dual: m <| m^*)."""
+    index = L.poset.cover_index
+    if dual:
+        return [index[CoverEdge(m, L.upper_covers[m][0])] for m in elements]
+    return [index[CoverEdge(L.lower_covers[j][0], j)] for j in elements]
+
+
 def check_kappa_bijection(L: FiniteLattice) -> bool:
     """kappa is a bijection ji -> mi with kappa_dual as inverse."""
     jis = join_irreducibles(L)
     mis = meet_irreducibles(L)
-    image = [kappa(L, j) for j in jis]
-    if sorted(image) != sorted(mis):
+    if not _tables_read_whole(L):
+        image = [kappa(L, j) for j in jis]
+        if sorted(image) != sorted(mis):
+            return False
+        return all(kappa_dual(L, kappa(L, j)) == j for j in jis)
+    image = L._mu_table[0][_star_covers(L, jis, dual=False)]
+    if sorted(image.tolist()) != list(mis):
         return False
-    return all(kappa_dual(L, kappa(L, j)) == j for j in jis)
+    back = L._gamma_table[0][_star_covers(L, image.tolist(), dual=True)]
+    return bool((back == jis).all())
 
 
 def check_mu_eq_kappa_gamma(L: FiniteLattice) -> bool:
     """mu = kappa o gamma on every cover of a semidistributive lattice."""
-    return all(
-        mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers
-    )
+    if not _tables_read_whole(L):
+        return all(
+            mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers
+        )
+    jis = join_irreducibles(L)
+    kappa_of = np.full(L.n, -1, dtype=np.intp)
+    kappa_of[list(jis)] = L._mu_table[0][_star_covers(L, jis, dual=False)]
+    return bool((L._mu_table[0] == kappa_of[L._gamma_table[0]]).all())
 
 
 def interval_sublattice(

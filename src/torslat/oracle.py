@@ -17,7 +17,6 @@ kernel on blocks of at most BLOCK candidates, in canonical order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +326,10 @@ def sweep_factorizable(
                 (m, s, min(s + step, total), literal_mono)
                 for s in range(0, total, step)
             ]
+            # imported here: concurrent.futures and multiprocessing cost a
+            # cold start about 30 ms, and only multi-worker sweeps use them
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_chunk, chunks))
         else:

@@ -218,12 +218,44 @@ def test_sweep_stdout_is_stable_and_runtime_on_stderr(capsys):
 
 
 def test_sweep_stdout_independent_of_worker_count(capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setenv("TORSLAT_THREADS", "1")
     rc, serial, _ = run(capsys, "sweep", "--max-size", "3")
     assert rc == 0
+    assert pools == []
     monkeypatch.setenv("TORSLAT_THREADS", "2")
     rc, parallel, _ = run(capsys, "sweep", "--max-size", "3")
     assert rc == 0
+    assert pools == [2]  # only m = 3 has enough relations to split
     assert serial == parallel
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """A cold start pays for concurrent.futures and multiprocessing only
+    when a sweep runs with more than one worker."""
+    src = str(Path(torslat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, torslat.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sweep_literal_mono_flag(capsys):
@@ -382,12 +414,12 @@ def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "", "0", "-2", "1.5", "65", "100000", "9" * 5000])
 def test_bad_thread_count_exits_two_before_any_worker(capsys, monkeypatch, value):
-    import torslat.oracle
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(torslat.oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("TORSLAT_THREADS", value)
     rc, out, err = run(capsys, "sweep", "--max-size", "3")
     assert one_line_error(rc, out, err)
@@ -524,13 +556,53 @@ def test_ideal_entries_take_ascii_digits_only(capsys, spec):
 
 @pytest.mark.parametrize("value", [" 1 ", "1_0", "２", "+2", "2\n"])
 def test_thread_count_takes_ascii_digits_only(capsys, monkeypatch, value):
-    import torslat.oracle
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(torslat.oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("TORSLAT_THREADS", value)
     rc, out, err = run(capsys, "sweep", "--max-size", "2")
     assert one_line_error(rc, out, err)
     assert "TORSLAT_THREADS" in err
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        (
+            "build-rel",
+            {"labels": [f"b{i}" for i in range(24)], "arrows": []},
+            "24 bricks have more than 2048 torsion classes",
+        ),
+        (
+            "build-tors",
+            {"vertices": 40, "orientation": ["left"] * 39},
+            "40 vertices have at least 2^40 torsion classes;"
+            " at most 11 vertices are supported",
+        ),
+        (
+            "check",
+            {"vertices": 8, "orientation": ["left"] * 7},
+            "36 bricks have more than 2048 torsion classes",
+        ),
+    ],
+    ids=["free-24-bricks", "linear-A40", "linear-A8"],
+)
+def test_class_budget_exits_two_within_seconds(tmp_path, command, obj, message):
+    """2^24 classes and an A40 quiver ran until killed; now they stop at
+    MAX_TORS_CLASSES (or at the vertex count that implies it) with one
+    line, before any table is allocated."""
+    src = str(Path(torslat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torslat.cli", command, str(write_json(tmp_path, obj))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert one_line_error(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr

@@ -6,8 +6,9 @@ lattice during the invariant suite, the exact Hom solver runs a bounded
 number of times during `torslat check`, the closure-axiom scan derives
 each module's submodules once, the cover-to-brick table is built once per
 torsion lattice and read by the interval and quotient checks, the
-invariant suite builds no lattice besides the one it checks, and tampered
-tables still trip the "two characterizations must agree" checks.
+invariant suite builds no lattice besides the one it checks and checks no
+interval one pair at a time, and tampered tables still trip the "two
+characterizations must agree" checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import torslat.galois as galois_mod
 import torslat.lattice as lattice_mod
 import torslat.oracle as oracle_mod
 import torslat.quiver as quiver_mod
-from torslat.bridge import quotient_map, tors_of_algebra
+from torslat.bridge import tors_of_algebra
 from torslat.cli import main
 from torslat.galois import all_torsion_pairs, relation_from_arrows, verify_tors_lattice
 from torslat.lattice import (
@@ -166,18 +167,28 @@ def test_closure_tables_keep_the_module_wise_answers(q):
 
 
 def test_cover_labels_are_computed_once_per_lattice(monkeypatch):
-    calls = [0]
+    """The cover-to-brick table is one array pass per lattice; labelling
+    the 84 covers of linear A4 one call at a time took 84 calls."""
+    tables, singles = [], [0]
+    real_table = galois_mod._cover_label_table
     real_label = galois_mod.cover_brick_label
 
+    def counting_table(TL):
+        tables.append(TL)
+        return real_table(TL)
+
     def counting_label(TL, c):
-        calls[0] += 1
+        singles[0] += 1
         return real_label(TL, c)
 
+    monkeypatch.setattr(galois_mod, "_cover_label_table", counting_table)
     monkeypatch.setattr(galois_mod, "cover_brick_label", counting_label)
     TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3)).tors
     assert verify_tors_lattice(TL) == []
+    assert verify_tors_lattice(TL) == []
     assert len(TL.lattice.poset.covers) == 84
-    assert calls[0] == 84
+    assert tables == [TL]
+    assert singles[0] == 0
 
 
 def test_unlabellable_cover_is_reported_once_and_raises_directly():
@@ -210,41 +221,48 @@ def test_invariant_suite_builds_no_lattice(monkeypatch):
 
 
 def test_quotient_labels_each_cover_once(monkeypatch, tmp_path):
-    """`quotient --ideal 2,1,0` on linear A4 reads both label tables;
-    relabelling covers per interval took 551 calls."""
-    qm = quotient_map(LINEAR_A4, ((2, 1, 0),))
-    expected = len(qm.source.tors.lattice.poset.covers) + len(
-        qm.target.tors.lattice.poset.covers
-    )
-    calls = []  # holds the torsion lattices themselves, so no id is reused
+    """`quotient --ideal 2,1,0` on linear A4 reads both label tables, each
+    built once; relabelling covers per interval took 551 calls."""
+    tables = []  # holds the torsion lattices themselves, so no id is reused
+    singles = [0]
+    real_table = galois_mod._cover_label_table
     real_label = galois_mod.cover_brick_label
 
+    def counting_table(TL):
+        tables.append(TL)
+        return real_table(TL)
+
     def counting_label(TL, c):
-        calls.append((TL, c))
+        singles[0] += 1
         return real_label(TL, c)
 
+    monkeypatch.setattr(galois_mod, "_cover_label_table", counting_table)
     monkeypatch.setattr(galois_mod, "cover_brick_label", counting_label)
     # a direct import of the labeller into bridge is counted too
     monkeypatch.setattr(bridge_mod, "cover_brick_label", counting_label, raising=False)
     with redirect_stdout(io.StringIO()):
         assert main(["quotient", write_a4(tmp_path), "--ideal", "2,1,0"]) == 0
-    assert len(calls) == expected
-    assert len({(id(TL), c) for TL, c in calls}) == expected
+    assert len(tables) == 2  # the source and the target lattice
+    assert tables[0] is not tables[1]
+    assert singles[0] == 0
 
 
-def test_invariant_suite_reads_each_interval_once(monkeypatch):
-    """The join-irreducible and label checks of an interval share one read
-    of its covers: 399 comparable pairs on linear A4, 798 reads before."""
+def test_invariant_suite_checks_no_interval_one_at_a_time(monkeypatch):
+    """The interval identities of all 399 comparable pairs of linear A4 are
+    whole-lattice array passes: no per-pair reference function runs (399
+    interval_covers reads before, 798 before that)."""
     TL = tors_of_algebra(LINEAR_A4).tors
-    reads = [0]
-    real_covers = lattice_mod.interval_covers
 
-    def counting_covers(L, u, v):
-        reads[0] += 1
-        return real_covers(L, u, v)
+    def per_pair(*args):
+        raise AssertionError("an interval was checked one at a time")
 
-    monkeypatch.setattr(lattice_mod, "interval_covers", counting_covers)
-    monkeypatch.setattr(galois_mod, "interval_covers", counting_covers)
+    monkeypatch.setattr(lattice_mod, "interval_covers", per_pair)
+    for name in (
+        "interval_covers",
+        "interval_ji_check",
+        "interval_label_set",
+        "gap_nonempty_check",
+    ):
+        monkeypatch.setattr(galois_mod, name, per_pair)
     assert verify_tors_lattice(TL) == []
     assert int(TL.lattice.leq.sum()) == 399
-    assert reads[0] == 399

@@ -10,6 +10,14 @@ that reads only the order relation.  The covers of every interval, read
 off the lattice by interval_covers, must be those of the interval rebuilt
 as a lattice of its own by interval_sublattice, with the same
 join-irreducibles.
+
+The invariant suite checks whole lattices with array identities; its
+problem list (or the exception it raises) must equal that of the same
+suite run one element, cover and comparable pair at a time through the
+public per-item functions, on every A2-A5 orientation, monomial
+quotients, every factorizable relation up to 4 bricks, random relations
+and tampered torsion lattices.  The gamma, mu and kappa tables must equal
+a search over the irreducibles cover by cover.
 """
 
 from __future__ import annotations
@@ -23,24 +31,55 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torslat.bridge import tors_of_algebra
-from torslat.galois import all_torsion_pairs, relation_from_arrows
+from torslat.galois import (
+    TorsLattice,
+    TorsionPair,
+    all_torsion_pairs,
+    cover_brick_label,
+    four_class_diagram,
+    gap_nonempty_check,
+    interval_ji_check,
+    interval_label_set,
+    ji_of_brick,
+    mi_of_brick,
+    relation_from_arrows,
+    tf_dual_check,
+    verify_tors_lattice,
+)
 from torslat.lattice import (
     CoverEdge,
+    FiniteLattice,
+    FinitePoset,
+    InternalInconsistency,
     NotALattice,
     NotComparable,
+    NotIrreducible,
+    NotSemidistributive,
+    check_kappa_bijection,
+    check_mu_eq_kappa_gamma,
+    gamma_label,
     interval_covers,
     interval_sublattice,
+    is_join_semidistributive,
+    is_meet_semidistributive,
+    is_semidistributive,
     join_irreducibles,
     join_semidistributivity_violation,
+    kappa,
+    kappa_dual,
     meet_irreducibles,
     meet_semidistributivity_violation,
+    mu_label,
     poset_from_pairs,
     try_lattice,
 )
 from torslat.oracle import (
     SearchBudget,
+    _relation_of_rows,
+    _rows_of_masks,
     brute_semidistributivity_violation,
     brute_try_lattice,
+    factorizable_batch,
     lattice_census,
 )
 from torslat.quiver import QuiverPresentation
@@ -157,3 +196,281 @@ def test_random_posets_match_oracle(p):
     assert got == outcome(brute_try_lattice, p)
     if got[0] != "not a lattice":
         assert_core_matches_oracle(try_lattice(p))
+
+
+def reference_suite(TL):
+    """verify_tors_lattice one element, cover and comparable pair at a time,
+    from the public per-item functions."""
+    problems = []
+    L = TL.lattice
+    if not is_semidistributive(L):
+        return ["lattice is not semidistributive"]
+    jis, mis, m = join_irreducibles(L), meet_irreducibles(L), TL.relation.m
+    if not (len(jis) == len(mis) == m):
+        problems.append(
+            f"counts differ: {m} bricks, {len(jis)} join-irr, {len(mis)} meet-irr"
+        )
+    if sorted(ji_of_brick(TL, b) for b in range(m)) != sorted(jis):
+        problems.append("brick closures do not enumerate the join-irreducibles")
+    if sorted(mi_of_brick(TL, b) for b in range(m)) != sorted(mis):
+        problems.append("brick left perps do not enumerate the meet-irreducibles")
+    labelled = True
+    if "cover_labels" not in TL.__dict__:  # not replaced by a tampering test
+        try:
+            labels = {c: cover_brick_label(TL, c) for c in L.poset.covers}
+        except Exception as exc:  # the three labelling failures, or a bug
+            problems.append(str(exc))
+            labelled = False
+        else:
+            TL.__dict__["cover_labels"] = labels  # what interval_label_set reads
+    image = [kappa(L, j) for j in jis]
+    if not (
+        sorted(image) == sorted(mis)
+        and all(kappa_dual(L, kappa(L, j)) == j for j in jis)
+    ):
+        problems.append("kappa is not a bijection with inverse kappa_dual")
+    if not all(mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers):
+        problems.append("mu != kappa o gamma on some cover")
+    if not all(
+        ((TL.tset(i) & ~TL.tset(j)) == 0) == ((TL.fset(j) & ~TL.fset(i)) == 0)
+        for i in range(TL.n)
+        for j in range(TL.n)
+    ):
+        problems.append("torsion-free order is not the reverse of torsion order")
+    for b in range(m):
+        try:
+            four_class_diagram(TL, b)
+        except InternalInconsistency as exc:
+            problems.append(str(exc))
+        except NotIrreducible as exc:
+            problems.append(f"brick {b}: {exc}")
+    for u, v in np.argwhere(L.leq).tolist():
+        if not gap_nonempty_check(TL, u, v):
+            problems.append(f"interval ({u}, {v}): gap/strictness equivalence fails")
+        if not interval_ji_check(TL, u, v):
+            problems.append(f"interval ({u}, {v}): join-irreducible map fails")
+        if labelled and interval_label_set(TL, u, v) != TL.fset(u) & TL.tset(v):
+            problems.append(f"interval ({u}, {v}): label set mismatch")
+    return problems
+
+
+def rebuilt(TL, pairs=None, join=None, meet=None):
+    """A copy of TL with nothing cached, optionally with replaced parts."""
+    L = TL.lattice
+    lattice = FiniteLattice(
+        FinitePoset(L.n, L.leq),
+        L.join if join is None else join,
+        L.meet if meet is None else meet,
+        L.bottom,
+        L.top,
+    )
+    return TorsLattice(TL.relation, TL.pairs if pairs is None else pairs, lattice)
+
+
+def suite_outcome(suite, TL, labels=None):
+    if labels is not None:
+        TL.__dict__["cover_labels"] = labels
+    try:
+        return suite(TL)
+    except Exception as exc:  # the two suites must fail alike too
+        return (type(exc).__name__, str(exc))
+
+
+def assert_suites_agree(TL, **parts):
+    """The array suite and the reference on fresh copies; returns the
+    problem list."""
+    labels = parts.pop("labels", None)
+    got = suite_outcome(verify_tors_lattice, rebuilt(TL, **parts), labels)
+    expected = suite_outcome(reference_suite, rebuilt(TL, **parts), labels)
+    assert got == expected
+    return got
+
+
+def orientations(n):
+    return itertools.product(("left", "right"), repeat=n - 1)
+
+
+TYPE_A = [QuiverPresentation(n, o) for n in (2, 3, 4, 5) for o in orientations(n)]
+
+QUOTIENTS = [
+    QuiverPresentation(3, ("right", "right"), ((0, 1),)),
+    QuiverPresentation(3, ("left", "left"), ((1, 0),)),
+    QuiverPresentation(4, ("right",) * 3, ((0, 1),)),
+    QuiverPresentation(4, ("right",) * 3, ((1, 2),)),
+    QuiverPresentation(4, ("right",) * 3, ((0, 1), (1, 2))),
+    QuiverPresentation(4, ("right",) * 3, ((0, 1, 2),)),
+    QuiverPresentation(4, ("left",) * 3, ((1, 0),)),
+    QuiverPresentation(4, ("left",) * 3, ((1, 0), (2, 1))),
+    QuiverPresentation(5, ("left",) * 4, ((1, 0), (3, 2))),
+]
+
+
+@pytest.mark.parametrize("q", TYPE_A + QUOTIENTS, ids=repr)
+def test_suite_matches_reference_on_algebras(q):
+    TL = tors_of_algebra(q).tors
+    assert assert_suites_agree(TL) == []
+
+
+def factorizable_relations(max_bricks=4):
+    for m in range(1, max_bricks + 1):
+        rows = _rows_of_masks(np.arange(1 << (m * (m - 1))), m)
+        for r in rows[factorizable_batch(rows)].tolist():
+            yield _relation_of_rows(tuple(r))
+
+
+def test_suite_matches_reference_on_every_small_factorizable_relation():
+    relations = list(factorizable_relations())
+    assert len(relations) == 536
+    for R in relations:
+        assert assert_suites_agree(all_torsion_pairs(R)) == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(relations())
+def test_suite_matches_reference_on_random_relations(R):
+    TL = all_torsion_pairs(R)
+    assume(TL.n <= 64)  # keeps the per-pair reference short
+    assert_suites_agree(TL)
+
+
+def test_suite_matches_reference_on_every_relation_up_to_three_bricks():
+    """Most of these are not factorizable, and their suites fail."""
+    fired = Counter()
+    for m in (1, 2, 3):
+        for R in all_relations(m):
+            outcome = assert_suites_agree(all_torsion_pairs(R))
+            fired.update(line.split(": ")[-1] for line in outcome)
+    assert fired["join-irreducible map fails"] > 0
+    assert fired["label set mismatch"] > 0
+
+
+def all_relations(m):
+    rows = _rows_of_masks(np.arange(1 << (m * (m - 1))), m)
+    return [_relation_of_rows(tuple(r)) for r in rows.tolist()]
+
+
+TAMPER_BASES = [
+    lambda: tors_of_algebra(QuiverPresentation(3, ("left", "left"))).tors,
+    lambda: tors_of_algebra(QuiverPresentation(3, ("right", "left"))).tors,
+    lambda: all_torsion_pairs(relation_from_arrows(list("abc"), [(0, 1), (1, 2)])),
+]
+
+
+def tampered_pairs(TL):
+    """Every swap of two pairs entries, and one torsion-free side replaced
+    so that the two sides of a pair disagree."""
+    for i, j in itertools.combinations(range(TL.n), 2):
+        pairs = list(TL.pairs)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+        yield {"pairs": tuple(pairs)}
+    pairs = list(TL.pairs)
+    pairs[1] = TorsionPair(pairs[1].tset, pairs[0].fset)
+    yield {"pairs": tuple(pairs)}
+
+
+def tampered_labels(TL):
+    """Every cover relabelled with every other brick."""
+    labels = dict(TL.cover_labels)
+    for c, b in labels.items():
+        for other in range(TL.relation.m):
+            if other != b:
+                yield {"labels": {**labels, c: other}}
+
+
+def tampered_tables(TL):
+    """Every single entry of the join and of the meet table rewritten
+    (both triangles, since the tables are read unsymmetrized)."""
+    for which in ("join", "meet"):
+        table = getattr(TL.lattice, which)
+        for x, y in itertools.product(range(TL.n), repeat=2):
+            bad = table.copy()
+            bad[x, y] = (table[x, y] + 1) % TL.n
+            yield {which: bad}
+
+
+def test_tampered_lattices_fail_alike():
+    """Each tampering gives the same problem lines, in the same order, or
+    the same exception, from both suites; together they fire every
+    interval line and the lattice-level checks."""
+    fired = Counter()
+    for make in TAMPER_BASES:
+        TL = make()
+        for tamper in (tampered_pairs, tampered_labels, tampered_tables):
+            for parts in tamper(TL):
+                outcome = assert_suites_agree(TL, **parts)
+                if isinstance(outcome, tuple):
+                    fired[outcome[0]] += 1
+                    continue
+                if tamper is not tampered_tables:
+                    assert outcome, parts  # a swapped pair or label is caught
+                fired.update(line.split(": ")[-1] for line in outcome)
+    for kind in (
+        "gap/strictness equivalence fails",
+        "join-irreducible map fails",
+        "label set mismatch",
+        "lattice is not semidistributive",
+        "kappa is not a bijection with inverse kappa_dual",
+        "torsion-free order is not the reverse of torsion order",
+        "InternalInconsistency",
+    ):
+        assert fired[kind] > 0, (kind, fired)
+
+
+def loop_label(L, c, dual):
+    """gamma (dual: mu) of one cover by searching the irreducibles, or the
+    error a single call raises."""
+    x, y = c
+    if dual:
+        if not is_meet_semidistributive(L):
+            return NotSemidistributive
+        irr, op, near, far = meet_irreducibles(L), L.meet, y, x
+        star = [L.upper_covers[k][0] for k in irr]
+    else:
+        if not is_join_semidistributive(L):
+            return NotSemidistributive
+        irr, op, near, far = join_irreducibles(L), L.join, x, y
+        star = [L.lower_covers[k][0] for k in irr]
+    hits = [k for k, s in zip(irr, star) if op[near, k] == far and op[near, s] == near]
+    return hits[0] if len(hits) == 1 else len(hits)
+
+
+def table_label(label, L, c):
+    try:
+        return label(L, c)
+    except NotSemidistributive:
+        return NotSemidistributive
+
+
+@pytest.mark.parametrize("index", range(len(CENSUS)))
+def test_label_tables_match_loops_on_census(index):
+    L = CENSUS[index]
+    for c in L.poset.covers:
+        assert table_label(gamma_label, L, c) == loop_label(L, c, dual=False)
+        assert table_label(mu_label, L, c) == loop_label(L, c, dual=True)
+    if not is_semidistributive(L):
+        with pytest.raises(NotSemidistributive):
+            check_kappa_bijection(L)
+        return
+    jis, mis = join_irreducibles(L), meet_irreducibles(L)
+    kap = [loop_label(L, CoverEdge(L.lower_covers[j][0], j), dual=True) for j in jis]
+    assert [kappa(L, j) for j in jis] == kap
+    back = [loop_label(L, CoverEdge(m, L.upper_covers[m][0]), dual=False) for m in mis]
+    assert [kappa_dual(L, m) for m in mis] == back
+    assert check_kappa_bijection(L) == (
+        sorted(kap) == list(mis)
+        and all(back[mis.index(k)] == j for j, k in zip(jis, kap))
+    )
+    assert check_mu_eq_kappa_gamma(L) == all(
+        loop_label(L, c, dual=True)
+        == kap[jis.index(loop_label(L, c, dual=False))]
+        for c in L.poset.covers
+    )
+
+
+@pytest.mark.parametrize("q", TYPE_A[:6] + QUOTIENTS[:4], ids=repr)
+def test_tf_dual_check_matches_loop(q):
+    TL = tors_of_algebra(q).tors
+    pairs = list(TL.pairs)
+    assert tf_dual_check(TL)
+    pairs[1] = TorsionPair(pairs[1].tset, pairs[0].fset)
+    assert not tf_dual_check(rebuilt(TL, pairs=tuple(pairs)))

@@ -37,6 +37,7 @@ from torslat.galois import (
     tors_closure,
     verify_tors_lattice,
 )
+from torslat import galois
 from torslat.lattice import CoverEdge, NotComparable, are_isomorphic, covers
 
 
@@ -241,3 +242,11 @@ def test_pentagon_shape(r_pentagon):
         poset_from_pairs(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
     )
     assert are_isomorphic(TL.lattice, n5)
+
+
+def test_class_budget_boundary(monkeypatch):
+    """At most MAX_TORS_CLASSES classes are built; one more raises."""
+    monkeypatch.setattr(galois, "MAX_TORS_CLASSES", 8)
+    assert all_torsion_pairs(relation_from_arrows(list("abc"), [])).n == 8
+    with pytest.raises(galois.TooManyClasses, match="4 bricks have more than 8"):
+        all_torsion_pairs(relation_from_arrows(list("abcd"), []))
