@@ -131,12 +131,13 @@ def label_preservation_check(qm: QuotientMap) -> bool:
     """Covers that survive stay covers and keep their brick labels."""
     src = qm.source.tors
     dst = qm.target.tors
+    dst_covers = dst.lattice.poset.cover_index
     for c in src.lattice.poset.covers:
-        x, y = qm.element_map[c.lower], qm.element_map[c.upper]
-        if x == y:
+        image = CoverEdge(qm.element_map[c.lower], qm.element_map[c.upper])
+        if image.lower == image.upper:
             continue
-        if CoverEdge(x, y) not in dst.lattice.poset.covers:
+        if image not in dst_covers:
             return False
-        if qm.brick_map[src.cover_labels[c]] != dst.cover_labels[CoverEdge(x, y)]:
+        if qm.brick_map[src.cover_labels[c]] != dst.cover_labels[image]:
             return False
     return True

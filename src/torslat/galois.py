@@ -62,10 +62,11 @@ from .lattice import (
 )
 
 # Torsion classes a lattice may have.  Join, meet and the invariant suite's
-# scratch are n x n arrays and the semidistributivity test takes O(n^3)
-# time: measured on a 2-core machine, building the 2,048 classes of 11
-# bricks without arrows takes about 110 s and 340 MB, linear A7 (1,430
-# classes) about 30 s and 190 MB.  Linear A8 has 4,862.
+# scratch are n x n arrays, and try_lattice tests every row's up-sets for a
+# least element, O(n^3) work: measured on a 2-core machine, building the
+# 2,048 classes of 11 bricks without arrows takes about 17 s (16 s of it in
+# try_lattice) and 170 MB, linear A7 (1,430 classes) about 6.5 s and
+# 100 MB.  Linear A8 has 4,862.
 MAX_TORS_CLASSES = 1 << 11
 
 

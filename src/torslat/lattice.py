@@ -4,15 +4,18 @@ Elements are integers ``0..n-1``.  A poset is stored as a dense boolean
 matrix ``leq`` with ``leq[x, y]`` meaning ``x <= y``; a lattice adds the
 join and meet tables.  Everything here is sized for exhaustive small-case
 work (up to a few thousand elements).  Derived quantities (covers,
-irreducibles, semidistributivity witnesses, the gamma and mu label of
-every cover) are computed once per lattice, each by a few whole-lattice
-numpy passes, and cached on it; each is still cross-checked against a
-second characterization, once per lattice: irreducibles by their cover
-counts and by folding the join (meet) table over all elements at once,
-gamma against mu through kappa.  Boolean matrix products are counted in
-float32, which runs through BLAS.  The table build and the
-semidistributivity test handle one element's row at a time in numpy, so
-scratch space stays O(n^2).
+irreducibles, the gamma and mu label of every cover, semidistributivity
+witnesses) are computed once per lattice, each by a few whole-lattice
+numpy passes, and cached on it.  The irreducibles are cross-checked once
+per lattice against a second characterization, their cover counts
+against a fold of the join (meet) table over all elements at once; the
+invariant suite checks gamma against mu through kappa.
+Semidistributivity is read off the label tables: a lattice is join-
+(meet-) semidistributive iff every cover has exactly one gamma (mu)
+candidate.  Only a lattice that is not gets searched, one element's row
+of triples at a time, for its first witness; the table build also takes
+one row at a time, so scratch space stays O(n^2).  Boolean matrix
+products are counted in float32, which runs through BLAS.
 
 The labelling machinery (``gamma_label``, ``mu_label``, ``kappa``,
 ``kappa_dual``) follows the standard theory of semidistributive lattices:
@@ -243,10 +246,6 @@ def _least_per_row(sets: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.n
     return least.any(axis=1), least.argmax(axis=1)
 
 
-def covers(L: FiniteLattice) -> tuple[CoverEdge, ...]:
-    return L.poset.covers
-
-
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover.
 
@@ -315,11 +314,25 @@ def join_semidistributivity_violation(
 ) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with x v y = x v z but x v (y ^ z) != x v y.
 
-    Also verifies the minimum-element characterization: for every x and t
-    the set {y : x v y = t} has a minimum whenever it is nonempty.  The two
-    views must agree; a disagreement is an implementation bug.
+    Read off the gamma table: L is join-semidistributive iff every cover
+    x <| y has exactly one gamma candidate, and only otherwise are the
+    triples searched, so that the first witness is named.  Why: the
+    candidates of x <| y are the minimal elements of Z = {z : x v z = y}.
+    A minimal z is join-irreducible (were z = a v b with a, b < z, then
+    x v a = x v b = x, as x <| y) and x v z_* = x; a candidate j has no
+    smaller member of Z, since any z < j lies below j_*, so x v z = x.
+    So there is one candidate iff Z has a minimum, and
+    join-semidistributivity gives those minima.  Conversely, let
+    a v b = a v c = t but a v (b ^ c) < t.  Replace a by a v (b ^ c) and
+    take such an a maximal; then a <| t, and the minimum z0 of Z(a, t)
+    lies below b ^ c <= a, against a v z0 = t.
+
+    On a hand-tampered table the search may find no triple; the result is
+    then None, and reading a label reports the cover's candidate count.
     """
-    return _semidistributivity_violation(L.join, L.meet, "join")
+    if (L._gamma_table[1] == 1).all():
+        return None
+    return _semidistributivity_violation(L.join, L.meet)
 
 
 def meet_semidistributivity_violation(
@@ -327,51 +340,26 @@ def meet_semidistributivity_violation(
 ) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with x ^ y = x ^ z but x ^ (y v z) != x ^ y.
 
-    Cross-checked against the maximum-element characterization, dually.
+    Read off the mu table, dually: None iff every cover has exactly one
+    mu candidate.
     """
-    return _semidistributivity_violation(L.meet, L.join, "meet")
+    if (L._mu_table[1] == 1).all():
+        return None
+    return _semidistributivity_violation(L.meet, L.join)
 
 
 def _semidistributivity_violation(
-    op: np.ndarray, dual: np.ndarray, kind: str
+    op: np.ndarray, dual: np.ndarray
 ) -> tuple[int, int, int] | None:
     """First (x, y, z) in lexicographic order with op[x, y] == op[x, z] but
-    op[x, dual[y, z]] != op[x, y], testing all (y, z) of one x at once.
-
-    Cross-check: there is no such triple iff every fiber {y : op[x, y] = t}
-    keeps op[x, f] == t at the dual-fold f of its members (its minimum for
-    joins, its maximum for meets).
-    """
+    op[x, dual[y, z]] != op[x, y], testing all (y, z) of one x at once."""
     n = op.shape[0]
-    witness = None
     for x in range(n):
         row = op[x]
         bad = (row[:, None] == row) & (row[dual] != row[:, None])
         if bad.any():
-            witness = (x, *divmod(int(bad.argmax()), n))
-            break
-    dual_rows = dual.tolist()
-    closed = True
-    for row in op.tolist():
-        fibers: dict[int, list[int]] = {}
-        for y, t in enumerate(row):
-            fibers.setdefault(t, []).append(y)
-        for t, fiber in fibers.items():
-            f = fiber[0]
-            for y in fiber[1:]:
-                f = dual_rows[f][y]
-            if row[f] != t:
-                closed = False
-                break
-        if not closed:
-            break
-    if (witness is None) != closed:
-        extrema = "minima" if kind == "join" else "maxima"
-        raise InternalInconsistency(
-            f"{kind}-semidistributivity characterizations disagree: "
-            f"triple witness {witness}, fibers-have-{extrema} {closed}"
-        )
-    return witness
+            return (x, *divmod(int(bad.argmax()), n))
+    return None
 
 
 def is_join_semidistributive(L: FiniteLattice) -> bool:
@@ -458,15 +446,11 @@ def kappa_dual(L: FiniteLattice, m: int) -> int:
 
 def _tables_read_whole(L: FiniteLattice) -> bool:
     """Whether the checks below may read the gamma and mu tables as arrays:
-    the lattice is semidistributive and every cover has exactly one gamma
-    and one mu label.  Otherwise they walk kappa and the labels element by
+    every cover has exactly one gamma and one mu label, so the lattice is
+    semidistributive.  Otherwise they walk kappa and the labels element by
     element, so that the first failure raises just as a single call would.
     """
-    return (
-        is_semidistributive(L)
-        and bool((L._gamma_table[1] == 1).all())
-        and bool((L._mu_table[1] == 1).all())
-    )
+    return bool((L._gamma_table[1] == 1).all() and (L._mu_table[1] == 1).all())
 
 
 def _star_covers(L: FiniteLattice, elements, dual: bool) -> list[int]:
@@ -599,13 +583,12 @@ def is_lattice_quotient(
         raise ValueError("map image out of range")
     if set(fmap) != set(range(L2.n)):
         return False
-    for x in range(L1.n):
-        for y in range(x, L1.n):
-            if fmap[L1.join[x, y]] != L2.join[fmap[x], fmap[y]]:
-                return False
-            if fmap[L1.meet[x, y]] != L2.meet[fmap[x], fmap[y]]:
-                return False
-    return True
+    fm = np.array(fmap, dtype=np.intp)
+    x, y = np.triu_indices(L1.n)
+    return all(
+        (fm[op1[x, y]] == op2[fm[x], fm[y]]).all()
+        for op1, op2 in ((L1.join, L2.join), (L1.meet, L2.meet))
+    )
 
 
 def to_dot(

@@ -7,8 +7,9 @@ number of times during `torslat check`, the closure-axiom scan derives
 each module's submodules once, the cover-to-brick table is built once per
 torsion lattice and read by the interval and quotient checks, the
 invariant suite builds no lattice besides the one it checks and checks no
-interval one pair at a time, and tampered tables still trip the "two
-characterizations must agree" checks.
+interval one pair at a time, semidistributivity is read off the label
+tables with no triple search unless the lattice fails it, and tampered
+tables still trip the "two characterizations must agree" checks.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from torslat.lattice import (
     FiniteLattice,
     InternalInconsistency,
     join_irreducibles,
+    join_semidistributivity_violation,
     meet_semidistributivity_violation,
     poset_from_pairs,
     try_lattice,
@@ -95,8 +97,8 @@ def test_tampered_join_table_trips_cross_checks():
     bad = FiniteLattice(L.poset, join, L.meet, L.bottom, L.top)
     with pytest.raises(InternalInconsistency, match="join-irreducible"):
         join_irreducibles(bad)
-    with pytest.raises(InternalInconsistency, match="meet-semidistributivity"):
-        meet_semidistributivity_violation(bad)
+    with pytest.raises(InternalInconsistency, match="join-irreducible"):
+        join_semidistributivity_violation(bad)
 
 
 def write_a4(tmp_path):
@@ -266,3 +268,28 @@ def test_invariant_suite_checks_no_interval_one_at_a_time(monkeypatch):
         monkeypatch.setattr(galois_mod, name, per_pair)
     assert verify_tors_lattice(TL) == []
     assert int(TL.lattice.leq.sum()) == 399
+
+
+def test_triple_search_runs_only_on_failing_lattices(monkeypatch, tmp_path):
+    """Semidistributivity is read off the gamma and mu tables: `check` on
+    linear A4 and `sweep --max-size 3` search no triples, and M3, which
+    fails both sides, is searched once per side for its witness."""
+    searches = []
+    real_search = lattice_mod._semidistributivity_violation
+
+    def counting_search(op, dual):
+        searches.append(op)
+        return real_search(op, dual)
+
+    monkeypatch.setattr(lattice_mod, "_semidistributivity_violation", counting_search)
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", write_a4(tmp_path)]) == 0
+        assert main(["sweep", "--max-size", "3"]) == 0
+    assert searches == []
+    m3 = try_lattice(
+        poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    )
+    assert join_semidistributivity_violation(m3) == (1, 2, 3)
+    assert meet_semidistributivity_violation(m3) == (1, 2, 3)
+    assert len(searches) == 2
+    assert searches[0] is m3.join and searches[1] is m3.meet

@@ -38,7 +38,7 @@ from torslat.galois import (
     verify_tors_lattice,
 )
 from torslat import galois
-from torslat.lattice import CoverEdge, NotComparable, are_isomorphic, covers
+from torslat.lattice import CoverEdge, NotComparable, are_isomorphic
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ def test_pentagon_torsion_pairs(r_pentagon):
     TL = all_torsion_pairs(r_pentagon)
     assert [p.tset for p in TL.pairs] == [0b000, 0b001, 0b100, 0b110, 0b111]
     assert [p.fset for p in TL.pairs] == [0b111, 0b100, 0b011, 0b001, 0b000]
-    assert sorted(covers(TL.lattice)) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
+    assert sorted(TL.lattice.poset.covers) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
     assert TL.index_of_tset[0b110] == 3
 
 

@@ -20,7 +20,6 @@ from torslat.lattice import (
     are_isomorphic,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
-    covers,
     gamma_label,
     interval_sublattice,
     is_join_semidistributive,
@@ -111,7 +110,7 @@ def test_singleton_lattice():
 def test_pentagon_tables(pentagon):
     L = pentagon
     assert L.bottom == 0 and L.top == 4
-    assert sorted(covers(L)) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
+    assert sorted(L.poset.covers) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
     assert int(L.join[1, 2]) == 4
     assert int(L.join[1, 3]) == 4
     assert int(L.meet[1, 3]) == 0
@@ -240,7 +239,7 @@ def test_interval_sublattice(pentagon):
     sub, members = interval_sublattice(pentagon, 2, 4)
     assert members == (2, 3, 4)
     assert sub.n == 3
-    assert sorted(covers(sub)) == [(0, 1), (1, 2)]
+    assert sorted(sub.poset.covers) == [(0, 1), (1, 2)]
     with pytest.raises(NotComparable):
         interval_sublattice(pentagon, 1, 2)
 
@@ -268,6 +267,11 @@ def test_lattice_quotient(pentagon, square_b2, chain3):
     assert not is_lattice_quotient([0, 0, 0, 0, 3], pentagon, square_b2)
     # surjective but breaks joins
     assert not is_lattice_quotient([0, 1, 1, 1, 2], pentagon, chain3)
+    # surjective and monotone, but breaks only joins: 1 v 2 = 3 goes to 2,
+    # not to 0 v 1 = 1
+    assert not is_lattice_quotient([0, 0, 1, 2], square_b2, chain3)
+    # and only meets: 1 ^ 2 = 0 goes to 0, not to 1 ^ 2 = 1
+    assert not is_lattice_quotient([0, 1, 2, 2], square_b2, chain3)
     with pytest.raises(ValueError):
         is_lattice_quotient([0, 1], pentagon, square_b2)
 
