@@ -18,6 +18,12 @@ factors as an epi followed by a mono and the derived relations have no
 nontrivial cycles.  ``literal_mono=True`` switches mono to the same row
 containment as epi (reversed); it exists only to demonstrate that this
 reading breaks factorizability on relations that should satisfy it.
+One table function, ``_factorization_table``, computes epi, mono, the
+unfactored arrows and the cycle pairs of N relations at once from their
+(N, m) row masks; ``factorizable_batch`` (the sweep and the realization
+search) and the single-relation ``factorizability_violation``,
+``derived_epi`` and ``derived_mono`` all read it.  A single relation goes
+in as object-dtype masks, so it may have any number of bricks.
 
 The invariant suite ``verify_tors_lattice`` checks a whole lattice with a
 few numpy passes over the class x brick membership matrices of the
@@ -33,7 +39,6 @@ classes.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,9 +51,9 @@ from .lattice import (
     FiniteLattice,
     FinitePoset,
     InternalInconsistency,
-    NotComparable,
     NotIrreducible,
     _composes,
+    _interval_endpoints,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
@@ -264,7 +269,7 @@ def all_torsion_pairs(R: BrickRelation) -> TorsLattice:
 
 
 def _closed_sets(
-    principals: list[int], full: int, cap: float = math.inf
+    principals: list[int], full: int, cap: int
 ) -> set[int] | None:
     """The full set and all intersections of the principal left perps.
 
@@ -299,15 +304,56 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
     return TorsLattice(R, pairs, lattice)
 
 
+def factorizable_batch(rows, literal_mono: bool = False) -> np.ndarray:
+    """Factorizability of N relations at once, from their row masks.
+
+    ``rows`` is an (N, m) integer array: in relation n, brick x has arrows
+    to the bricks in ``rows[n, x]`` (diagonal included), so m is at most
+    63.  Returns an (N,) bool array, entry n being
+    ``factorizability_violation(...) is None`` for relation n.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n, m = rows.shape
+    _, _, unfactored, cycle = _factorization_table(rows, literal_mono)
+    return ~(cycle | unfactored).reshape(n, m * m).any(axis=1)
+
+
+def _factorization_table(rows: np.ndarray, literal_mono: bool):
+    """(N, m, m) bool arrays epi, mono, unfactored and cycle of N relations.
+
+    ``rows`` holds the row masks, int64 or object.  unfactored[n, x, z] is
+    an arrow x -> z with no y giving x epi y and y mono z; cycle[n, x, y]
+    (x != y) is a nontrivial derived cycle: x epi y epi x, x mono y epi x
+    or x mono y mono x.
+    """
+    m = rows.shape[1]
+    bit = np.left_shift(1, np.arange(m, dtype=rows.dtype))
+    arrow = (rows[:, :, None] & bit) != 0
+    # epi[n, x, y]: every brick hit by y is hit by x
+    epi = (rows[:, None, :] & ~rows[:, :, None]) == 0
+    epi_t = epi.transpose(0, 2, 1)
+    # mono[n, x, y]: every brick hitting x hits y; cols[n, y] are the
+    # bricks hitting y.  The literal reading is row containment reversed.
+    cols = bit @ arrow
+    mono = epi_t if literal_mono else (cols[:, :, None] & ~cols[:, None, :]) == 0
+    cycle = (epi & epi_t) | (mono & (mono.transpose(0, 2, 1) | epi_t))
+    cycle &= ~np.eye(m, dtype=bool)
+    # an arrow x -> z factors iff epi[x, y] and mono[y, z] for some y; the
+    # boolean product is counted in float32, exact up to 2^24 bricks
+    unfactored = arrow & (np.matmul(epi, mono, dtype=np.float32) == 0)
+    return epi, mono, unfactored, cycle
+
+
+def _relation_table(R: BrickRelation, literal_mono: bool):
+    """_factorization_table of one relation, on object-dtype masks so that
+    any number of bricks fits."""
+    rows = np.array([R.row_masks], dtype=object)
+    return [a[0] for a in _factorization_table(rows, literal_mono)]
+
+
 def derived_epi(R: BrickRelation) -> np.ndarray:
     """epi[x, y]: every brick receiving an arrow from y also receives one from x."""
-    rows = R.row_masks
-    m = R.m
-    epi = np.zeros((m, m), dtype=bool)
-    for x in range(m):
-        for y in range(m):
-            epi[x, y] = (rows[y] & ~rows[x]) == 0
-    return epi
+    return _relation_table(R, False)[0]
 
 
 def derived_mono(R: BrickRelation, literal: bool = False) -> np.ndarray:
@@ -317,19 +363,7 @@ def derived_mono(R: BrickRelation, literal: bool = False) -> np.ndarray:
     (y's targets inside x's), which is not the intended dual and fails on
     standard examples; kept for regression tests only.
     """
-    m = R.m
-    mono = np.zeros((m, m), dtype=bool)
-    if literal:
-        rows = R.row_masks
-        for x in range(m):
-            for y in range(m):
-                mono[x, y] = (rows[x] & ~rows[y]) == 0
-    else:
-        cols = R.col_masks
-        for x in range(m):
-            for y in range(m):
-                mono[x, y] = (cols[x] & ~cols[y]) == 0
-    return mono
+    return _relation_table(R, literal)[1]
 
 
 def factorizability_violation(
@@ -342,27 +376,20 @@ def factorizability_violation(
           x epi y and y mono z;
       ("epi-cycle", x, y), ("mono-epi-cycle", x, y), ("mono-cycle", x, y):
           a nontrivial derived cycle forcing x = y.
+    Every unfactored arrow comes before every cycle; at the first cycle
+    pair the forms are tried in the order listed.
     """
-    epi = derived_epi(R)
-    mono = derived_mono(R, literal=literal_mono)
-    m = R.m
-    for x in range(m):
-        for z in range(m):
-            if not R.arrow[x, z]:
-                continue
-            if not any(epi[x, y] and mono[y, z] for y in range(m)):
-                return ("unfactorized-arrow", x, z)
-    for x in range(m):
-        for y in range(m):
-            if x == y:
-                continue
-            if epi[x, y] and epi[y, x]:
-                return ("epi-cycle", x, y)
-            if mono[x, y] and epi[y, x]:
-                return ("mono-epi-cycle", x, y)
-            if mono[x, y] and mono[y, x]:
-                return ("mono-cycle", x, y)
-    return None
+    epi, mono, unfactored, cycle = _relation_table(R, literal_mono)
+    if unfactored.any():
+        return ("unfactorized-arrow", *divmod(int(unfactored.argmax()), R.m))
+    if not cycle.any():
+        return None
+    x, y = divmod(int(cycle.argmax()), R.m)
+    if epi[x, y] and epi[y, x]:
+        return ("epi-cycle", x, y)
+    if mono[x, y] and epi[y, x]:
+        return ("mono-epi-cycle", x, y)
+    return ("mono-cycle", x, y)
 
 
 def is_factorizable(R: BrickRelation, literal_mono: bool = False) -> bool:
@@ -495,8 +522,7 @@ def interval_ji_check(TL: TorsLattice, u: int, v: int) -> bool:
 
 def gap_nonempty_check(TL: TorsLattice, u: int, v: int) -> bool:
     """For u <= v: the interval is proper iff some brick lies in fset(u) & tset(v)."""
-    if not TL.lattice.leq[u, v]:
-        raise NotComparable(f"{u} is not below {v}")
+    _interval_endpoints(TL.lattice, u, v)
     return (u != v) == bool(TL.fset(u) & TL.tset(v))
 
 
@@ -540,7 +566,7 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
         problems.append("brick left perps do not enumerate the meet-irreducibles")
     labelled = True
     try:
-        all_cover_labels(TL)
+        TL.cover_labels  # labels every cover once, or raises
     except (LabelMissing, LabelNotUnique, InternalInconsistency) as exc:
         # brick label vs gamma label is a theorem only for factorizable relations
         problems.append(str(exc))

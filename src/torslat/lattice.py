@@ -25,7 +25,9 @@ dually.  ``kappa`` sends a join-irreducible ``j`` to ``mu`` of the cover
 ``j_* <| j`` and is a bijection onto the meet-irreducibles whenever the
 lattice is semidistributive.  gamma and mu of all covers come from one
 (covers x irreducibles) test each; the single-cover functions and kappa
-read those tables.
+read those tables.  The kappa checks walk kappa, kappa_dual and the
+labels cover by cover over the cached tables, so the first failing cover
+raises just as a single call would.
 """
 
 from __future__ import annotations
@@ -389,7 +391,8 @@ def mu_label(L: FiniteLattice, c: CoverEdge) -> int:
 
 def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
     x, y = c
-    if not (L.leq[x, y] and c in L.poset.cover_index):
+    i = L.poset.cover_index.get(c)
+    if i is None:
         raise ValueError(f"({x}, {y}) is not a cover")
     kind, name, w = (
         ("meet", "mu", L._msd_witness) if dual else ("join", "gamma", L._jsd_witness)
@@ -399,7 +402,6 @@ def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
             f"lattice is not {kind}-semidistributive, witness {w}", w
         )
     labels, hits = L._mu_table if dual else L._gamma_table
-    i = L.poset.cover_index[c]
     if hits[i] != 1:
         raise InternalInconsistency(
             f"cover ({x}, {y}) has {hits[i]} {name} labels; expected exactly 1"
@@ -444,57 +446,35 @@ def kappa_dual(L: FiniteLattice, m: int) -> int:
     return gamma_label(L, CoverEdge(m, m_star(L, m)))
 
 
-def _tables_read_whole(L: FiniteLattice) -> bool:
-    """Whether the checks below may read the gamma and mu tables as arrays:
-    every cover has exactly one gamma and one mu label, so the lattice is
-    semidistributive.  Otherwise they walk kappa and the labels element by
-    element, so that the first failure raises just as a single call would.
-    """
-    return bool((L._gamma_table[1] == 1).all() and (L._mu_table[1] == 1).all())
-
-
-def _star_covers(L: FiniteLattice, elements, dual: bool) -> list[int]:
-    """Positions in L.poset.covers of j_* <| j (dual: m <| m^*)."""
-    index = L.poset.cover_index
-    if dual:
-        return [index[CoverEdge(m, L.upper_covers[m][0])] for m in elements]
-    return [index[CoverEdge(L.lower_covers[j][0], j)] for j in elements]
-
-
 def check_kappa_bijection(L: FiniteLattice) -> bool:
     """kappa is a bijection ji -> mi with kappa_dual as inverse."""
     jis = join_irreducibles(L)
-    mis = meet_irreducibles(L)
-    if not _tables_read_whole(L):
-        image = [kappa(L, j) for j in jis]
-        if sorted(image) != sorted(mis):
-            return False
-        return all(kappa_dual(L, kappa(L, j)) == j for j in jis)
-    image = L._mu_table[0][_star_covers(L, jis, dual=False)]
-    if sorted(image.tolist()) != list(mis):
+    image = [kappa(L, j) for j in jis]
+    if sorted(image) != sorted(meet_irreducibles(L)):
         return False
-    back = L._gamma_table[0][_star_covers(L, image.tolist(), dual=True)]
-    return bool((back == jis).all())
+    return all(kappa_dual(L, m) == j for j, m in zip(jis, image))
 
 
 def check_mu_eq_kappa_gamma(L: FiniteLattice) -> bool:
     """mu = kappa o gamma on every cover of a semidistributive lattice."""
-    if not _tables_read_whole(L):
-        return all(
-            mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers
-        )
-    jis = join_irreducibles(L)
-    kappa_of = np.full(L.n, -1, dtype=np.intp)
-    kappa_of[list(jis)] = L._mu_table[0][_star_covers(L, jis, dual=False)]
-    return bool((L._mu_table[0] == kappa_of[L._gamma_table[0]]).all())
+    return all(mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers)
+
+
+def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> None:
+    """Raise ValueError for an endpoint outside 0..n-1 (a negative index
+    would count from the end), then NotComparable unless u <= v."""
+    for e in (u, v):
+        if not 0 <= e < L.n:
+            raise ValueError(f"interval endpoint {e} out of range for {L.n} elements")
+    if not L.leq[u, v]:
+        raise NotComparable(f"{u} is not below {v}")
 
 
 def interval_sublattice(
     L: FiniteLattice, u: int, v: int
 ) -> tuple[FiniteLattice, tuple[int, ...]]:
     """The interval [u, v] as a lattice plus its elements in L's indexing."""
-    if not L.leq[u, v]:
-        raise NotComparable(f"{u} is not below {v}")
+    _interval_endpoints(L, u, v)
     members = tuple(
         int(x) for x in np.flatnonzero(L.leq[u] & L.leq[:, v])
     )
@@ -508,8 +488,7 @@ def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
     An interval is convex, so these are exactly the covers of the lattice
     [u, v]; its join-irreducibles are the y with one lower cover here.
     """
-    if not L.leq[u, v]:
-        raise NotComparable(f"{u} is not below {v}")
+    _interval_endpoints(L, u, v)
     return tuple(
         CoverEdge(x, int(y))
         for y in np.flatnonzero(L.leq[u] & L.leq[:, v])

@@ -10,8 +10,9 @@ search: every semidistributive lattice should be the torsion lattice of
 some factorizable relation, and lattices like M3 should be reachable
 only once the factorizability filter is dropped.
 
-The sweep and the realization search test factorizability with one numpy
-kernel on blocks of at most BLOCK candidates, in canonical order.
+The sweep and the realization search test factorizability with
+galois.factorizable_batch, the same numpy table that names single-relation
+witnesses, on blocks of at most BLOCK candidates, in canonical order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .galois import (
     _closed_sets,
     _tors_from_closed,
     all_torsion_pairs,
-    derived_epi,
+    factorizable_batch,
     perp_left,
     perp_right,
     relation_from_arrows,
@@ -215,35 +216,6 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
 BLOCK = 1024  # candidate relations per kernel call; bounds scratch for any m
 
 
-def factorizable_batch(rows, literal_mono: bool = False) -> np.ndarray:
-    """Factorizability of N relations at once, from their row masks.
-
-    ``rows`` is an (N, m) integer array: in relation n, brick x has arrows
-    to the bricks in ``rows[n, x]`` (diagonal included).  Returns an (N,)
-    bool array that agrees with ``factorizability_violation(...) is None``
-    entry by entry; that function stays the witness-producing reference.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n, m = rows.shape
-    bit = np.left_shift(1, np.arange(m, dtype=np.int64))
-    arrow = (rows[:, :, None] & bit) != 0
-    # epi[n, x, y]: every brick hit by y is hit by x
-    epi = (rows[:, None, :] & ~rows[:, :, None]) == 0
-    epi_t = epi.transpose(0, 2, 1)
-    if literal_mono:
-        mono = epi_t
-    else:
-        # mono[n, x, y]: every brick hitting x hits y
-        cols = bit @ arrow
-        mono = (cols[:, :, None] & ~cols[:, None, :]) == 0
-    cycle = (epi & epi_t) | (mono & (mono.transpose(0, 2, 1) | epi_t))
-    cycle &= ~np.eye(m, dtype=bool)
-    # an arrow x -> z factors iff epi[x, y] and mono[y, z] for some y; the
-    # boolean product is counted in float32, exact up to 2^24 bricks
-    unfactored = arrow & (np.matmul(epi, mono, dtype=np.float32) == 0)
-    return ~(cycle | unfactored).reshape(n, m * m).any(axis=1)
-
-
 def _rows_of_masks(masks, m: int) -> np.ndarray:
     """Decode sweep masks into an (N, m) array of row masks.
 
@@ -264,12 +236,13 @@ def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
 
 
 def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
-    """Within each brick's closure, arrows into the brick are derived epis."""
-    epi = derived_epi(R).tolist()
+    """Within each brick's closure, arrows into the brick are derived epis:
+    x epi b iff every brick hit by b is hit by x."""
+    rows = R.row_masks
     for b in range(R.m):
         closure = tors_closure(R, 1 << b)
         for x in range(R.m):
-            if closure >> x & 1 and R.row_masks[x] >> b & 1 and not epi[x][b]:
+            if closure >> x & 1 and rows[x] >> b & 1 and rows[b] & ~rows[x]:
                 return False
     return True
 
@@ -544,8 +517,7 @@ def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
     closed = _closed_sets([full & ~c for c in cols], full, cap=L.n)
     if closed is None or len(closed) != L.n:
         return False
-    R = _relation_of_rows(rows)
-    TL = all_torsion_pairs(R)
+    TL = _tors_from_closed(_relation_of_rows(rows), closed)
     if tuple(sorted(_element_invariants(TL.lattice))) != key:
         return False
     return are_isomorphic(TL.lattice, L)

@@ -146,11 +146,8 @@ def path_vertices(Q: QuiverPresentation, path: Iterable[int]) -> frozenset[int]:
 
 
 def is_valid_interval(Q: QuiverPresentation, M: IntervalModule) -> bool:
-    """Whether the interval avoids every relation path."""
-    if M.b > Q.n:
-        return False
-    supp = set(M.vertices)
-    return all(not path_vertices(Q, p) <= supp for p in Q.relations)
+    """Whether the interval fits the quiver and avoids every relation path."""
+    return M.b <= Q.n and annihilated_by(Q, M, Q.relations)
 
 
 def indecomposables(Q: QuiverPresentation) -> tuple[IntervalModule, ...]:

@@ -1,8 +1,12 @@
-"""The batch factorizability kernel and the block search built on it.
+"""The factorizability table and the block search built on it.
 
-factorizable_batch must agree with the witness-producing
-factorizability_violation on every relation of at most 4 bricks and on
-random relations of up to 8, in both readings of mono.  The block
+galois decides factorizability with one numpy table; factorizable_batch,
+factorizability_violation, derived_epi and derived_mono read it.  They
+must agree with the plain double loops below (the implementation the
+table replaced, kept here as the reference) on every relation of at most
+4 bricks and on random relations of up to 8, in both readings of mono,
+and on relations of 63-80 bricks (one relation's masks are Python ints
+of any width; the batch's int64 masks hold at most 63 bricks).  The block
 enumerator must hand the realization search exactly the tuples, in
 exactly the order, that a one-at-a-time loop over the product of row
 choices would.  The first hits below were recorded from the
@@ -24,7 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torslat.oracle as oracle_mod
-from torslat.galois import factorizability_violation, relation_from_arrows
+from torslat.galois import (
+    derived_epi,
+    derived_mono,
+    factorizability_violation,
+    factorizable_batch,
+    relation_from_arrows,
+)
 from torslat.lattice import (
     _element_invariants,
     is_semidistributive,
@@ -35,7 +45,6 @@ from torslat.oracle import (
     BudgetExceeded,
     SearchBudget,
     _rows_of_masks,
-    factorizable_batch,
     lattice_census,
     realize_sd_lattice,
 )
@@ -135,8 +144,70 @@ def relation_of_rows(rows):
     )
 
 
+def loop_epi(R):
+    """epi[x, y]: every brick receiving an arrow from y also receives one from x."""
+    rows = R.row_masks
+    m = R.m
+    epi = np.zeros((m, m), dtype=bool)
+    for x in range(m):
+        for y in range(m):
+            epi[x, y] = (rows[y] & ~rows[x]) == 0
+    return epi
+
+
+def loop_mono(R, literal=False):
+    """mono[x, y]: every brick with an arrow into x has one into y (literal:
+    y's targets inside x's)."""
+    m = R.m
+    mono = np.zeros((m, m), dtype=bool)
+    if literal:
+        rows = R.row_masks
+        for x in range(m):
+            for y in range(m):
+                mono[x, y] = (rows[x] & ~rows[y]) == 0
+    else:
+        cols = R.col_masks
+        for x in range(m):
+            for y in range(m):
+                mono[x, y] = (cols[x] & ~cols[y]) == 0
+    return mono
+
+
+def loop_violation(R, literal_mono=False):
+    """First witness in lexicographic order: unfactored arrows, then cycles."""
+    epi = loop_epi(R)
+    mono = loop_mono(R, literal=literal_mono)
+    m = R.m
+    for x in range(m):
+        for z in range(m):
+            if not R.arrow[x, z]:
+                continue
+            if not any(epi[x, y] and mono[y, z] for y in range(m)):
+                return ("unfactorized-arrow", x, z)
+    for x in range(m):
+        for y in range(m):
+            if x == y:
+                continue
+            if epi[x, y] and epi[y, x]:
+                return ("epi-cycle", x, y)
+            if mono[x, y] and epi[y, x]:
+                return ("mono-epi-cycle", x, y)
+            if mono[x, y] and mono[y, x]:
+                return ("mono-cycle", x, y)
+    return None
+
+
 def reference(rows, literal_mono):
-    return factorizability_violation(relation_of_rows(rows), literal_mono) is None
+    return loop_violation(relation_of_rows(rows), literal_mono) is None
+
+
+def assert_table_matches_loops(R, literal_mono):
+    assert np.array_equal(derived_epi(R), loop_epi(R))
+    assert np.array_equal(derived_mono(R, literal_mono), loop_mono(R, literal_mono))
+    witness = factorizability_violation(R, literal_mono)
+    assert witness == loop_violation(R, literal_mono)
+    assert all(type(v) is int for v in (witness or ())[1:])
+    return witness
 
 
 def row_choices(m):
@@ -144,14 +215,21 @@ def row_choices(m):
 
 
 @pytest.mark.parametrize("literal_mono", [False, True])
-def test_kernel_matches_witness_form_on_every_small_relation(literal_mono):
+def test_kernel_matches_the_loops_on_every_small_relation(literal_mono):
     counts = []
+    kinds = set()
     for m in range(1, 5):
         rows = _rows_of_masks(range(1 << (m * (m - 1))), m).tolist()
         got = factorizable_batch(rows, literal_mono).tolist()
         assert got == [reference(r, literal_mono) for r in rows]
         counts.append(sum(got))
+        for r in rows:
+            witness = assert_table_matches_loops(relation_of_rows(r), literal_mono)
+            kinds.add((witness or ("none",))[0])
     assert counts == ([1, 1, 1, 1] if literal_mono else [1, 3, 25, 507])
+    # every witness form, and so every priority at a cycle pair, is reached
+    forms = {"none", "unfactorized-arrow", "epi-cycle", "mono-epi-cycle"}
+    assert kinds == (forms if literal_mono else forms | {"mono-cycle"})
 
 
 @st.composite
@@ -167,11 +245,35 @@ def same_size_relations(draw, max_bricks=8):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(same_size_relations(), st.booleans())
-def test_kernel_matches_witness_form_on_random_relations(batch, literal_mono):
+def test_kernel_matches_the_loops_on_random_relations(batch, literal_mono):
     m = len(batch[0])
     rows = np.array(batch, dtype=np.int64).reshape(len(batch), m)
     got = factorizable_batch(rows, literal_mono)
     assert got.tolist() == [reference(r, literal_mono) for r in batch]
+    for r in batch:
+        assert_table_matches_loops(relation_of_rows(r), literal_mono)
+
+
+def total_order(m, equal_rows=False):
+    """Brick x hits every y >= x; with equal_rows brick 1 also hits 0, so
+    bricks 0 and 1 have the same row."""
+    rows = [((1 << m) - 1) & ~((1 << x) - 1) for x in range(m)]
+    if equal_rows:
+        rows[1] |= 1
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("m", [63, 70, 80])
+@pytest.mark.parametrize("equal_rows", [False, True])
+def test_wide_relations_take_object_masks(m, equal_rows):
+    rows = total_order(m, equal_rows)
+    R = relation_of_rows(rows)
+    expected = ("epi-cycle", 0, 1) if equal_rows else None
+    assert loop_violation(R) == expected
+    assert_table_matches_loops(R, False)
+    if m <= 63:  # the batch takes int64 row masks
+        batch = [rows, total_order(m, not equal_rows)]
+        assert factorizable_batch(batch).tolist() == [not equal_rows, equal_rows]
 
 
 def recorded_candidates(monkeypatch, m, factorizable_only):

@@ -69,6 +69,8 @@ def test_quotient_two_vertices_fibers():
                 assert fiber_check(qm, u, v)
     with pytest.raises(NotComparable):
         fiber_check(qm, 1, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        fiber_check(qm, 0, -1)
 
 
 def test_quotient_three_vertices():

@@ -107,6 +107,37 @@ def test_build_rel_nonfactorizable_exits_one_with_witness(capsys):
     assert "violation" in err
 
 
+def chain_file(tmp_path, m, equal_rows=False):
+    """Total order on m bricks (x hits every y > x); with equal_rows brick 1
+    also hits 0, so bricks 0 and 1 have the same row."""
+    arrows = [[x, y] for x in range(m) for y in range(x + 1, m)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "labels": [f"b{i}" for i in range(m)],
+        "arrows": arrows + ([[1, 0]] if equal_rows else []),
+    }))
+    return path
+
+
+def test_build_rel_and_check_on_seventy_bricks(capsys, tmp_path):
+    # wider than a 64-bit row mask: factorizability runs on object masks
+    path = chain_file(tmp_path, 70)
+    rc, out, err = run(capsys, "build-rel", path)
+    assert (rc, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["factorizable"] is True and summary["violation"] is None
+    assert summary["pairs"] == len(summary["classes"]) == 71
+    assert summary["join_irreducibles"] == summary["meet_irreducibles"] == 70
+    rc, out, err = run(capsys, "check", path)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["checks"][0] == {
+        "name": "factorizable", "ok": True, "witness": None
+    }
+    rc, out, err = run(capsys, "build-rel", chain_file(tmp_path, 70, equal_rows=True))
+    assert (rc, err) == (1, "violation: ('epi-cycle', 0, 1)\n")
+    assert json.loads(out)["violation"] == ["epi-cycle", 0, 1]
+
+
 def test_check_quiver_all_pass(capsys):
     rc, out, _ = run(capsys, "check", DATA / "a2.json")
     assert rc == 0

@@ -39,6 +39,7 @@ from torslat.galois import (
     TorsionPair,
     all_torsion_pairs,
     cover_brick_label,
+    factorizable_batch,
     four_class_diagram,
     gap_nonempty_check,
     interval_ji_check,
@@ -82,7 +83,6 @@ from torslat.oracle import (
     _rows_of_masks,
     brute_semidistributivity_violation,
     brute_try_lattice,
-    factorizable_batch,
     lattice_census,
 )
 from torslat.quiver import QuiverPresentation

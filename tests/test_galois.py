@@ -144,6 +144,8 @@ def test_pentagon_cover_labels(r_pentagon):
     }
     with pytest.raises(ValueError):
         cover_brick_label(TL, CoverEdge(0, 4))
+    with pytest.raises(ValueError):
+        cover_brick_label(TL, CoverEdge(5, 0))
 
 
 def test_antichain_is_boolean(r_antichain):
@@ -207,6 +209,14 @@ def test_interval_label_set(r_pentagon):
     assert interval_label_set(TL, 3, 3) == 0
     with pytest.raises(NotComparable):
         interval_label_set(TL, 1, 2)
+    assert_endpoints_range_checked(interval_label_set, TL)
+
+
+def assert_endpoints_range_checked(check, TL):
+    # (0, -1) is not read as (0, n - 1), nor is (0, 5) an IndexError
+    for u, v in [(0, -1), (-5, 4), (0, 5), (4, -1)]:
+        with pytest.raises(ValueError, match=r"^interval endpoint -?\d+ out of"):
+            check(TL, u, v)
 
 
 def test_interval_ji_and_lemma(r_pentagon):
@@ -219,6 +229,8 @@ def test_interval_ji_and_lemma(r_pentagon):
             assert interval_ji_check(TL, u, v)
     with pytest.raises(NotComparable):
         gap_nonempty_check(TL, 2, 1)
+    assert_endpoints_range_checked(gap_nonempty_check, TL)
+    assert_endpoints_range_checked(interval_ji_check, TL)
 
 
 def test_tf_dual_always(r_pentagon, r_shift4):

@@ -21,6 +21,7 @@ from torslat.lattice import (
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
+    interval_covers,
     interval_sublattice,
     is_join_semidistributive,
     is_lattice_quotient,
@@ -176,9 +177,14 @@ def test_pentagon_mu_labels(pentagon, edge, expected):
     assert mu_label(pentagon, edge) == expected
 
 
-def test_gamma_rejects_non_cover(pentagon):
+@pytest.mark.parametrize("label", [gamma_label, mu_label])
+def test_labels_reject_non_covers(pentagon, chain3, label):
     with pytest.raises(ValueError):
-        gamma_label(pentagon, CoverEdge(0, 4))
+        label(pentagon, CoverEdge(0, 4))
+    # out-of-range ends are not covers either, not an index error
+    for edge in [(5, 0), (0, 5), (-1, 2), (1, -1)]:
+        with pytest.raises(ValueError, match=r"is not a cover$"):
+            label(chain3, CoverEdge(*edge))
 
 
 @pytest.mark.parametrize(
@@ -242,6 +248,12 @@ def test_interval_sublattice(pentagon):
     assert sorted(sub.poset.covers) == [(0, 1), (1, 2)]
     with pytest.raises(NotComparable):
         interval_sublattice(pentagon, 1, 2)
+    # a negative end is not counted from the end, and the range test comes
+    # before the comparability test
+    for u, v in [(0, -1), (-5, 4), (0, 5), (5, 5), (4, -1)]:
+        for interval in (interval_sublattice, interval_covers):
+            with pytest.raises(ValueError, match=r"^interval endpoint -?\d+ out of"):
+                interval(pentagon, u, v)
 
 
 def test_interval_full_and_point(pentagon):
