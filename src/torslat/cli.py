@@ -5,18 +5,16 @@ sweep, census.  All structured output is JSON text with sorted keys; Hasse
 diagrams are DOT.  Each command raises instead of returning a status, and
 main alone maps the outcome to an exit code and its one stderr line: 0
 success, 1 property violation (first witness) or search failure, 2
-unusable input file (line and column for syntax errors), output path,
-flag value or TORSLAT_THREADS, or an input with more torsion classes
-than MAX_TORS_CLASSES.  Sweep timing goes to stderr so stdout stays
-byte-stable across runs and worker counts (TORSLAT_THREADS, default 1,
-at most MAX_WORKERS).
+unusable input file (line and column for syntax errors), output path or
+flag value, or an input with more torsion classes than MAX_TORS_CLASSES.
+Sweep counts per size and timing go to stderr so stdout stays byte-stable
+across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -70,7 +68,6 @@ from .oracle import (
 )
 from .quiver import QuiverPresentation, UnsupportedAlgebra
 
-MAX_WORKERS = 64
 # A lattice realized by m bricks has at most 2^m elements, and realize
 # cannot get through 8 bricks (2^56 candidate relations), so larger
 # lattice files are refused before any O(n^2) table is allocated.
@@ -82,7 +79,7 @@ MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
 
 
 class InputFileError(Exception):
-    """Unusable input file, output path, flag value or environment value; exit 2."""
+    """Unusable input file, output path or flag value; exit 2."""
 
 
 class Violation(Exception):
@@ -251,20 +248,6 @@ def _in_range(flag: str, value: int, cap: int | None = None) -> int:
     if cap is not None and value > cap:
         raise InputFileError(f"{flag} must be at most {cap}, got {value}")
     return value
-
-
-def _workers() -> int:
-    """TORSLAT_THREADS, checked before any worker process starts."""
-    raw = os.environ.get("TORSLAT_THREADS", "1")
-    try:
-        workers = _int(raw)
-    except ValueError:
-        workers = 0
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InputFileError(
-            f"TORSLAT_THREADS must be an integer from 1 to {MAX_WORKERS}, got {raw!r}"
-        )
-    return workers
 
 
 def _class_label(TL: TorsLattice, i: int) -> str:
@@ -489,12 +472,18 @@ def _cmd_realize(args):
 
 
 def _cmd_sweep(args):
-    workers = _workers()
     size = _in_range("--max-size", args.max_size, MAX_SWEEP_BRICKS)
     budget = SearchBudget(max_brick_set_size=size)
-    report = sweep_factorizable(budget, literal_mono=args.literal_mono, workers=workers)
+    report = sweep_factorizable(budget, literal_mono=args.literal_mono)
     runtime = report.pop("runtime_seconds")
+    orbits = report.pop("orbits")
     _write(args, report)
+    for m, counts in report["per_m"].items():
+        print(
+            f"m={m}: {counts['relations']} relations,"
+            f" {counts['factorizable']} factorizable, {orbits[m]} orbits verified",
+            file=sys.stderr,
+        )
     print(f"runtime: {runtime}s", file=sys.stderr)
     if report["violations"]:
         v = report["violations"][0]

@@ -12,11 +12,14 @@ only once the factorizability filter is dropped.
 
 The sweep and the realization search test factorizability with
 galois.factorizable_batch, the same numpy table that names single-relation
-witnesses, on blocks of at most BLOCK candidates, in canonical order.
+witnesses, on blocks of at most BLOCK candidates, in canonical order.  The
+sweep then runs the invariant suite once per relabelling orbit of the
+factorizable relations, in one process.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -247,39 +250,38 @@ def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
     return True
 
 
-def _sweep_chunk(args: tuple[int, int, int, bool]) -> tuple[int, list, int]:
-    m, start, stop, literal_mono = args
-    factorizable = 0
-    violations = []
-    dichotomy_failures = 0
-    for lo in range(start, stop, BLOCK):
-        masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
-        rows = _rows_of_masks(masks, m)
-        keep = factorizable_batch(rows, literal_mono)
-        for mask, r in zip(masks[keep].tolist(), rows[keep].tolist()):
-            factorizable += 1
-            R = _relation_of_rows(tuple(r))
-            problems = verify_tors_lattice(all_torsion_pairs(R))
-            if problems:
-                violations.append({"m": m, "mask": mask, "problems": problems})
-            if not _abstract_dichotomy_holds(R):
-                dichotomy_failures += 1
-    return factorizable, violations, dichotomy_failures
+def _orbit_keys(masks: np.ndarray, m: int) -> np.ndarray:
+    """The smallest sweep mask of each relation over all m! relabellings.
+
+    Bit i of a mask is the i-th off-diagonal pair (x, y) in row-major
+    order; a relabelling p moves that bit to the pair (p[x], p[y]).
+    """
+    pairs = [(x, y) for x in range(m) for y in range(m) if x != y]
+    bit = {pair: i for i, pair in enumerate(pairs)}
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    keys = masks.copy()
+    for p in itertools.permutations(range(m)):
+        moved = np.array([1 << bit[p[x], p[y]] for x, y in pairs], dtype=np.int64)
+        np.minimum(keys, bits @ moved, out=keys)
+    return keys
 
 
 def sweep_factorizable(
     budget: SearchBudget | None = None,
     literal_mono: bool = False,
-    workers: int = 1,
 ) -> dict:
     """Check the labelling theory over every reflexive relation, per size.
 
     For each m up to the budget, all 2^(m(m-1)) relations are decoded;
     the factorizable ones must pass the full torsion-lattice invariant
-    suite.  The report holds per-size counts, all violations (expected
-    none), an informational count of relations where an arrow into a
-    brick from inside its closure fails to be a derived epi, and the
-    runtime.  Output is identical for any worker count.
+    suite.  Factorizability, the suite's verdict and the dichotomy are
+    invariant under relabelling the bricks, so the suite and the dichotomy
+    run once per orbit, on its smallest-mask member; the members of an
+    orbit whose representative fails are verified one by one.  The report
+    holds per-size counts, all violations (expected none) in mask order,
+    an informational count of relations where an arrow into a brick from
+    inside its closure fails to be a derived epi, the orbits verified per
+    size and the runtime.
     """
     budget = budget or SearchBudget()
     if budget.max_brick_set_size > MAX_SWEEP_BRICKS:
@@ -287,37 +289,46 @@ def sweep_factorizable(
     deadline = budget.deadline()
     t0 = time.monotonic()
     per_m: dict[str, dict] = {}
+    orbits: dict[str, int] = {}
     violations: list[dict] = []
     dichotomy_failures = 0
     for m in range(1, budget.max_brick_set_size + 1):
         if time.monotonic() > deadline:
-            raise BudgetExceeded("sweep ran past its time limit")
+            raise BudgetExceeded(f"sweep ran past its time limit before m={m}")
         total = 1 << (m * (m - 1))
-        if workers > 1 and total >= 64:
-            step = max(1, total // (workers * 8))
-            chunks = [
-                (m, s, min(s + step, total), literal_mono)
-                for s in range(0, total, step)
-            ]
-            # imported here: concurrent.futures and multiprocessing cost a
-            # cold start about 30 ms, and only multi-worker sweeps use them
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_chunk, chunks))
-        else:
-            results = [_sweep_chunk((m, 0, total, literal_mono))]
-        fac = sum(r[0] for r in results)
-        for r in results:
-            violations.extend(r[1])
-            dichotomy_failures += r[2]
-        per_m[str(m)] = {"relations": total, "factorizable": fac}
+        kept = []
+        for lo in range(0, total, BLOCK):
+            masks = np.arange(lo, min(lo + BLOCK, total), dtype=np.int64)
+            kept.append(masks[factorizable_batch(_rows_of_masks(masks, m), literal_mono)])
+        survivors = np.concatenate(kept)
+        _, first, orbit_of, sizes = np.unique(
+            _orbit_keys(survivors, m),
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        failing = []
+        for i, rows in enumerate(_rows_of_masks(survivors[first], m).tolist()):
+            R = _relation_of_rows(tuple(rows))
+            if not _abstract_dichotomy_holds(R):
+                dichotomy_failures += int(sizes[i])
+            if verify_tors_lattice(all_torsion_pairs(R)):
+                failing.append(i)
+        members = survivors[np.isin(orbit_of, failing)]
+        for mask, rows in zip(members.tolist(), _rows_of_masks(members, m).tolist()):
+            R = _relation_of_rows(tuple(rows))
+            problems = verify_tors_lattice(all_torsion_pairs(R))
+            if problems:
+                violations.append({"m": m, "mask": mask, "problems": problems})
+        per_m[str(m)] = {"relations": total, "factorizable": len(survivors)}
+        orbits[str(m)] = len(first)
     return {
         "max_brick_set_size": budget.max_brick_set_size,
         "literal_mono": literal_mono,
         "per_m": per_m,
         "violations": violations,
         "abstract_dichotomy_failures": dichotomy_failures,
+        "orbits": orbits,
         "runtime_seconds": round(time.monotonic() - t0, 3),
     }
 
@@ -444,9 +455,14 @@ def _search_relations(
     factorizable_only: bool,
     deadline: float,
 ) -> BrickRelation | None:
+    full = (1 << m) - 1
+    shifts = np.arange(m)
     for rows in _candidate_blocks(m, factorizable_only, deadline):
-        for r in rows.tolist():
-            if _rows_realize(L, key, tuple(r)):
+        # column y of a relation: the bricks x with an arrow x -> y
+        bits = (rows[:, :, None] >> shifts) & 1
+        perps = full & ~(bits << shifts[:, None]).sum(axis=1)
+        for r, p in zip(rows.tolist(), perps.tolist()):
+            if _rows_realize(L, key, tuple(r), p):
                 return _relation_of_rows(tuple(r))
     return None
 
@@ -504,17 +520,12 @@ def _row_choice(d, x):
     return ((d & ~low) << 1) | (1 << x) | (d & low)
 
 
-def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
-    m = len(rows)
-    full = (1 << m) - 1
-    cols = [0] * m
-    for x in range(m):
-        r = rows[x]
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << x
-            r ^= low
-    closed = _closed_sets([full & ~c for c in cols], full, cap=L.n)
+def _rows_realize(
+    L: FiniteLattice, key: tuple, rows: tuple[int, ...], perps: list[int]
+) -> bool:
+    """Whether the relation with these rows realizes L; ``perps`` holds
+    each brick's principal left perp, the bricks with no arrow into it."""
+    closed = _closed_sets(perps, (1 << len(rows)) - 1, cap=L.n)
     if closed is None or len(closed) != L.n:
         return False
     TL = _tors_from_closed(_relation_of_rows(rows), closed)

@@ -216,7 +216,7 @@ def test_surjection_dichotomy():
 @criterion(7)
 def test_factorizable_implies_semidistributive_sweep():
     t0 = time.monotonic()
-    report = sweep_factorizable(SearchBudget(max_brick_set_size=4), workers=1)
+    report = sweep_factorizable(SearchBudget(max_brick_set_size=4))
     elapsed = time.monotonic() - t0
     assert report["per_m"]["4"]["relations"] == 4096
     assert report["violations"] == [], report["violations"]

@@ -276,10 +276,19 @@ def test_wide_relations_take_object_masks(m, equal_rows):
         assert factorizable_batch(batch).tolist() == [not equal_rows, equal_rows]
 
 
+def principal_left_perps(rows):
+    """Per brick y, the bricks with no arrow into y, by a plain bit loop."""
+    m = len(rows)
+    return [
+        sum(1 << x for x in range(m) if not rows[x] >> y & 1) for y in range(m)
+    ]
+
+
 def recorded_candidates(monkeypatch, m, factorizable_only):
     seen = []
 
-    def record(L, key, rows):
+    def record(L, key, rows, perps):
+        assert perps == principal_left_perps(rows)
         seen.append(rows)
         return False
 

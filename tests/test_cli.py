@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,26 +249,27 @@ def test_sweep_stdout_is_stable_and_runtime_on_stderr(capsys):
     assert report["violations"] == []
 
 
-def test_sweep_stdout_independent_of_worker_count(capsys, monkeypatch):
-    import concurrent.futures
-
-    pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs.get("max_workers"))
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-    monkeypatch.setenv("TORSLAT_THREADS", "1")
-    rc, serial, _ = run(capsys, "sweep", "--max-size", "3")
+def test_sweep_counts_per_size_go_to_stderr_only(capsys):
+    """stdout is the report recorded before the sweep grouped relations
+    into relabelling orbits; the counts per size are stderr lines."""
+    rc, out, err = run(capsys, "sweep", "--max-size", "4")
     assert rc == 0
-    assert pools == []
-    monkeypatch.setenv("TORSLAT_THREADS", "2")
-    rc, parallel, _ = run(capsys, "sweep", "--max-size", "3")
+    assert out == golden("sweep_4.json")
+    lines = err.splitlines()
+    assert lines[:-1] == [
+        "m=1: 1 relations, 1 factorizable, 1 orbits verified",
+        "m=2: 4 relations, 3 factorizable, 2 orbits verified",
+        "m=3: 64 relations, 25 factorizable, 6 orbits verified",
+        "m=4: 4096 relations, 507 factorizable, 30 orbits verified",
+    ]
+    assert re.fullmatch(r"runtime: [0-9.]+s", lines[-1])
+
+
+def test_sweep_literal_mono_stdout_is_the_recorded_report(capsys):
+    rc, out, err = run(capsys, "sweep", "--max-size", "4", "--literal-mono")
     assert rc == 0
-    assert pools == [2]  # only m = 3 has enough relations to split
-    assert serial == parallel
+    assert out == golden("sweep_4_literal.json")
+    assert err.splitlines()[-2] == "m=4: 4096 relations, 1 factorizable, 1 orbits verified"
 
 
 def test_cli_import_leaves_out_the_process_pool():
@@ -443,20 +445,6 @@ def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, tmp_path):
         main(["realize", str(DATA / "n5_lattice.json")])
 
 
-@pytest.mark.parametrize("value", ["abc", "", "0", "-2", "1.5", "65", "100000", "9" * 5000])
-def test_bad_thread_count_exits_two_before_any_worker(capsys, monkeypatch, value):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("TORSLAT_THREADS", value)
-    rc, out, err = run(capsys, "sweep", "--max-size", "3")
-    assert one_line_error(rc, out, err)
-    assert "TORSLAT_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -553,8 +541,23 @@ def test_unwritable_output_path_exits_two_naming_it(capsys, tmp_path, flag):
         ("census", "--max-size", " 3 "),
         ("sweep", "--max-size", "٣"),  # Arabic-Indic 3
         ("sweep", "--max-size", "9" * 5000),
+        ("sweep", "--max-size", "abc"),
+        ("sweep", "--max-size", ""),
+        ("census", "--max-size", "1.5"),
+        ("sweep", "--max-size", "2\n"),
     ],
-    ids=["underscore", "plus", "full-width", "spaces", "arabic-indic", "5000-digits"],
+    ids=[
+        "underscore",
+        "plus",
+        "full-width",
+        "spaces",
+        "arabic-indic",
+        "5000-digits",
+        "letters",
+        "empty",
+        "decimal",
+        "newline",
+    ],
 )
 def test_size_flags_take_ascii_digits_only(capsys, monkeypatch, argv):
     import torslat.cli
@@ -583,20 +586,6 @@ def test_ideal_entries_take_ascii_digits_only(capsys, spec):
     rc, out, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", spec)
     assert one_line_error(rc, out, err)
     assert f"bad --ideal value {spec!r}" in err
-
-
-@pytest.mark.parametrize("value", [" 1 ", "1_0", "２", "+2", "2\n"])
-def test_thread_count_takes_ascii_digits_only(capsys, monkeypatch, value):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("TORSLAT_THREADS", value)
-    rc, out, err = run(capsys, "sweep", "--max-size", "2")
-    assert one_line_error(rc, out, err)
-    assert "TORSLAT_THREADS" in err
 
 
 @pytest.mark.parametrize(
