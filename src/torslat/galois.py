@@ -127,19 +127,12 @@ class BrickRelation:
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
         """row_masks[x] = bitmask of {y : arrow[x, y]}."""
-        return tuple(_mask_of(np.flatnonzero(self.arrow[x])) for x in range(self.m))
+        return tuple(_masks(self.arrow))
 
     @cached_property
     def col_masks(self) -> tuple[int, ...]:
         """col_masks[y] = bitmask of {x : arrow[x, y]}."""
-        return tuple(_mask_of(np.flatnonzero(self.arrow[:, y])) for y in range(self.m))
-
-
-def _mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
+        return tuple(_masks(self.arrow.T))
 
 
 def _membership(masks: list[int], m: int) -> np.ndarray:
@@ -148,6 +141,15 @@ def _membership(masks: list[int], m: int) -> np.ndarray:
     raw = b"".join(s.to_bytes(width, "little") for s in masks)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(rows, axis=1, count=m, bitorder="little").view(bool)
+
+
+def _masks(rows: np.ndarray) -> list[int]:
+    """The inverse of _membership: each row of a 2-d bool array as the int
+    with bit j set iff the row is True in column j (0 if there are no
+    columns).  One packed buffer is sliced; per-row tobytes is slower."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[w * i : w * i + w], "little") for i in range(len(rows))]
 
 
 def _bits(mask: int):
@@ -268,24 +270,15 @@ def all_torsion_pairs(R: BrickRelation) -> TorsLattice:
     return _tors_from_closed(R, closed)
 
 
-def _closed_sets(
-    principals: list[int], full: int, cap: int
-) -> set[int] | None:
-    """The full set and all intersections of the principal left perps.
-
-    Returns None as soon as there are more than ``cap`` of them.
-    """
+def _closed_sets(principals: list[int], full: int, cap: int) -> set[int] | None:
+    """The full set and all intersections of the principal left perps, or
+    None if there are more than ``cap``.  The family only grows, and each
+    principal at most doubles it, so no call builds more than 2 cap sets."""
     closed = {full}
-    frontier = [full]
-    while frontier:
-        s = frontier.pop()
-        for p in principals:
-            t = s & p
-            if t not in closed:
-                closed.add(t)
-                if len(closed) > cap:
-                    return None
-                frontier.append(t)
+    for p in principals:
+        closed |= {s & p for s in closed}
+        if len(closed) > cap:
+            return None
     return closed
 
 
@@ -498,9 +491,8 @@ def interval_label_set(TL: TorsLattice, u: int, v: int) -> int:
 
     Raises if any cover of the lattice, inside [u, v] or not, has no label.
     """
-    covers = interval_covers(TL.lattice, u, v)
     labels = TL.cover_labels
-    return _mask_of(labels[c] for c in covers)
+    return sum({1 << labels[c] for c in interval_covers(TL.lattice, u, v)})
 
 
 def interval_ji_check(TL: TorsLattice, u: int, v: int) -> bool:
@@ -655,15 +647,9 @@ def _closure_table(TL: TorsLattice) -> np.ndarray:
     raises KeyError, as TL.index_of_tset does."""
     arrow, T = TL.relation.arrow, TL._tsets
     n, m = T.shape
-    if not m:
-        return np.zeros((n, 0), dtype=np.intp)
     # perp_right(tset(u) | {b}): hit neither from tset(u) nor from b
     right = ~_composes(T, arrow)[:, None, :] & ~arrow
     # its perp_left: the bricks with no arrow into it
     closure = ~_composes(right.reshape(n * m, m), arrow.T)
-    packed = np.packbits(closure, axis=1, bitorder="little")
-    raw, width, index = packed.tobytes(), packed.shape[1], TL.index_of_tset
-    masks = (
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    )
-    return np.array([index[s] for s in masks], dtype=np.intp).reshape(n, m)
+    index = TL.index_of_tset
+    return np.array([index[s] for s in _masks(closure)], dtype=np.intp).reshape(n, m)

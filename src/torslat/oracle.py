@@ -29,12 +29,12 @@ from .galois import (
     BrickRelation,
     TorsLattice,
     _closed_sets,
+    _membership,
     _tors_from_closed,
     all_torsion_pairs,
     factorizable_batch,
     perp_left,
     perp_right,
-    relation_from_arrows,
     tors_closure,
     verify_tors_lattice,
 )
@@ -162,7 +162,7 @@ def subset_is_torsion_closed(Q: QuiverPresentation, mask: int) -> bool:
     inside; (b) extension-closed: an indecomposable with a submodule and
     corresponding quotient whose summands all lie inside is itself inside.
     """
-    return _axioms_hold(_closure_tables(Q), mask)
+    return _axiom_closure(_closure_tables(Q), mask) == mask
 
 
 def _closure_tables(Q: QuiverPresentation) -> list[tuple[int, tuple[int, ...]]]:
@@ -187,23 +187,31 @@ def _closure_tables(Q: QuiverPresentation) -> list[tuple[int, tuple[int, ...]]]:
     return tables
 
 
-def _axioms_hold(tables: list[tuple[int, tuple[int, ...]]], mask: int) -> bool:
-    for i, (quots, parts) in enumerate(tables):
-        if mask >> i & 1:
-            if quots & ~mask:
-                return False
-        elif any(p & ~mask == 0 for p in parts):
-            return False
-    return True
+def _axiom_closure(tables: list[tuple[int, tuple[int, ...]]], mask: int) -> int:
+    """The smallest axiom-closed set of indecomposables holding ``mask``:
+    passes add E and its quotients' summands for every E in the set or
+    with the parts of one of its extensions inside it, until one adds
+    nothing.  A set satisfies the axioms iff it is its own closure."""
+    while True:
+        before = mask
+        for i, (quots, parts) in enumerate(tables):
+            if mask >> i & 1 or any(p & ~mask == 0 for p in parts):
+                mask |= 1 << i | quots
+        if mask == before:
+            return mask
 
 
 def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
-    """The perp-generated torsion classes match the closure-axiom ones.
+    """The perp-generated torsion classes are the closure-axiom ones.
 
-    Every enumerated class must satisfy the quotient and extension axioms,
-    and every subset of indecomposables satisfying them must appear.  The
-    module data behind the axioms is derived once; each subset is then a
-    few mask operations.
+    The axioms are Horn rules (these members in, so that one in), so the
+    sets satisfying them are closed under intersection and every set has a
+    closure (``_axiom_closure``).  Each enumerated class must be its own
+    closure, and the closure of the empty set and of each class plus one
+    indecomposable must be enumerated.  That reaches every axiom-closed S:
+    closure(0) lies in S, and for a class C inside S and E in S but not C,
+    closure(C + E) is a larger class still inside S.  With n classes and k
+    indecomposables this is at most n (k + 1) + 1 closures, not 2^k tests.
     """
     ind = indecomposables(Q)
     if TL.relation.labels != tuple(M.label(Q.n) for M in ind):
@@ -211,9 +219,12 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
             "torsion lattice bricks do not match the algebra's indecomposables"
         )
     tables = _closure_tables(Q)
+    k = len(ind)
     enumerated = {p.tset for p in TL.pairs}
-    axiom = {s for s in range(1 << len(ind)) if _axioms_hold(tables, s)}
-    return enumerated == axiom
+    if any(s >> k or _axiom_closure(tables, s) != s for s in enumerated):
+        return False
+    steps = [0] + [s | 1 << i for s in enumerated for i in range(k) if not s >> i & 1]
+    return all(_axiom_closure(tables, s) in enumerated for s in steps)
 
 
 BLOCK = 1024  # candidate relations per kernel call; bounds scratch for any m
@@ -232,10 +243,7 @@ def _rows_of_masks(masks, m: int) -> np.ndarray:
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
     m = len(rows)
-    arrows = [
-        (x, y) for x in range(m) for y in range(m) if x != y and rows[x] >> y & 1
-    ]
-    return relation_from_arrows([f"b{i}" for i in range(m)], arrows)
+    return BrickRelation([f"b{i}" for i in range(m)], _membership(rows, m))
 
 
 def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
@@ -349,10 +357,7 @@ def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
     for n in range(1, budget.max_lattice_size + 1):
         found: list[tuple[tuple, FiniteLattice]] = []
         for downs in _natural_posets(n, deadline):
-            leq = np.eye(n, dtype=bool)
-            for j, d in enumerate(downs):
-                for i in range(j):
-                    leq[i, j] = bool(d >> i & 1)
+            leq = _membership(downs, n).T | np.eye(n, dtype=bool)
             try:
                 L = try_lattice(FinitePoset(n, leq))
             except NotALattice:
@@ -367,39 +372,20 @@ def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
     return out
 
 
-def _natural_posets(n: int, deadline: float):
-    """Yield tuples of strict down-set masks for poset elements 1..n-1."""
-    if n == 1:
-        yield ()
+def _natural_posets(n: int, deadline: float, downs: tuple[int, ...] = ()):
+    """Each naturally labelled poset on 0..n-1 with bottom 0 and top n-1, as
+    the tuple of its elements' strict down-set masks.  Element 0 < j < n-1
+    takes, ascending, each odd s < 2^j (s holds the bottom) that holds the
+    down-set of each of its members; the last element is the top."""
+    if time.monotonic() > deadline:
+        raise BudgetExceeded("census ran past its time limit")
+    j = len(downs)
+    if j == n - 1:
+        yield downs + ((1 << j) - 1,)
         return
-
-    def down_closed_subsets(downs: tuple[int, ...], j: int):
-        for s in range(1 << j):
-            if s & 1 == 0:
-                continue
-            ok = True
-            live = s
-            while live:
-                low = live & -live
-                if downs[low.bit_length() - 1] & ~s:
-                    ok = False
-                    break
-                live ^= low
-            if ok:
-                yield s
-
-    def rec(downs: tuple[int, ...]):
-        j = len(downs)
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("census ran past its time limit")
-        if j == n - 1:
-            # the top must lie above every earlier element
-            yield downs + ((1 << (n - 1)) - 1,)
-            return
-        for s in down_closed_subsets(downs, j):
-            yield from rec(downs + (s,))
-
-    yield from rec((0,))
+    for s in range(1, 1 << j, 2) if j else [0]:
+        if all(d & ~s == 0 for i, d in enumerate(downs) if s >> i & 1):
+            yield from _natural_posets(n, deadline, downs + (s,))
 
 
 def realize_sd_lattice(

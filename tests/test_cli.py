@@ -167,6 +167,30 @@ def test_check_reports_first_failure(capsys):
     assert "factorizable failed" in err
 
 
+def test_mask_228_is_clean_but_not_polygonal(capsys):
+    """Sweep mask 228 (arrows 0->3, 1->3, 2->0, 2->1) is factorizable and
+    passes `check`, yet class 0's two upper covers {b2} and {b3} join at
+    the top, so [0, top] is the whole 7-class lattice, not a polygon."""
+    path = DATA / "mask228_rel.json"
+    rc, out, _ = run(capsys, "check", path)
+    assert rc == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["torsion_lattice_properties"]["ok"] is True
+    rc, out, _ = run(capsys, "build-rel", path)
+    assert rc == 0
+    summary = json.loads(out)
+    assert summary["pairs"] == 7
+    assert summary["factorizable"] is True
+    classes = summary["classes"]
+    rc, out, _ = run(capsys, "labels", path)
+    assert rc == 0
+    upper = [c["upper"] for c in json.loads(out)["covers"] if c["lower"] == 0]
+    assert [classes[u] for u in upper] == [["b2"], ["b3"]]
+    # the join is the smallest class holding both; only the top does
+    assert [i for i, c in enumerate(classes) if {"b2", "b3"} <= set(c)] == [6]
+    assert len(classes) == 7
+
+
 def test_labels_table(capsys):
     rc, out, _ = run(capsys, "labels", DATA / "a2_rel.json")
     assert rc == 0

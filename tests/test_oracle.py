@@ -9,12 +9,18 @@ double-checked against hand arguments where small enough.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from torslat.bridge import tors_of_algebra
 from torslat.galois import (
+    TorsionPair,
+    TorsLattice,
     all_torsion_pairs,
     factorizability_violation,
     is_factorizable,
+    perp_right,
     relation_from_arrows,
 )
 from torslat.lattice import (
@@ -93,18 +99,43 @@ def test_subset_closure_axioms_two_vertex_cases():
     assert subset_is_torsion_closed(A2L, 0b111)
 
 
+A5_QUOTIENTS = [((1, 0),), ((1, 0), (2, 1)), ((2, 1, 0),), ((1, 0), (3, 2))]
+
+
 @pytest.mark.parametrize(
     "q",
     [
         A2L,
         A3R,
         QuiverPresentation(3, ("right", "right"), ((0, 1),)),
-    ],
+    ]
+    + [QuiverPresentation(5, o) for o in itertools.product(("left", "right"), repeat=4)]
+    + [QuiverPresentation(5, ("left",) * 4, rels) for rels in A5_QUOTIENTS],
 )
 def test_closure_axioms_match_perp_enumeration(q):
-    from torslat.bridge import tors_of_algebra
-
     assert closure_axiom_check(q, tors_of_algebra(q).tors)
+
+
+def tampered_a4_lattices():
+    """Linear A4's torsion lattice with one class dropped, and with one
+    subset added that is not axiom-closed, for every class and subset, and
+    with a set holding a brick that is not an indecomposable."""
+    TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3)).tors
+    R, pairs = TL.relation, TL.pairs
+    for i in range(TL.n):
+        yield TorsLattice(R, pairs[:i] + pairs[i + 1 :], TL.lattice)
+    classes = {p.tset for p in pairs}
+    for s in [*range(1 << R.m), 1 << R.m | R.full_mask]:
+        if s not in classes:
+            extra = TorsionPair(s, perp_right(R, s & R.full_mask))
+            yield TorsLattice(R, pairs + (extra,), TL.lattice)
+
+
+def test_closure_steps_reject_every_tampered_a4_lattice():
+    q = QuiverPresentation(4, ("left",) * 3)
+    tampered = list(tampered_a4_lattices())
+    assert len(tampered) == 42 + 982 + 1  # dropped classes, added subsets
+    assert not any(closure_axiom_check(q, TL) for TL in tampered)
 
 
 def test_sweep_counts_small():
