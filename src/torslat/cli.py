@@ -76,6 +76,11 @@ MAX_LATTICE_ELEMENTS = 1 << 8
 # algebra on n vertices has at least 2^n of them: past this many vertices
 # it is over MAX_TORS_CLASSES, and is refused before any Hom is solved.
 MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
+# Bricks with different columns have different principal left perps,
+# torsion classes other than the full set, so a wider relation is over
+# MAX_TORS_CLASSES or has two equal columns (a mono-cycle, not
+# factorizable); it is refused before the O(m^2) arrow matrix is built.
+MAX_RELATION_BRICKS = MAX_TORS_CLASSES - 1
 
 
 class InputFileError(Exception):
@@ -131,6 +136,12 @@ def _relation_from_obj(path: str, obj) -> BrickRelation:
     arrows = obj["arrows"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InputFileError(f"{path}: 'labels' must be an array of strings")
+    if len(labels) > MAX_RELATION_BRICKS:
+        raise InputFileError(
+            f"{path}: {len(labels)} bricks have more than {MAX_TORS_CLASSES}"
+            " torsion classes or two equal columns;"
+            f" at most {MAX_RELATION_BRICKS} bricks are supported"
+        )
     if not isinstance(arrows, list):
         raise InputFileError(f"{path}: 'arrows' must be an array of pairs")
     seen = set()

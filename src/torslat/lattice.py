@@ -507,30 +507,33 @@ def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
         return False
     order = sorted(range(L1.n), key=lambda x: (inv1[x], x))
     buckets = {inv: [y for y in range(L2.n) if inv2[y] == inv] for inv in set(inv1)}
+    leq1, leq2 = L1.leq.tolist(), L2.leq.tolist()
     mapping: dict[int, int] = {}
     used = [False] * L2.n
 
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        x = order[k]
-        for y in buckets[inv1[x]]:
-            if used[y]:
-                continue
-            ok = all(
-                L1.leq[u, x] == L2.leq[v, y] and L1.leq[x, u] == L2.leq[y, v]
-                for u, v in mapping.items()
-            )
-            if ok:
-                mapping[x] = y
-                used[y] = True
-                if extend(k + 1):
-                    return True
-                del mapping[x]
-                used[y] = False
-        return False
+    def fits(x: int, y: int) -> bool:
+        return not used[y] and all(
+            leq1[u][x] == leq2[v][y] and leq1[x][u] == leq2[y][v]
+            for u, v in mapping.items()
+        )
 
-    return extend(0)
+    # Depth-first over order with an explicit stack of untried images, one
+    # per mapped element: recursion would overflow at about 1,000 elements.
+    tries = [iter(buckets[inv1[order[0]]])] if order else []
+    while tries:
+        x = order[len(tries) - 1]
+        if x in mapping:
+            used[mapping.pop(x)] = False
+        y = next((y for y in tries[-1] if fits(x, y)), None)
+        if y is None:
+            tries.pop()
+            continue
+        mapping[x] = y
+        used[y] = True
+        if len(tries) == len(order):
+            return True
+        tries.append(iter(buckets[inv1[order[len(tries)]]]))
+    return not order
 
 
 def _element_invariants(L: FiniteLattice) -> list[tuple[int, int, int, int]]:

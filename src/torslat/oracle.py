@@ -227,7 +227,10 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
     return all(_axiom_closure(tables, s) in enumerated for s in steps)
 
 
-BLOCK = 1024  # candidate relations per kernel call; bounds scratch for any m
+# Candidate relations per kernel call; bounds scratch for any m.  A power
+# of two, so the realization search decodes candidate lo + t of a block as
+# lo | t.
+BLOCK = 1024
 
 
 def _rows_of_masks(masks, m: int) -> np.ndarray:
@@ -407,7 +410,7 @@ def realize_sd_lattice(
     order with earlier rows more significant, so the first hit is stable.
     Candidates are tested in numpy blocks of at most BLOCK, in that order,
     with the deadline checked once per block; a BudgetExceeded names the
-    brick count and how many candidates of that size were examined.
+    brick count and how many candidates of that size came before.
     Following the derived-cycle conditions, rows are forced pairwise
     distinct while the filter is on, and only tuples that
     factorizable_batch accepts reach the closure count and the
@@ -425,7 +428,7 @@ def realize_sd_lattice(
             )
         sizes = [n_ji]
     else:
-        sizes = list(range(lower, budget.max_brick_set_size + 1))
+        sizes = range(lower, budget.max_brick_set_size + 1)
     key = tuple(sorted(_element_invariants(L)))
     for m in sizes:
         hit = _search_relations(L, key, m, factorizable_only, deadline)
@@ -441,63 +444,41 @@ def _search_relations(
     factorizable_only: bool,
     deadline: float,
 ) -> BrickRelation | None:
-    full = (1 << m) - 1
-    shifts = np.arange(m)
-    for rows in _candidate_blocks(m, factorizable_only, deadline):
-        # column y of a relation: the bricks x with an arrow x -> y
-        bits = (rows[:, :, None] >> shifts) & 1
-        perps = full & ~(bits << shifts[:, None]).sum(axis=1)
-        for r, p in zip(rows.tolist(), perps.tolist()):
-            if _rows_realize(L, key, tuple(r), p):
-                return _relation_of_rows(tuple(r))
-    return None
-
-
-def _candidate_blocks(m: int, factorizable_only: bool, deadline: float):
-    """Every m-tuple of rows in canonical order, as arrays of <= BLOCK tuples.
-
-    Row x ranges over the k = 2^(m-1) masks with bit x set, ascending, and
-    earlier rows are more significant, so a tuple is an m-digit number in
-    base k.  The last j digits span at least BLOCK tuples (or all m do) and
-    are cut into consecutive blocks; the leading digits are a Python loop
-    around them, so scratch is O(BLOCK * m^2) whatever k^m is.  With the
-    filter on, only tuples with pairwise distinct rows that pass
-    factorizable_batch are kept, in order.
+    """The first m-brick candidate, in the order realize_sd_lattice
+    states, that realizes L.  Row x takes the k = 2^(m-1) masks with bit x
+    set, so candidate c is m base-k digits: digit x is (c >> s_x) & (k - 1)
+    with s_x = (m-1)(m-1-x).  BLOCK is a power of two, so candidate lo + t
+    of the block at lo is lo | t, and each digit is lo's (a Python int, so
+    the 2^(m(m-1)) candidates may pass 64 bits) OR'd with one fixed table
+    of t's digits: scratch is O(BLOCK * m^2) whatever m is.
     """
     if m > 62:
         raise BudgetExceeded(f"{m} bricks do not fit in 64-bit row masks")
     k = 1 << (m - 1) if m else 1
-    j = 0
-    while j < m and k**j < BLOCK:
-        j += 1
-    size = k**j
-    tail_shifts = (m - 1) * np.arange(j - 1, -1, -1)
-    tail_rows = np.arange(m - j, m)
-    examined = 0
-    for p in range(k ** (m - j)):
-        head = [
-            _row_choice((p >> (m - 1) * (m - j - 1 - x)) & (k - 1), x)
-            for x in range(m - j)
-        ]
-        if factorizable_only and len(set(head)) < len(head):
-            examined += size
-            continue
-        for lo in range(0, size, BLOCK):
-            if time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"realization search ran past its time limit on {m} bricks,"
-                    f" after {examined:,} of 2^{m * (m - 1)} candidate relations"
-                )
-            digits = np.arange(lo, min(lo + BLOCK, size))[:, None] >> tail_shifts
-            rows = np.empty((len(digits), m), dtype=np.int64)
-            rows[:, : m - j] = head
-            rows[:, m - j :] = _row_choice(digits & (k - 1), tail_rows)
-            examined += len(rows)
-            if factorizable_only:
-                ordered = np.sort(rows, axis=1)
-                rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-                rows = rows[factorizable_batch(rows)]
-            yield rows
+    total = k**m
+    x = np.arange(m)
+    shifts = (m - 1) * (m - 1 - x)
+    low = (np.arange(min(BLOCK, total))[:, None] >> np.minimum(shifts, 63)) & (k - 1)
+    full = (1 << m) - 1
+    for lo in range(0, total, BLOCK):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded(
+                f"realization search ran past its time limit on {m} bricks,"
+                f" after {lo:,} of 2^{m * (m - 1)} candidate relations"
+            )
+        high = np.array([(lo >> s) & (k - 1) for s in shifts.tolist()], dtype=np.int64)
+        rows = _row_choice(low | high, x)
+        if factorizable_only:
+            ordered = np.sort(rows, axis=1)
+            rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+            rows = rows[factorizable_batch(rows)]
+        # column y of a relation: the bricks x with an arrow x -> y
+        bits = (rows[:, :, None] >> x) & 1
+        perps = full & ~(bits << x[:, None]).sum(axis=1)
+        for r, p in zip(rows.tolist(), perps.tolist()):
+            if _rows_realize(L, key, tuple(r), p):
+                return _relation_of_rows(tuple(r))
+    return None
 
 
 def _row_choice(d, x):

@@ -299,18 +299,24 @@ def recorded_candidates(monkeypatch, m, factorizable_only):
     return seen
 
 
-def test_blocks_pass_the_filtered_product_in_order(monkeypatch):
+@pytest.mark.parametrize("block", [1, 16, 1024])
+@pytest.mark.parametrize("m", range(5))
+def test_blocks_pass_the_filtered_product_in_order(monkeypatch, m, block):
+    monkeypatch.setattr(oracle_mod, "BLOCK", block)
     expected = [
         t
-        for t in itertools.product(*row_choices(4))
-        if len(set(t)) == 4 and reference(t, False)
+        for t in itertools.product(*row_choices(m))
+        if len(set(t)) == m and reference(t, False)
     ]
-    assert recorded_candidates(monkeypatch, 4, True) == expected
+    assert recorded_candidates(monkeypatch, m, True) == expected
 
 
-def test_unfiltered_blocks_pass_the_whole_product_in_order(monkeypatch):
-    assert recorded_candidates(monkeypatch, 3, False) == list(
-        itertools.product(*row_choices(3))
+@pytest.mark.parametrize("block", [1, 16, 1024])
+@pytest.mark.parametrize("m", range(4))
+def test_unfiltered_blocks_pass_the_whole_product_in_order(monkeypatch, m, block):
+    monkeypatch.setattr(oracle_mod, "BLOCK", block)
+    assert recorded_candidates(monkeypatch, m, False) == list(
+        itertools.product(*row_choices(m))
     )
 
 
@@ -384,6 +390,25 @@ def test_search_on_eight_bricks_works_in_bounded_blocks():
     msg, seconds, peak = aborted_search(m8, budget)
     assert "on 8 bricks, after " in msg
     assert seconds < 5
+    assert peak < 4 * 2**20
+
+
+def test_nine_free_bricks_realize_the_boolean_lattice():
+    """2^72 candidates on 9 bricks: block starts pass int64, and the first
+    candidate, the arrow-free relation, realizes the 512-element lattice."""
+    covers = [(s, s | 1 << i) for s in range(512) for i in range(9) if not s >> i & 1]
+    boolean = try_lattice(poset_from_pairs(512, covers))
+    R = realize_sd_lattice(boolean, SearchBudget(max_brick_set_size=9))
+    assert R.row_masks == tuple(1 << i for i in range(9))
+
+
+def test_a_huge_brick_budget_costs_nothing_up_front():
+    """M3 is not semidistributive, so every size up to the budget is
+    searched; the sizes are not listed before the first candidate."""
+    budget = SearchBudget(max_brick_set_size=10**9, time_limit=0.05)
+    msg, seconds, peak = aborted_search(M3, budget)
+    assert "ran past its time limit" in msg
+    assert seconds < 1
     assert peak < 4 * 2**20
 
 

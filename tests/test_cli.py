@@ -631,12 +631,18 @@ def test_ideal_entries_take_ascii_digits_only(capsys, spec):
             {"vertices": 8, "orientation": ["left"] * 7},
             "36 bricks have more than 2048 torsion classes",
         ),
+        (
+            "build-rel",
+            {"labels": [f"b{i}" for i in range(20000)], "arrows": []},
+            "20000 bricks have more than 2048 torsion classes or two equal"
+            " columns; at most 2047 bricks are supported",
+        ),
     ],
-    ids=["free-24-bricks", "linear-A40", "linear-A8"],
+    ids=["free-24-bricks", "linear-A40", "linear-A8", "free-20000-bricks"],
 )
 def test_class_budget_exits_two_within_seconds(tmp_path, command, obj, message):
     """2^24 classes and an A40 quiver ran until killed; now they stop at
-    MAX_TORS_CLASSES (or at the vertex count that implies it) with one
+    MAX_TORS_CLASSES (or at the vertex or brick count that implies it) with one
     line, before any table is allocated."""
     src = str(Path(torslat.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

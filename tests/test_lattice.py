@@ -7,11 +7,14 @@ expected values below were computed by hand from the definitions.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from torslat.lattice import (
     AntisymmetryViolation,
     CoverEdge,
+    FiniteLattice,
+    FinitePoset,
     InternalInconsistency,
     NotALattice,
     NotComparable,
@@ -270,6 +273,24 @@ def test_isomorphism(pentagon, diamond_m3):
     assert are_isomorphic(pentagon, relabeled)
     assert not are_isomorphic(pentagon, diamond_m3)
     assert are_isomorphic(diamond_m3, diamond_m3)
+
+
+def test_isomorphism_past_the_recursion_limit():
+    """One backtracking step per element: a 1,100-element chain raised
+    RecursionError when each step was a Python call."""
+    n = 1100
+    chain = lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
+    p = np.arange(n) * 7 % n  # element i of the copy is named p[i]
+    q = np.argsort(p)
+    moved = FiniteLattice(
+        FinitePoset(n, chain.leq[np.ix_(q, q)]),
+        p[chain.join[np.ix_(q, q)]],
+        p[chain.meet[np.ix_(q, q)]],
+        int(p[chain.bottom]),
+        int(p[chain.top]),
+    )
+    assert are_isomorphic(chain, chain)
+    assert are_isomorphic(chain, moved)
 
 
 def test_lattice_quotient(pentagon, square_b2, chain3):
