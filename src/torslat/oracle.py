@@ -411,8 +411,12 @@ def realize_sd_lattice(
     Candidates are tested in numpy blocks of at most BLOCK, in that order,
     with the deadline checked once per block; a BudgetExceeded names the
     brick count and how many candidates of that size came before.
-    Following the derived-cycle conditions, rows are forced pairwise
-    distinct while the filter is on, and only tuples that
+    Relabelling the bricks changes neither the filters nor the lattice's
+    isomorphism type, so the first hit is least in its relabelling orbit,
+    where row 0 is 2^d - 1 for d the fewest bits in a row; candidates
+    breaking that rule are skipped, and first hits and absences are those
+    of the full scan.  Following the derived-cycle conditions, rows are
+    forced pairwise distinct while the filter is on, and only tuples that
     factorizable_batch accepts reach the closure count and the
     isomorphism test.
     """
@@ -450,7 +454,10 @@ def _search_relations(
     with s_x = (m-1)(m-1-x).  BLOCK is a power of two, so candidate lo + t
     of the block at lo is lo | t, and each digit is lo's (a Python int, so
     the 2^(m(m-1)) candidates may pass 64 bits) OR'd with one fixed table
-    of t's digits: scratch is O(BLOCK * m^2) whatever m is.
+    of t's digits: scratch is O(BLOCK * m^2) whatever m is.  Candidates
+    that cannot lead their orbit (row 0 is not 2^d - 1, d the fewest bits
+    in a row; proof at ``_may_lead_orbit``) are dropped first.  Row 0 is
+    digit 0, so if BLOCK <= 2^s_0 a block shares it and may be skipped whole.
     """
     if m > 62:
         raise BudgetExceeded(f"{m} bricks do not fit in 64-bit row masks")
@@ -460,14 +467,21 @@ def _search_relations(
     shifts = (m - 1) * (m - 1 - x)
     low = (np.arange(min(BLOCK, total))[:, None] >> np.minimum(shifts, 63)) & (k - 1)
     full = (1 << m) - 1
+    top = (m - 1) ** 2  # s_0, as a Python int
+    whole = BLOCK <= 1 << top
     for lo in range(0, total, BLOCK):
         if time.monotonic() > deadline:
             raise BudgetExceeded(
                 f"realization search ran past its time limit on {m} bricks,"
                 f" after {lo:,} of 2^{m * (m - 1)} candidate relations"
             )
+        # row 0 is 2 d + 1 for digit 0 = d: a run of low bits iff d is one
+        d = lo >> top
+        if whole and d & (d + 1):
+            continue
         high = np.array([(lo >> s) & (k - 1) for s in shifts.tolist()], dtype=np.int64)
         rows = _row_choice(low | high, x)
+        rows = rows[_may_lead_orbit(rows)]
         if factorizable_only:
             ordered = np.sort(rows, axis=1)
             rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
@@ -479,6 +493,20 @@ def _search_relations(
             if _rows_realize(L, key, tuple(r), p):
                 return _relation_of_rows(tuple(r))
     return None
+
+
+def _may_lead_orbit(rows: np.ndarray) -> np.ndarray:
+    """Whether each relation of an (N, m) row array may be the least of its
+    relabelling orbit, rows compared in order: row 0 is 2^d - 1 for d the
+    fewest bits in a row.  Relabelling a brick with d bits to 0 and its
+    targets to 1..d-1 gives that row 0, and every row 0 holds bit 0 and at
+    least d bits, so none is smaller.
+    """
+    counts = np.zeros_like(rows)
+    for y in range(rows.shape[1]):
+        counts += (rows >> y) & 1
+    head = rows[:, :1]
+    return (((head & (head + 1)) == 0) & (counts >= counts[:, :1])).all(axis=1)
 
 
 def _row_choice(d, x):

@@ -4,9 +4,10 @@ The sweep runs the invariant suite and the dichotomy once per S_m orbit of
 the factorizable relations.  That is sound only if the orbit key is the
 smallest mask over all relabellings, and if everything the sweep reports
 is constant on each orbit; both are checked here against brute force on
-every relation of at most 4 bricks.  The violation and dichotomy paths
-never fire on the real suite, so they are driven with a faked verdict on
-one orbit.
+every relation of at most 4 bricks, as is the constancy of the torsion
+lattice's isomorphism type that the realization search relies on.  The
+violation and dichotomy paths never fire on the real suite, so they are
+driven with a faked verdict on one orbit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 import torslat.oracle as oracle_mod
 from torslat.cli import main
 from torslat.galois import all_torsion_pairs, factorizable_batch, verify_tors_lattice
+from torslat.lattice import are_isomorphic
 from torslat.oracle import (
     SearchBudget,
     _abstract_dichotomy_holds,
@@ -89,6 +91,28 @@ def test_sweep_outcomes_are_constant_on_every_orbit(m, orbits):
         seen = (fac, literal, not problems, len(problems), dichotomy)
         assert outcome.setdefault(key, seen) == seen, (m, mask, key)
     assert len(outcome) == orbits
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_torsion_lattice_type_is_constant_on_every_orbit(m):
+    """The realization search skips candidates that cannot be least in
+    their orbit, which is sound because each relation's torsion lattice is
+    isomorphic to its orbit key's and factorizability (in both readings)
+    agrees with the key's."""
+    masks = np.arange(1 << (m * (m - 1)), dtype=np.int64)
+    keys = _orbit_keys(masks, m)
+    rows, key_rows = _rows_of_masks(masks, m), _rows_of_masks(keys, m)
+    for literal in (False, True):
+        assert np.array_equal(
+            factorizable_batch(rows, literal), factorizable_batch(key_rows, literal)
+        )
+    lattice_of = {
+        key: all_torsion_pairs(_relation_of_rows(tuple(r))).lattice
+        for key, r in zip(keys.tolist(), key_rows.tolist())
+    }
+    for key, r in zip(keys.tolist(), rows.tolist()):
+        L = all_torsion_pairs(_relation_of_rows(tuple(r))).lattice
+        assert are_isomorphic(L, lattice_of[key]), (m, r)
 
 
 def fake_suite(monkeypatch):
