@@ -12,8 +12,6 @@ surviving covers keep their brick labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .galois import BrickRelation, TorsLattice, all_torsion_pairs
 from .lattice import (
     CoverEdge,
@@ -34,14 +32,20 @@ class InvalidIdeal(Exception):
     """The extra relation paths do not define a usable quotient ideal."""
 
 
-@dataclass(frozen=True)
 class AlgebraTors:
     """An algebra's bricks, hom relation, and torsion lattice, together."""
 
-    quiver: QuiverPresentation
-    bricks: tuple[IntervalModule, ...]
-    relation: BrickRelation
-    tors: TorsLattice
+    def __init__(
+        self,
+        quiver: QuiverPresentation,
+        bricks: tuple[IntervalModule, ...],
+        relation: BrickRelation,
+        tors: TorsLattice,
+    ):
+        self.quiver = quiver
+        self.bricks = bricks
+        self.relation = relation
+        self.tors = tors
 
 
 def tors_of_algebra(Q: QuiverPresentation) -> AlgebraTors:
@@ -50,7 +54,6 @@ def tors_of_algebra(Q: QuiverPresentation) -> AlgebraTors:
     return AlgebraTors(Q, bs, R, all_torsion_pairs(R))
 
 
-@dataclass(frozen=True)
 class QuotientMap:
     """The induced map from tors of an algebra onto tors of its quotient.
 
@@ -59,11 +62,19 @@ class QuotientMap:
     when the extra relations kill it.
     """
 
-    source: AlgebraTors
-    target: AlgebraTors
-    extra_paths: tuple[tuple[int, ...], ...]
-    element_map: tuple[int, ...]
-    brick_map: tuple[int | None, ...]
+    def __init__(
+        self,
+        source: AlgebraTors,
+        target: AlgebraTors,
+        extra_paths: tuple[tuple[int, ...], ...],
+        element_map: tuple[int, ...],
+        brick_map: tuple[int | None, ...],
+    ):
+        self.source = source
+        self.target = target
+        self.extra_paths = extra_paths
+        self.element_map = element_map
+        self.brick_map = brick_map
 
 
 def quotient_map(

@@ -14,6 +14,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -203,7 +204,10 @@ def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
 
 
 def lattice_from_json(path: str) -> FiniteLattice:
-    """Lattice file: {"elements": n, "covers": [[lower, upper], ...]}."""
+    """Lattice file: {"elements": n, "covers": [[lower, upper], ...]}.
+
+    Repeated covers and covers [x, x] are rejected.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
         raise InputFileError(
@@ -218,11 +222,20 @@ def lattice_from_json(path: str) -> FiniteLattice:
             f"{path}: refusing to allocate tables for {n} elements;"
             f" at most {MAX_LATTICE_ELEMENTS} are supported"
         )
+    seen = set()
+    pairs = []
     for entry in covers:
         if not _is_int_pair(entry):
             raise InputFileError(f"{path}: cover {entry!r} is not an [l, u] pair")
+        x, y = entry
+        if x == y:
+            raise InputFileError(f"{path}: cover [{x}, {y}] joins an element to itself")
+        if (x, y) in seen:
+            raise InputFileError(f"{path}: duplicate cover [{x}, {y}]")
+        seen.add((x, y))
+        pairs.append((x, y))
     try:
-        return try_lattice(poset_from_pairs(n, [tuple(c) for c in covers]))
+        return try_lattice(poset_from_pairs(n, pairs))
     except NotALattice as exc:
         raise InputFileError(f"{path}: not a lattice: {exc}")
     except (ValueError, AntisymmetryViolation) as exc:
@@ -563,6 +576,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code.
+
+    With ``argv`` None this is the process entry point (``python -m
+    torslat.cli`` or the ``torslat`` script), and the objects that start-up
+    and the imports made (about 21,000 the collector tracks, nearly half
+    of them numpy's) are first moved out of the cyclic collector's reach.
+    All but a few dozen of them live until exit anyway; frozen, neither
+    the collections a command triggers nor the full ones at interpreter
+    exit walk them.  A caller passing ``argv`` (tests, tracing harnesses,
+    library code) keeps normal collection.
+    """
+    if argv is None:
+        gc.freeze()
     args = _parser().parse_args(argv)
     try:
         args.run(args)

@@ -40,7 +40,6 @@ classes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -96,25 +95,22 @@ class LabelMissing(Exception):
         super().__init__(f"cover {tuple(edge)} has no brick label")
 
 
-@dataclass(frozen=True)
 class BrickRelation:
     """A reflexive relation on a finite labelled set of bricks."""
 
-    labels: tuple[str, ...]
-    arrow: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        arrow = np.ascontiguousarray(np.asarray(self.arrow, dtype=bool))
-        m = len(self.labels)
+    def __init__(self, labels: Iterable[str], arrow: np.ndarray):
+        labels = tuple(str(s) for s in labels)
+        arrow = np.ascontiguousarray(np.asarray(arrow, dtype=bool))
+        m = len(labels)
         if arrow.shape != (m, m):
             raise ValueError(f"arrow must be {m}x{m}, got {arrow.shape}")
         if not arrow.diagonal().all():
             raise ValueError("relation must be reflexive")
-        if len(set(self.labels)) != m:
+        if len(set(labels)) != m:
             raise ValueError("brick labels must be distinct")
         arrow.setflags(write=False)
-        object.__setattr__(self, "arrow", arrow)
+        self.labels = labels
+        self.arrow = arrow
 
     @property
     def m(self) -> int:
@@ -199,7 +195,6 @@ class TorsionPair(NamedTuple):
     fset: int
 
 
-@dataclass(frozen=True)
 class TorsLattice:
     """The lattice of torsion pairs of a brick relation.
 
@@ -208,9 +203,15 @@ class TorsLattice:
     lattice order is inclusion of torsion classes.
     """
 
-    relation: BrickRelation
-    pairs: tuple[TorsionPair, ...]
-    lattice: FiniteLattice
+    def __init__(
+        self,
+        relation: BrickRelation,
+        pairs: tuple[TorsionPair, ...],
+        lattice: FiniteLattice,
+    ):
+        self.relation = relation
+        self.pairs = pairs
+        self.lattice = lattice
 
     @cached_property
     def index_of_tset(self) -> dict[int, int]:

@@ -32,7 +32,6 @@ raises just as a single call would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -81,27 +80,24 @@ class CoverEdge(NamedTuple):
     upper: int
 
 
-@dataclass(frozen=True)
 class FinitePoset:
     """A finite poset given by its full order relation."""
 
-    n: int
-    leq: np.ndarray
-
-    def __post_init__(self):
-        leq = np.ascontiguousarray(np.asarray(self.leq, dtype=bool))
-        if leq.shape != (self.n, self.n):
-            raise ValueError(f"leq must be {self.n}x{self.n}, got {leq.shape}")
+    def __init__(self, n: int, leq: np.ndarray):
+        leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
+        if leq.shape != (n, n):
+            raise ValueError(f"leq must be {n}x{n}, got {leq.shape}")
         if not leq.diagonal().all():
             raise ValueError("order relation must be reflexive")
-        clash = leq & leq.T & ~np.eye(self.n, dtype=bool)
+        clash = leq & leq.T & ~np.eye(n, dtype=bool)
         if clash.any():
             x, y = map(int, np.argwhere(clash)[0])
             raise AntisymmetryViolation(x, y)
         if (_composes(leq, leq) & ~leq).any():
             raise ValueError("order relation must be transitive")
         leq.setflags(write=False)
-        object.__setattr__(self, "leq", leq)
+        self.n = n
+        self.leq = leq
 
     @cached_property
     def cover_matrix(self) -> np.ndarray:
@@ -151,15 +147,22 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     return FinitePoset(n, leq)
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
     """A finite lattice: a poset together with its join and meet tables."""
 
-    poset: FinitePoset
-    join: np.ndarray
-    meet: np.ndarray
-    bottom: int
-    top: int
+    def __init__(
+        self,
+        poset: FinitePoset,
+        join: np.ndarray,
+        meet: np.ndarray,
+        bottom: int,
+        top: int,
+    ):
+        self.poset = poset
+        self.join = join
+        self.meet = meet
+        self.bottom = bottom
+        self.top = top
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,19 +73,27 @@ class BudgetExceeded(Exception):
     """A search exceeded its configured size or time budget."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(
+    NamedTuple(
+        "SearchBudget",
+        [("max_brick_set_size", int), ("max_lattice_size", int), ("time_limit", float)],
+    )
+):
     """Size and time caps for the exhaustive searches."""
 
-    max_brick_set_size: int = 4
-    max_lattice_size: int = 6
-    time_limit: float = 600.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_brick_set_size < 1 or self.max_lattice_size < 1:
+    def __new__(
+        cls,
+        max_brick_set_size: int = 4,
+        max_lattice_size: int = 6,
+        time_limit: float = 600.0,
+    ):
+        if max_brick_set_size < 1 or max_lattice_size < 1:
             raise ValueError("budget sizes must be positive")
-        if self.time_limit <= 0:
+        if time_limit <= 0:
             raise ValueError("time limit must be positive")
+        return super().__new__(cls, max_brick_set_size, max_lattice_size, time_limit)
 
     def deadline(self) -> float:
         return time.monotonic() + self.time_limit

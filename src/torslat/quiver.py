@@ -14,15 +14,13 @@ the ground field at each vertex of ``a..b`` and identity maps on arrows
 inside the support.  An interval is a module of the algebra exactly when
 no relation path lies inside its support.  Hom spaces are computed from
 the defining linear system (graded-piece equations ``f . M = N . f``)
-over exact rationals, never from a formula.
+by exact integer elimination, never from a formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .galois import BrickRelation, relation_from_arrows
 from .lattice import InternalInconsistency
@@ -40,16 +38,18 @@ class UnexpectedHomDim(Exception):
         super().__init__(f"hom space has dimension {dim}; expected 0 or 1")
 
 
-@dataclass(frozen=True, order=True)
-class IntervalModule:
-    """The interval module supported on vertices a..b (1-based, a <= b)."""
+class IntervalModule(NamedTuple("IntervalModule", [("a", int), ("b", int)])):
+    """The interval module supported on vertices a..b (1-based, a <= b).
 
-    a: int
-    b: int
+    A named tuple: modules compare, sort and hash as the pair (a, b).
+    """
 
-    def __post_init__(self):
-        if not (1 <= self.a <= self.b):
-            raise ValueError(f"bad interval [{self.a}, {self.b}]")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if not (1 <= a <= b):
+            raise ValueError(f"bad interval [{a}, {b}]")
+        return super().__new__(cls, a, b)
 
     @property
     def vertices(self) -> range:
@@ -62,24 +62,36 @@ class IntervalModule:
         ) + "]"
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
-    """A type-A quiver with monomial relations given as arrow paths."""
+class QuiverPresentation(
+    NamedTuple(
+        "QuiverPresentation",
+        [
+            ("n", int),
+            ("orientation", tuple[str, ...]),
+            ("relations", tuple[tuple[int, ...], ...]),
+        ],
+    )
+):
+    """A type-A quiver with monomial relations given as arrow paths.
 
-    n: int
-    orientation: tuple[str, ...]
-    relations: tuple[tuple[int, ...], ...] = ()
+    A named tuple of (n, orientation, relations); the derived tables below
+    are cached in the instance dict.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "orientation", tuple(self.orientation))
-        object.__setattr__(
-            self, "relations", tuple(tuple(p) for p in self.relations)
+    def __new__(
+        cls,
+        n: int,
+        orientation: Iterable[str],
+        relations: Iterable[Iterable[int]] = (),
+    ):
+        self = super().__new__(
+            cls, n, tuple(orientation), tuple(tuple(p) for p in relations)
         )
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        if len(self.orientation) != self.n - 1:
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        if len(self.orientation) != n - 1:
             raise ValueError(
-                f"need {self.n - 1} orientations, got {len(self.orientation)}"
+                f"need {n - 1} orientations, got {len(self.orientation)}"
             )
         if any(o not in ("left", "right") for o in self.orientation):
             raise ValueError("orientation entries must be 'left' or 'right'")
@@ -87,7 +99,7 @@ class QuiverPresentation:
         for path in self.relations:
             if len(path) < 1:
                 raise ValueError("relation paths must contain an arrow")
-            if any(not (0 <= k < self.n - 1) for k in path):
+            if any(not (0 <= k < n - 1) for k in path):
                 raise ValueError(f"relation path {path} has an arrow out of range")
             for k, k2 in zip(path, path[1:]):
                 if arrow_ends(self, k)[1] != arrow_ends(self, k2)[0]:
@@ -99,6 +111,7 @@ class QuiverPresentation:
             raise UnsupportedAlgebra(
                 "relations are only supported on linearly oriented quivers"
             )
+        return self
 
     @cached_property
     def arrows(self) -> tuple[tuple[int, int], ...]:
@@ -159,28 +172,28 @@ def indecomposables(Q: QuiverPresentation) -> tuple[IntervalModule, ...]:
     return Q._indecomposables
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    """A Hom space: its dimension and a rational basis.
+class HomSpace(NamedTuple):
+    """A Hom space: its dimension and an integer basis.
 
     Each basis vector lists the scalar of the vertex map at vertices
-    1..n in order (zero wherever either module vanishes).
+    1..n in order (zero wherever either module vanishes); every entry is
+    0, 1 or -1 (see ``_nullspace``).
     """
 
     dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
 
 
 def hom_dim(Q: QuiverPresentation, M: IntervalModule, N: IntervalModule) -> HomSpace:
     """Solve the morphism equations f_head . M_k = N_k . f_tail exactly."""
     common = sorted(set(M.vertices) & set(N.vertices))
     col = {v: i for i, v in enumerate(common)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for k in range(Q.n - 1):
         t, h = arrow_ends(Q, k)
         m_act = t in M.vertices and h in M.vertices
         n_act = t in N.vertices and h in N.vertices
-        row = [Fraction(0)] * len(common)
+        row = [0] * len(common)
         if m_act and h in col:
             row[col[h]] += 1
         if n_act and t in col:
@@ -190,15 +203,22 @@ def hom_dim(Q: QuiverPresentation, M: IntervalModule, N: IntervalModule) -> HomS
     basis_vecs = _nullspace(rows, len(common))
     basis = []
     for vec in basis_vecs:
-        full = [Fraction(0)] * Q.n
+        full = [0] * Q.n
         for v, x in zip(common, vec):
             full[v - 1] = x
         basis.append(tuple(full))
     return HomSpace(len(basis), tuple(basis))
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows . x = 0, by exact elimination."""
+def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of the solution space of rows . x = 0, by exact elimination.
+
+    Every row of a Hom system is +1 at the head's column and/or -1 at the
+    tail's, so the matrix is totally unimodular: each pivot is +1 or -1,
+    dividing the pivot row by it is multiplying by it, and the entries
+    stay in {0, +1, -1}.  A pivot of any other value raises
+    InternalInconsistency instead of returning a wrong basis.
+    """
     mat = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -207,8 +227,10 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        unit = mat[r][c]
+        if unit not in (1, -1):
+            raise InternalInconsistency(f"Hom system has pivot {unit}, not +1 or -1")
+        mat[r] = [x * unit for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
@@ -218,8 +240,8 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
+        vec = [0] * ncols
+        vec[c] = 1
         for i, pc in enumerate(pivots):
             vec[pc] = -mat[i][c]
         basis.append(vec)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line, including byte-exact goldens."""
 
+import gc
 import json
 import os
 import re
@@ -23,6 +24,19 @@ def run(capsys, *argv):
 
 def golden(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def child(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on the package under test, installed or not."""
+    src = str(Path(torslat.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
 
 
 def test_build_tors_a2_json_golden(capsys):
@@ -296,23 +310,45 @@ def test_sweep_literal_mono_stdout_is_the_recorded_report(capsys):
     assert err.splitlines()[-2] == "m=4: 4096 relations, 1 factorizable, 1 orbits verified"
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    """A cold start pays for concurrent.futures and multiprocessing only
-    when a sweep runs with more than one worker."""
-    src = str(Path(torslat.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, torslat.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+@pytest.mark.parametrize(
+    "modules",
+    [
+        ("concurrent.futures", "multiprocessing"),
+        ("dataclasses", "fractions", "decimal"),
+    ],
+    ids=["process-pool", "dataclasses-fractions-decimal"],
+)
+def test_cli_import_leaves_out(modules):
+    """Every CLI command is a fresh process, and importing each of these
+    costs it measured milliseconds (Python 3.11, after numpy, which imports
+    none of them): concurrent.futures about 5 ms and multiprocessing about
+    6 ms; dataclasses about 1 ms, plus about 1 ms for each frozen class it
+    generates methods for; fractions with decimal about 3 ms."""
+    code = f"import sys, torslat.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
+    proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_process_entry_freezes_the_gc_and_main_with_argv_does_not(capsys):
+    """The console script calls main() with no argv: that process freezes
+    the import-time heap out of the cyclic collector and prints what
+    main([...]) prints.  main([...]), as tests and library callers run it,
+    leaves the collector alone."""
+    a2 = str(DATA / "a2.json")
+    code = (
+        "import gc, sys, torslat.cli\n"
+        f"sys.argv = ['torslat', 'build-tors', {a2!r}]\n"
+        "rc = torslat.cli.main()\n"
+        "print(gc.get_freeze_count(), rc, file=sys.stderr)\n"
+    )
+    proc = child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    frozen, rc = map(int, proc.stderr.split())
+    assert frozen > 0 and rc == 0
+    before = gc.get_freeze_count()
+    assert run(capsys, "build-tors", a2)[:2] == (0, proc.stdout)
+    assert gc.get_freeze_count() == before
 
 
 def test_sweep_literal_mono_flag(capsys):
@@ -364,15 +400,7 @@ def test_quotient_bad_ideal_values(capsys):
 
 
 def test_console_script_entry_point():
-    # the child imports the package under test, installed or not
-    src = str(Path(torslat.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "torslat.cli", "build-tors", str(DATA / "a2.json")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = child("-m", "torslat.cli", "build-tors", str(DATA / "a2.json"))
     assert proc.returncode == 0
     assert proc.stdout == golden("a2_tors.json")
 
@@ -450,6 +478,8 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, command, obj):
         ({"elements": 2, "covers": [[0, 1], [1, 0]]}, "antisymmetry"),
         ({"elements": -1, "covers": []}, "negative"),
         ({"elements": 10**9, "covers": []}, "allocate"),  # fails before allocating
+        ({"elements": 2, "covers": [[0, 1], [0, 1]]}, "duplicate cover [0, 1]"),
+        ({"elements": 2, "covers": [[0, 1], [1, 1]]}, "cover [1, 1] joins an element"),
     ],
 )
 def test_bad_lattice_files_exit_two(capsys, tmp_path, obj, message):
@@ -644,15 +674,7 @@ def test_class_budget_exits_two_within_seconds(tmp_path, command, obj, message):
     """2^24 classes and an A40 quiver ran until killed; now they stop at
     MAX_TORS_CLASSES (or at the vertex or brick count that implies it) with one
     line, before any table is allocated."""
-    src = str(Path(torslat.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "torslat.cli", command, str(write_json(tmp_path, obj))],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=30,
-    )
+    proc = child("-m", "torslat.cli", command, str(write_json(tmp_path, obj)), timeout=30)
     assert one_line_error(proc.returncode, proc.stdout, proc.stderr)
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr

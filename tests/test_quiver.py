@@ -7,10 +7,13 @@ relation, and spot values for linear three-vertex quivers.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import torslat.quiver as quiver_mod
+from torslat.lattice import InternalInconsistency
 from torslat.quiver import (
     IntervalModule,
     QuiverPresentation,
@@ -119,6 +122,82 @@ def test_hom_basis_values():
     assert end.basis == ((Fraction(1), Fraction(1)),)
     inc = hom_dim(A2L, S1, P12)
     assert inc.basis == ((Fraction(1), Fraction(0)),)
+
+
+def fraction_nullspace(rows, ncols):
+    """Gauss-Jordan elimination over the rationals: the reference the
+    integer solver in torslat.quiver is pinned to."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][c]
+        basis.append(vec)
+    return basis
+
+
+# Every orientation of A2-A6, and the linear monomial quotients the tests use.
+HOM_QUIVERS = [
+    QuiverPresentation(n, o)
+    for n in range(2, 7)
+    for o in itertools.product(("left", "right"), repeat=n - 1)
+] + [
+    A3_RAD2,
+    QuiverPresentation(3, ("left", "left"), ((1, 0),)),
+    QuiverPresentation(4, ("left",) * 3, ((1, 0),)),
+    QuiverPresentation(4, ("right",) * 3, ((0, 1), (1, 2))),
+] + [
+    QuiverPresentation(5, ("left",) * 4, rels)
+    for rels in [((1, 0),), ((1, 0), (2, 1)), ((2, 1, 0),), ((1, 0), (3, 2))]
+]
+
+
+def test_integer_hom_solver_matches_the_rational_one(monkeypatch):
+    """Same dimension and the same basis, entry for entry, on every pair of
+    intervals of every algebra in HOM_QUIVERS; every entry is 0, 1 or -1."""
+
+    def all_hom_spaces():
+        return [
+            hom_dim(Q, M, N)
+            for Q in HOM_QUIVERS
+            for M in indecomposables(Q)
+            for N in indecomposables(Q)
+        ]
+
+    exact = all_hom_spaces()
+    monkeypatch.setattr(quiver_mod, "_nullspace", fraction_nullspace)
+    assert exact == all_hom_spaces()
+    entries = [x for hom in exact for vec in hom.basis for x in vec]
+    assert all(type(x) is int and x in (0, 1, -1) for x in entries)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 1]],  # a non-unit entry
+        [[1, 1], [1, -1]],  # unit entries; elimination leaves the pivot -2
+    ],
+)
+def test_integer_hom_solver_refuses_a_non_unit_pivot(rows):
+    with pytest.raises(InternalInconsistency, match="pivot"):
+        quiver_mod._nullspace(rows, 2)
 
 
 def test_hom_dims_three_vertices():
