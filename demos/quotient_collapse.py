@@ -39,7 +39,7 @@ comparable = [
     (u, v)
     for u in range(src.tors.n)
     for v in range(src.tors.n)
-    if src.tors.lattice.leq[u, v]
+    if src.tors.lattice.leq(u, v)
 ]
 print("\nfiber characterization (same image iff the gap is entirely killed):")
 print("   holds on all", len(comparable), "comparable pairs:",

@@ -30,7 +30,7 @@ for M in bricks(Q):
 print("\nnonzero hom arrows between distinct bricks:")
 for x in range(R.m):
     for y in range(R.m):
-        if x != y and R.arrow[x, y]:
+        if x != y and R.row_masks[x] >> y & 1:
             print(f"   {R.labels[x]} -> {R.labels[y]}")
 
 print(f"\ntorsion classes ({TL.n} of them, ordered by inclusion):")

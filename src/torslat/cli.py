@@ -45,6 +45,7 @@ from .lattice import (
     InternalInconsistency,
     NotALattice,
     NotSemidistributive,
+    _bits,
     is_semidistributive,
     join_irreducibles,
     kappa,
@@ -82,6 +83,11 @@ MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
 # MAX_TORS_CLASSES or has two equal columns (a mono-cycle, not
 # factorizable); it is refused before the O(m^2) arrow matrix is built.
 MAX_RELATION_BRICKS = MAX_TORS_CLASSES - 1
+
+
+# The commands whose searches run numpy kernels; every other command
+# leaves numpy unimported.
+KERNEL_COMMANDS = frozenset({"realize", "sweep"})
 
 
 class InputFileError(Exception):
@@ -206,7 +212,8 @@ def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
 def lattice_from_json(path: str) -> FiniteLattice:
     """Lattice file: {"elements": n, "covers": [[lower, upper], ...]}.
 
-    Repeated covers and covers [x, x] are rejected.
+    Repeated covers, covers [x, x] and pairs that are not covers of the
+    order the list generates are rejected.
     """
     obj = _load_json(path)
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
@@ -217,6 +224,8 @@ def lattice_from_json(path: str) -> FiniteLattice:
     covers = obj["covers"]
     if not _is_int(n) or not isinstance(covers, list):
         raise InputFileError(f"{path}: bad 'elements' or 'covers'")
+    if n < 0:
+        raise InputFileError(f"{path}: 'elements' must not be negative, got {n}")
     if n > MAX_LATTICE_ELEMENTS:
         raise InputFileError(
             f"{path}: refusing to allocate tables for {n} elements;"
@@ -235,7 +244,13 @@ def lattice_from_json(path: str) -> FiniteLattice:
         seen.add((x, y))
         pairs.append((x, y))
     try:
-        return try_lattice(poset_from_pairs(n, pairs))
+        poset = poset_from_pairs(n, pairs)
+        for x, y in pairs:
+            if not poset.upper_cover_sets[x] >> y & 1:
+                raise InputFileError(
+                    f"{path}: [{x}, {y}] is not a cover of the order the covers generate"
+                )
+        return try_lattice(poset)
     except NotALattice as exc:
         raise InputFileError(f"{path}: not a lattice: {exc}")
     except (ValueError, AntisymmetryViolation) as exc:
@@ -445,9 +460,8 @@ def _cmd_quotient(args):
         fibers.setdefault(t, []).append(i)
     fiber_ok = all(
         fiber_check(qm, u, v)
-        for u in range(src.n)
-        for v in range(src.n)
-        if src.lattice.leq[u, v]
+        for u, above in enumerate(src.lattice.poset.up)
+        for v in _bits(above)
     )
     labels_ok = label_preservation_check(qm)
     report = {
@@ -580,16 +594,19 @@ def main(argv: list[str] | None = None) -> int:
 
     With ``argv`` None this is the process entry point (``python -m
     torslat.cli`` or the ``torslat`` script), and the objects that start-up
-    and the imports made (about 21,000 the collector tracks, nearly half
-    of them numpy's) are first moved out of the cyclic collector's reach.
-    All but a few dozen of them live until exit anyway; frozen, neither
-    the collections a command triggers nor the full ones at interpreter
-    exit walk them.  A caller passing ``argv`` (tests, tracing harnesses,
-    library code) keeps normal collection.
+    and the imports made (about 12,000 the collector tracks, or 21,000
+    once ``realize`` and ``sweep`` have imported numpy through ``kernels``,
+    which they do here first) are moved out of the cyclic collector's
+    reach.  All but a few dozen of them live until exit anyway; frozen,
+    neither the collections a command triggers nor the full ones at
+    interpreter exit walk them.  A caller passing ``argv`` (tests, tracing
+    harnesses, library code) keeps normal collection.
     """
-    if argv is None:
-        gc.freeze()
     args = _parser().parse_args(argv)
+    if argv is None:
+        if args.command in KERNEL_COMMANDS:
+            from . import kernels  # numpy loads here, to be frozen with the rest
+        gc.freeze()
     try:
         args.run(args)
     except (InputFileError, TooManyClasses) as exc:

@@ -8,8 +8,15 @@ A torsion pair is a pair (T, F) with ``F = perp_right(T)`` and
 form a lattice: they are the closed sets of a Galois connection, i.e. the
 intersections of the principal left perps together with the full set.
 
-Brick subsets are plain Python ints used as bitmasks, so there is no cap
-on the number of bricks beyond what exhaustive search can afford.
+Brick subsets, a relation's rows and columns, and sets of torsion classes
+are plain Python ints used as bitsets, so there is no cap on the number
+of bricks beyond what exhaustive search can afford.  The lattice is built
+from the class masks without a search for least upper bounds: class i
+lies below class j iff tset(i) is inside tset(j), the meet of two classes
+is the class whose torsion set is the intersection of theirs, and the
+join the class whose torsion-free set is the intersection of theirs.  The
+join table, built from the torsion-free side, is cross-checked against
+the order, built from the torsion side.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -18,32 +25,25 @@ factors as an epi followed by a mono and the derived relations have no
 nontrivial cycles.  ``literal_mono=True`` switches mono to the same row
 containment as epi (reversed); it exists only to demonstrate that this
 reading breaks factorizability on relations that should satisfy it.
-One table function, ``_factorization_table``, computes epi, mono, the
-unfactored arrows and the cycle pairs of N relations at once from their
-(N, m) row masks; ``factorizable_batch`` (the sweep and the realization
-search) and the single-relation ``factorizability_violation``,
-``derived_epi`` and ``derived_mono`` all read it.  A single relation goes
-in as object-dtype masks, so it may have any number of bricks.
+``factorizability_violation``, ``derived_epi`` and ``derived_mono`` are
+loops over row and column bitsets; the exhaustive searches decide many
+relations at once with ``kernels.factorizable_batch`` instead.
 
-The invariant suite ``verify_tors_lattice`` checks a whole lattice with a
-few numpy passes over the class x brick membership matrices of the
-torsion and torsion-free classes: the cover-to-brick table, the reversal
-of torsion-free inclusion, and the interval identities of every
-comparable pair at once, as n x n products (see ``_interval_failures``).
-The per-pair functions ``gap_nonempty_check``, ``interval_ji_check`` and
-``interval_label_set`` and the per-cover ``cover_brick_label`` state the
-same identities one item at a time and are the reference the array suite
-is tested against.  A relation may have at most MAX_TORS_CLASSES torsion
-classes.
+The invariant suite ``verify_tors_lattice`` checks the interval identities
+of every comparable pair one lower end u at a time, as bitsets over the
+upper ends v (see ``_interval_failures``).  The per-pair functions
+``gap_nonempty_check``, ``interval_ji_check`` and ``interval_label_set``
+and the per-cover ``cover_brick_label`` state the same identities one
+item at a time and are the reference the suite is tested against.  A
+relation may have at most MAX_TORS_CLASSES torsion classes.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .lattice import (
     CoverEdge,
@@ -51,8 +51,10 @@ from .lattice import (
     FinitePoset,
     InternalInconsistency,
     NotIrreducible,
-    _composes,
+    _bits,
     _interval_endpoints,
+    _masks_of_rows,
+    _transpose,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
@@ -62,15 +64,15 @@ from .lattice import (
     join_irreducibles,
     m_star,
     meet_irreducibles,
-    try_lattice,
 )
 
-# Torsion classes a lattice may have.  Join, meet and the invariant suite's
-# scratch are n x n arrays, and try_lattice tests every row's up-sets for a
-# least element, O(n^3) work: measured on a 2-core machine, building the
-# 2,048 classes of 11 bricks without arrows takes about 17 s (16 s of it in
-# try_lattice) and 170 MB, linear A7 (1,430 classes) about 6.5 s and
-# 100 MB.  Linear A8 has 4,862.
+# Torsion classes a lattice may have.  The join and meet tables hold n^2
+# entries each, one dict lookup apiece, and the order, the covers and the
+# invariant suite's passes grow with the comparable pairs: measured on a
+# 2-core machine (Python 3.11), building the 2,048 classes of 11 bricks
+# without arrows takes about 2.3 s and 80 MB, linear A7 (1,430 classes)
+# about 1.2 s and 46 MB.  Linear A8 has 4,862, and its two tables alone
+# would hold 47 million entries, about 380 MB of pointers.
 MAX_TORS_CLASSES = 1 << 11
 
 
@@ -96,21 +98,30 @@ class LabelMissing(Exception):
 
 
 class BrickRelation:
-    """A reflexive relation on a finite labelled set of bricks."""
+    """A reflexive relation on a finite labelled set of bricks, held as the
+    bitset of each brick's targets.
 
-    def __init__(self, labels: Iterable[str], arrow: np.ndarray):
+    ``BrickRelation(labels, arrow)`` takes m rows of m truth values (a
+    numpy array does too); ``from_row_masks`` takes the row bitsets.
+    """
+
+    def __init__(self, labels: Iterable[str], arrow):
         labels = tuple(str(s) for s in labels)
-        arrow = np.ascontiguousarray(np.asarray(arrow, dtype=bool))
-        m = len(labels)
-        if arrow.shape != (m, m):
-            raise ValueError(f"arrow must be {m}x{m}, got {arrow.shape}")
-        if not arrow.diagonal().all():
+        self._set_rows(labels, _masks_of_rows(arrow, len(labels), "arrow"))
+
+    @classmethod
+    def from_row_masks(cls, labels: Iterable[str], rows: Iterable[int]) -> BrickRelation:
+        R = cls.__new__(cls)
+        R._set_rows(tuple(str(s) for s in labels), tuple(rows))
+        return R
+
+    def _set_rows(self, labels: tuple[str, ...], rows: tuple[int, ...]) -> None:
+        if any(not r >> x & 1 for x, r in enumerate(rows)):
             raise ValueError("relation must be reflexive")
-        if len(set(labels)) != m:
+        if len(set(labels)) != len(labels):
             raise ValueError("brick labels must be distinct")
-        arrow.setflags(write=False)
         self.labels = labels
-        self.arrow = arrow
+        self.row_masks = rows
 
     @property
     def m(self) -> int:
@@ -121,38 +132,9 @@ class BrickRelation:
         return (1 << self.m) - 1
 
     @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """row_masks[x] = bitmask of {y : arrow[x, y]}."""
-        return tuple(_masks(self.arrow))
-
-    @cached_property
     def col_masks(self) -> tuple[int, ...]:
         """col_masks[y] = bitmask of {x : arrow[x, y]}."""
-        return tuple(_masks(self.arrow.T))
-
-
-def _membership(masks: list[int], m: int) -> np.ndarray:
-    """(len(masks), m) bool matrix holding the bits of each mask, for any m."""
-    width = max(1, -(-m // 8))
-    raw = b"".join(s.to_bytes(width, "little") for s in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(rows, axis=1, count=m, bitorder="little").view(bool)
-
-
-def _masks(rows: np.ndarray) -> list[int]:
-    """The inverse of _membership: each row of a 2-d bool array as the int
-    with bit j set iff the row is True in column j (0 if there are no
-    columns).  One packed buffer is sliced; per-row tobytes is slower."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[w * i : w * i + w], "little") for i in range(len(rows))]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return _transpose(self.row_masks, self.m)
 
 
 def relation_from_arrows(
@@ -161,12 +143,12 @@ def relation_from_arrows(
     """Build a relation from off-diagonal arrow pairs; diagonal is implied."""
     labels = tuple(labels)
     m = len(labels)
-    arrow = np.eye(m, dtype=bool)
+    rows = [1 << x for x in range(m)]
     for x, y in arrows:
         if not (0 <= x < m and 0 <= y < m):
             raise ValueError(f"arrow ({x}, {y}) out of range for {m} bricks")
-        arrow[x, y] = True
-    return BrickRelation(labels, arrow)
+        rows[x] |= 1 << y
+    return BrickRelation.from_row_masks(labels, rows)
 
 
 def perp_right(R: BrickRelation, tset: int) -> int:
@@ -233,14 +215,9 @@ class TorsLattice:
         return tuple(self.index_of_tset[perp_left(R, 1 << b)] for b in range(R.m))
 
     @cached_property
-    def _tsets(self) -> np.ndarray:
-        """(classes, bricks) membership matrix of the torsion classes."""
-        return _membership([p.tset for p in self.pairs], self.relation.m)
-
-    @cached_property
-    def _fsets(self) -> np.ndarray:
-        """(classes, bricks) membership matrix of the torsion-free classes."""
-        return _membership([p.fset for p in self.pairs], self.relation.m)
+    def _tclasses(self) -> tuple[int, ...]:
+        """Per brick b, the bitset of the classes whose torsion class holds b."""
+        return _transpose([p.tset for p in self.pairs], self.relation.m)
 
     def tset(self, i: int) -> int:
         return self.pairs[i].tset
@@ -259,7 +236,7 @@ def all_torsion_pairs(R: BrickRelation) -> TorsLattice:
     The torsion classes are generated as intersections of the principal
     left perps (plus the full class), not by scanning all subsets.  More
     than MAX_TORS_CLASSES of them raise TooManyClasses before any table
-    is allocated.
+    is built.
     """
     principals = [perp_left(R, 1 << y) for y in range(R.m)]
     closed = _closed_sets(principals, R.full_mask, cap=MAX_TORS_CLASSES)
@@ -284,80 +261,106 @@ def _closed_sets(principals: list[int], full: int, cap: int) -> set[int] | None:
 
 
 def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
-    masks = sorted(set(closed), key=lambda s: (bin(s).count("1"), s))
-    inside = _membership(masks, R.m)
-    # class i lies in class j iff no brick of i is missing from j
-    leq = ~_composes(inside, ~inside.T)
-    lattice = try_lattice(FinitePoset(len(masks), leq))
+    """The lattice of the given torsion classes, a family closed under
+    intersection that holds the empty and the full set.
+
+    The order is inclusion of the torsion sets; the meet of two classes is
+    the class holding the intersection of their torsion sets, and the
+    join the class holding the intersection of their torsion-free sets.
+    The join and meet tables are checked against the order: i <= j iff
+    join[i][j] == j iff meet[j][i] == i.
+    """
+    masks = sorted(set(closed), key=lambda s: (s.bit_count(), s))
     pairs = tuple(TorsionPair(t, perp_right(R, t)) for t in masks)
     for t, f in pairs:
         if t & f:
             raise InternalInconsistency(
                 f"torsion class {t:b} meets its own perp {f:b}"
             )
-    return TorsLattice(R, pairs, lattice)
+    poset = FinitePoset.from_up_sets(_superset_classes(masks, R.m))
+    meet = _intersection_table(masks, "torsion")
+    join = _intersection_table([p.fset for p in pairs], "torsion-free")
+    _check_tables(poset, join, meet)
+    return TorsLattice(R, pairs, FiniteLattice(poset, join, meet, 0, len(masks) - 1))
 
 
-def factorizable_batch(rows, literal_mono: bool = False) -> np.ndarray:
-    """Factorizability of N relations at once, from their row masks.
-
-    ``rows`` is an (N, m) integer array: in relation n, brick x has arrows
-    to the bricks in ``rows[n, x]`` (diagonal included), so m is at most
-    63.  Returns an (N,) bool array, entry n being
-    ``factorizability_violation(...) is None`` for relation n.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n, m = rows.shape
-    _, _, unfactored, cycle = _factorization_table(rows, literal_mono)
-    return ~(cycle | unfactored).reshape(n, m * m).any(axis=1)
-
-
-def _factorization_table(rows: np.ndarray, literal_mono: bool):
-    """(N, m, m) bool arrays epi, mono, unfactored and cycle of N relations.
-
-    ``rows`` holds the row masks, int64 or object.  unfactored[n, x, z] is
-    an arrow x -> z with no y giving x epi y and y mono z; cycle[n, x, y]
-    (x != y) is a nontrivial derived cycle: x epi y epi x, x mono y epi x
-    or x mono y mono x.
-    """
-    m = rows.shape[1]
-    bit = np.left_shift(1, np.arange(m, dtype=rows.dtype))
-    arrow = (rows[:, :, None] & bit) != 0
-    # epi[n, x, y]: every brick hit by y is hit by x
-    epi = (rows[:, None, :] & ~rows[:, :, None]) == 0
-    epi_t = epi.transpose(0, 2, 1)
-    # mono[n, x, y]: every brick hitting x hits y; cols[n, y] are the
-    # bricks hitting y.  The literal reading is row containment reversed.
-    cols = bit @ arrow
-    mono = epi_t if literal_mono else (cols[:, :, None] & ~cols[:, None, :]) == 0
-    cycle = (epi & epi_t) | (mono & (mono.transpose(0, 2, 1) | epi_t))
-    cycle &= ~np.eye(m, dtype=bool)
-    # an arrow x -> z factors iff epi[x, y] and mono[y, z] for some y; the
-    # boolean product is counted in float32, exact up to 2^24 bricks
-    unfactored = arrow & (np.matmul(epi, mono, dtype=np.float32) == 0)
-    return epi, mono, unfactored, cycle
+def _superset_classes(sets: list[int], m: int) -> list[int]:
+    """Per member i of a family of brick sets, the bitset of the members j
+    holding it: the AND, over the bricks of member i, of the members
+    holding that brick."""
+    holding = _transpose(sets, m)
+    every = (1 << len(sets)) - 1
+    out = []
+    for s in sets:
+        acc = every
+        for b in _bits(s):
+            acc &= holding[b]
+        out.append(acc)
+    return out
 
 
-def _relation_table(R: BrickRelation, literal_mono: bool):
-    """_factorization_table of one relation, on object-dtype masks so that
-    any number of bricks fits."""
-    rows = np.array([R.row_masks], dtype=object)
-    return [a[0] for a in _factorization_table(rows, literal_mono)]
+def _intersection_table(sets: list[int], kind: str) -> tuple[tuple[int, ...], ...]:
+    """table[i][j]: the index of sets[i] & sets[j] in the family."""
+    index = {s: i for i, s in enumerate(sets)}
+    table = []
+    for i, s in enumerate(sets):
+        row = tuple(map(index.get, [s & t for t in sets]))
+        if None in row:
+            raise InternalInconsistency(
+                f"{kind} classes {i} and {row.index(None)} intersect outside the family"
+            )
+        table.append(row)
+    return tuple(table)
 
 
-def derived_epi(R: BrickRelation) -> np.ndarray:
-    """epi[x, y]: every brick receiving an arrow from y also receives one from x."""
-    return _relation_table(R, False)[0]
+def _check_tables(poset: FinitePoset, join, meet) -> None:
+    """join[i][j] == j exactly for the j above i, and meet[i][j] == j
+    exactly for the j below i; InternalInconsistency names the first
+    class pair where that fails."""
+    n = poset.n
+    for kind, table, sets in (("join", join, poset.up), ("meet", meet, poset.down)):
+        for i, row in enumerate(table):
+            s = sets[i]
+            fixed = sum(map(operator.eq, row, range(n)))
+            if fixed == s.bit_count() and all(row[j] == j for j in _bits(s)):
+                continue
+            j = next(j for j in range(n) if (row[j] == j) != bool(s >> j & 1))
+            raise InternalInconsistency(
+                f"torsion classes {i} and {j}: the {kind} table gives {row[j]},"
+                " against the inclusion order"
+            )
 
 
-def derived_mono(R: BrickRelation, literal: bool = False) -> np.ndarray:
-    """mono[x, y]: every brick with an arrow into x has one into y.
+def _subset_masks(sets: tuple[int, ...]) -> tuple[int, ...]:
+    """Per x, the bitset of the y with sets[y] inside sets[x]."""
+    return tuple(sum(1 << y for y, t in enumerate(sets) if not t & ~s) for s in sets)
+
+
+def _derived(R: BrickRelation, literal: bool):
+    """(epi, mono, into) as per-brick bitsets: epi[x] the y with x epi y,
+    mono[x] the y with x mono y, into[z] the y with y mono z."""
+    epi = _subset_masks(R.row_masks)
+    # y mono z: every brick hitting y hits z (literal: z's targets inside
+    # y's, i.e. z epi y)
+    into = epi if literal else _subset_masks(R.col_masks)
+    return epi, _transpose(into, R.m), into
+
+
+def derived_epi(R: BrickRelation) -> tuple[int, ...]:
+    """Per brick x, the bitset of the y with x epi y: every brick receiving
+    an arrow from y also receives one from x."""
+    return _derived(R, False)[0]
+
+
+def derived_mono(R: BrickRelation, literal: bool = False) -> tuple[int, ...]:
+    """Per brick x, the bitset of the y with x mono y: every brick with an
+    arrow into x has one into y.
 
     With ``literal=True`` the containment is read on rows reversed instead
     (y's targets inside x's), which is not the intended dual and fails on
     standard examples; kept for regression tests only.
     """
-    return _relation_table(R, literal)[1]
+    return _derived(R, literal)[1]
 
 
 def factorizability_violation(
@@ -373,17 +376,23 @@ def factorizability_violation(
     Every unfactored arrow comes before every cycle; at the first cycle
     pair the forms are tried in the order listed.
     """
-    epi, mono, unfactored, cycle = _relation_table(R, literal_mono)
-    if unfactored.any():
-        return ("unfactorized-arrow", *divmod(int(unfactored.argmax()), R.m))
-    if not cycle.any():
-        return None
-    x, y = divmod(int(cycle.argmax()), R.m)
-    if epi[x, y] and epi[y, x]:
-        return ("epi-cycle", x, y)
-    if mono[x, y] and epi[y, x]:
-        return ("mono-epi-cycle", x, y)
-    return ("mono-cycle", x, y)
+    epi, mono, into = _derived(R, literal_mono)
+    for x, row in enumerate(R.row_masks):
+        for z in _bits(row):
+            if not epi[x] & into[z]:
+                return ("unfactorized-arrow", x, z)
+    # y epi x, per x
+    epi_t = _transpose(epi, R.m)
+    for x in range(R.m):
+        cycle = (epi[x] & epi_t[x] | mono[x] & (into[x] | epi_t[x])) & ~(1 << x)
+        if cycle:
+            y = (cycle & -cycle).bit_length() - 1
+            if (epi[x] & epi_t[x]) >> y & 1:
+                return ("epi-cycle", x, y)
+            if (mono[x] & epi_t[x]) >> y & 1:
+                return ("mono-epi-cycle", x, y)
+            return ("mono-cycle", x, y)
+    return None
 
 
 def is_factorizable(R: BrickRelation, literal_mono: bool = False) -> bool:
@@ -399,44 +408,30 @@ def cover_brick_label(TL: TorsLattice, c: CoverEdge) -> int:
     """
     if c not in TL.lattice.poset.cover_index:
         raise ValueError(f"({c.lower}, {c.upper}) is not a cover")
-    mask = TL.tset(c.upper) & TL.fset(c.lower)
-    found = tuple(_bits(mask))
+    return _brick_label(TL, c, is_semidistributive(TL.lattice))
+
+
+def _brick_label(TL: TorsLattice, c: CoverEdge, sd: bool) -> int:
+    """cover_brick_label of a known cover; ``sd``: the lattice is
+    semidistributive."""
+    found = tuple(_bits(TL.tset(c.upper) & TL.fset(c.lower)))
     if not found:
         raise LabelMissing(c)
     if len(found) > 1:
         raise LabelNotUnique(c, found)
     brick = found[0]
-    if is_semidistributive(TL.lattice):
-        expected = ji_of_brick(TL, brick)
-        if gamma_label(TL.lattice, c) != expected:
-            raise InternalInconsistency(
-                f"cover {tuple(c)}: brick label {brick} disagrees with gamma label"
-            )
+    if sd and gamma_label(TL.lattice, c) != ji_of_brick(TL, brick):
+        raise InternalInconsistency(
+            f"cover {tuple(c)}: brick label {brick} disagrees with gamma label"
+        )
     return brick
 
 
 def _cover_label_table(TL: TorsLattice) -> dict[CoverEdge, int]:
-    """cover_brick_label of every cover at once.
-
-    Each cover x <| y reads its bricks off the membership rows tset(y) and
-    fset(x); on a semidistributive lattice the brick's join-irreducible is
-    compared with the cover's gamma label, from the lattice's table.  If
-    any cover fails, the covers are labelled one by one, so the first
-    failing cover raises just as cover_brick_label does.
-    """
-    L = TL.lattice
-    covers = L.poset.covers
-    lower, upper = L.poset.cover_array.T
-    found = TL._tsets[upper] & TL._fsets[lower]
-    ok = found.sum(axis=1) == 1
-    bricks = found.argmax(axis=1) if found.size else np.zeros(len(covers), np.intp)
-    if ok.all() and is_semidistributive(L):
-        ji = np.array(TL._ji_of_bricks, dtype=np.intp)
-        gamma, hits = L._gamma_table
-        ok = (hits == 1) & (gamma == ji[bricks])
-    if not ok.all():
-        return {c: cover_brick_label(TL, c) for c in covers}
-    return dict(zip(covers, bricks.tolist()))
+    """cover_brick_label of every cover, in cover order, so the first
+    failing cover raises just as cover_brick_label does."""
+    sd = is_semidistributive(TL.lattice)
+    return {c: _brick_label(TL, c, sd) for c in TL.lattice.poset.covers}
 
 
 def all_cover_labels(TL: TorsLattice) -> dict[CoverEdge, int]:
@@ -476,11 +471,11 @@ def four_class_diagram(TL: TorsLattice, b: int) -> tuple[int, int, int, int]:
     mi_side = mi_of_brick(TL, b)
     bottom = j_star(L, ji_side)
     top = m_star(L, mi_side)
-    if int(L.join[ji_side, mi_side]) != top:
+    if L.join[ji_side][mi_side] != top:
         raise InternalInconsistency(
             f"brick {b}: jiSide v miSide is not the upper cover of miSide"
         )
-    if int(L.meet[ji_side, mi_side]) != bottom:
+    if L.meet[ji_side][mi_side] != bottom:
         raise InternalInconsistency(
             f"brick {b}: jiSide ^ miSide is not the lower cover of jiSide"
         )
@@ -520,11 +515,15 @@ def gap_nonempty_check(TL: TorsLattice, u: int, v: int) -> bool:
 
 
 def tf_dual_check(TL: TorsLattice) -> bool:
-    """Ordering by torsion class inclusion reverses torsion-free inclusion."""
-    T, F = TL._tsets, TL._fsets
-    t_incl = ~_composes(T, ~T.T)  # tset(i) within tset(j)
-    f_incl = ~_composes(~F, F.T)  # fset(j) within fset(i)
-    return bool((t_incl == f_incl).all())
+    """Ordering by torsion class inclusion reverses torsion-free inclusion.
+
+    fset(j) lies in fset(i) iff the complement of fset(i) lies in that of
+    fset(j), so both orders are superset-class tables.
+    """
+    m, full = TL.relation.m, TL.relation.full_mask
+    t_incl = _superset_classes([p.tset for p in TL.pairs], m)
+    f_incl = _superset_classes([full & ~p.fset for p in TL.pairs], m)
+    return t_incl == f_incl
 
 
 def verify_tors_lattice(TL: TorsLattice) -> list[str]:
@@ -534,7 +533,7 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
     semidistributive, every cover must carry a unique brick label, the
     brick-to-irreducible maps must be bijections, mu must factor as kappa
     after gamma, and the interval identities must hold on all comparable
-    pairs.  The interval identities are checked for all pairs at once
+    pairs.  The interval identities are checked one lower end at a time
     (see _interval_failures); problems come out pair by pair in row-major
     order, as gap_nonempty_check, interval_ji_check and interval_label_set
     would report them one pair at a time.
@@ -577,80 +576,94 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
             problems.append(str(exc))
         except NotIrreducible as exc:
             problems.append(f"brick {b}: {exc}")
-    gap, ji, label = _interval_failures(TL, labelled)
-    for u, v in np.argwhere(L.leq & (gap | ji | label)).tolist():
-        if gap[u, v]:
-            problems.append(f"interval ({u}, {v}): gap/strictness equivalence fails")
-        if ji[u, v]:
-            problems.append(f"interval ({u}, {v}): join-irreducible map fails")
-        # a cover that failed labelling is reported once, above
-        if label[u, v]:
-            problems.append(f"interval ({u}, {v}): label set mismatch")
+    for u, (gap, ji, label) in enumerate(_interval_failures(TL, labelled)):
+        for v in _bits(gap | ji | label):
+            if gap >> v & 1:
+                problems.append(f"interval ({u}, {v}): gap/strictness equivalence fails")
+            if ji >> v & 1:
+                problems.append(f"interval ({u}, {v}): join-irreducible map fails")
+            # a cover that failed labelling is reported once, above
+            if label >> v & 1:
+                problems.append(f"interval ({u}, {v}): label set mismatch")
     return problems
 
 
-def _interval_failures(
-    TL: TorsLattice, labelled: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n x n masks of the pairs (u, v) failing gap_nonempty_check,
-    interval_ji_check and (when labelled) the label-set identity.
+def _interval_failures(TL: TorsLattice, labelled: bool):
+    """Per lower end u, the bitsets of the v >= u at which (u, v) fails
+    gap_nonempty_check, interval_ji_check and (when labelled) the
+    label-set identity, as a (gap, ji, label) triple.
 
-    Entries with u not below v are meaningless.  With D(u, v) the bricks of
-    fset(u) & tset(v) and c(u, b) the index of closure(tset(u) | {b}):
-      - the gap check compares u != v with |D(u, v)| > 0;
+    With D(u, v) the bricks of fset(u) & tset(v), so that b is in D(u, v)
+    iff v holds b in its torsion class, and c(u, b) the index of
+    closure(tset(u) | {b}):
+      - the gap check compares u != v with D(u, v) being nonempty;
       - the interval join-irreducibles are the y <= v with exactly one
-        lower cover above u; that count does not depend on v, so their
-        number is one product;
-      - the map b -> c(u, b) on D(u, v) is a bijection onto them iff no two
-        bricks of D(u, v) share an image, every image is one of them, and
-        there are as many as bricks;
-      - brick b labels a cover inside [u, v] iff u lies below the lower
-        end and v above the upper end of a cover labelled b, one product
-        per brick; the label set must be D(u, v).
-    Scratch is O(n^2 + n m^2) for n classes and m bricks.
+        lower cover above u, a set J(u) cut at v;
+      - the map b -> c(u, b) on D(u, v) is a bijection onto them iff every
+        image lies in J(u) and below v, no two bricks of D(u, v) share an
+        image, and there are as many of them as bricks;
+      - brick b labels a cover inside [u, v] iff v lies above the upper
+        end of a cover labelled b whose lower end is above u (see
+        ``_label_reach``); the label set must be D(u, v).
+    Each row is O(comparable pairs of u + m) bitset operations.
     """
     L = TL.lattice
-    leq, T, F = L.leq, TL._tsets, TL._fsets
-    n, m = T.shape
-    n_gap = np.matmul(F, T.T, dtype=np.float32)
-    gap = (n_gap > 0) == np.eye(n, dtype=bool)
-    above = np.matmul(leq, L.poset.cover_matrix, dtype=np.float32) == 1
-    n_ji = np.matmul(above, leq, dtype=np.float32)
-    image = _closure_table(TL)
-    lands = F & above[np.arange(n)[:, None], image]
-    n_landed = np.zeros((n, n), dtype=np.float32)
-    for b in range(m):
-        n_landed += lands[:, b, None] & T[:, b] & leq[image[:, b]]
-    ji = (n_landed != n_gap) | (n_ji != n_gap)
-    # bricks b < c of fset(u) with the same image, then the v holding both
-    same = (image[:, :, None] == image[:, None, :]) & F[:, :, None] & F[:, None, :]
-    same &= np.triu(np.ones((m, m), dtype=bool), 1)
-    pairs = np.flatnonzero(same.any(axis=0))
-    if pairs.size:
-        b, c = np.unravel_index(pairs, (m, m))
-        ji |= _composes(same.reshape(n, m * m)[:, pairs], (T[:, b] & T[:, c]).T)
-    label = np.zeros((n, n), dtype=bool)
-    if labelled:
-        labels = TL.cover_labels
-        lower, upper = L.poset.cover_array.T
-        brick = np.array([labels[c] for c in L.poset.covers], dtype=np.intp)
-        for b in set(range(m)) | set(brick.tolist()):
-            on = brick == b
-            inside = _composes(leq[:, lower[on]], leq[upper[on], :])
-            expected = F[:, b, None] & T[:, b] if 0 <= b < m else False
-            label |= inside != expected
-    return gap, ji, label
+    up, down, upper = L.poset.up, L.poset.down, L.poset.upper_cover_sets
+    R, index, holding = TL.relation, TL.index_of_tset, TL._tclasses
+    reach = _label_reach(TL) if labelled else None
+    closure_of: dict[int, int] = {}  # perp_right(tset(u) | {b}) -> c(u, b)
+    for u in range(TL.n):
+        uu, fu = up[u], TL.fset(u)
+        hit = 0
+        for b in _bits(fu):
+            hit |= holding[b]
+        gap = (~hit ^ (1 << u)) & uu
+        once = twice = 0
+        for x in _bits(uu):
+            twice |= once & upper[x]
+            once |= upper[x]
+        single = once & ~twice
+        right = perp_right(R, TL.tset(u))
+        ji = 0
+        shared: dict[int, int] = {}  # image -> v holding an earlier brick with it
+        for b in _bits(fu):
+            on = holding[b] & uu
+            if not on:
+                continue
+            outside = right & ~R.row_masks[b]
+            c = closure_of.get(outside)
+            if c is None:
+                c = closure_of[outside] = index[perp_left(R, outside)]
+            ji |= on & ~up[c] if single >> c & 1 else on
+            ji |= shared.get(c, 0) & on
+            shared[c] = shared.get(c, 0) | on
+        for v in _bits(uu & ~ji):
+            if (single & down[v]).bit_count() != (fu & TL.tset(v)).bit_count():
+                ji |= 1 << v
+        label = 0
+        if reach is not None:
+            expected = {b: holding[b] for b in _bits(fu)}
+            for b in expected.keys() | reach[u].keys():
+                label |= reach[u].get(b, 0) ^ expected.get(b, 0)
+        yield gap, ji, label & uu
 
 
-def _closure_table(TL: TorsLattice) -> np.ndarray:
-    """(n, m) table: the index of closure(tset(u) | {b}), by one O(n m^2)
-    pass through the arrow matrix.  A closure missing from TL's classes
-    raises KeyError, as TL.index_of_tset does."""
-    arrow, T = TL.relation.arrow, TL._tsets
-    n, m = T.shape
-    # perp_right(tset(u) | {b}): hit neither from tset(u) nor from b
-    right = ~_composes(T, arrow)[:, None, :] & ~arrow
-    # its perp_left: the bricks with no arrow into it
-    closure = ~_composes(right.reshape(n * m, m), arrow.T)
-    index = TL.index_of_tset
-    return np.array([index[s] for s in _masks(closure)], dtype=np.intp).reshape(n, m)
+def _label_reach(TL: TorsLattice) -> list[dict[int, int]]:
+    """Per u, brick b -> the bitset of the v such that some cover x <| y
+    labelled b has u <= x and y <= v.
+
+    Those covers either start at u (v above an upper cover y of u) or lie
+    above an upper cover of u, so each row is the union over u's upper
+    covers, filled in order of up-set size, the top first.
+    """
+    L, labels = TL.lattice, TL.cover_labels
+    up = L.poset.up
+    reach: list[dict[int, int]] = [{} for _ in range(TL.n)]
+    for u in sorted(range(TL.n), key=lambda x: up[x].bit_count()):
+        acc = reach[u]
+        for y in L.upper_covers[u]:
+            for b, s in reach[y].items():
+                acc[b] = acc.get(b, 0) | s
+            b = labels[CoverEdge(u, y)]
+            acc[b] = acc.get(b, 0) | up[y]
+    return reach

@@ -1,21 +1,25 @@
 """Finite posets and lattices.
 
-Elements are integers ``0..n-1``.  A poset is stored as a dense boolean
-matrix ``leq`` with ``leq[x, y]`` meaning ``x <= y``; a lattice adds the
-join and meet tables.  Everything here is sized for exhaustive small-case
-work (up to a few thousand elements).  Derived quantities (covers,
-irreducibles, the gamma and mu label of every cover, semidistributivity
-witnesses) are computed once per lattice, each by a few whole-lattice
-numpy passes, and cached on it.  The irreducibles are cross-checked once
-per lattice against a second characterization, their cover counts
-against a fold of the join (meet) table over all elements at once; the
+Elements are integers ``0..n-1``, and a set of elements is a Python int
+used as a bitset: bit y is set iff y is in the set, so there is no width
+limit.  A poset holds the up-set and the down-set of every element
+(``up[x]`` has bit y iff x <= y); a lattice adds the join and meet tables
+as tuples of tuples.  Everything here is sized for exhaustive small-case
+work (up to a few thousand elements), and no pass is cubic in the number
+of elements: a join is the element whose up-set is the intersection of
+two up-sets, one dict lookup, and the covers, irreducibles and label
+tables are single passes over the comparable pairs or the covers.
+Derived quantities (covers, irreducibles, the gamma and mu label of every
+cover, semidistributivity witnesses) are computed once per lattice and
+cached on it.  The irreducibles are cross-checked once per lattice
+against a second characterization, their cover counts against a fold of
+the join (meet) table over the elements below (above) each element; the
 invariant suite checks gamma against mu through kappa.
 Semidistributivity is read off the label tables: a lattice is join-
 (meet-) semidistributive iff every cover has exactly one gamma (mu)
-candidate.  Only a lattice that is not gets searched, one element's row
-of triples at a time, for its first witness; the table build also takes
-one row at a time, so scratch space stays O(n^2).  Boolean matrix
-products are counted in float32, which runs through BLAS.
+candidate.  Only a lattice that is not gets searched for its first
+witness, by a meet fold per row of the join table (see
+``_semidistributivity_violation``).
 
 The labelling machinery (``gamma_label``, ``mu_label``, ``kappa``,
 ``kappa_dual``) follows the standard theory of semidistributive lattices:
@@ -34,8 +38,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 
 class AntisymmetryViolation(Exception):
@@ -80,42 +82,100 @@ class CoverEdge(NamedTuple):
     upper: int
 
 
+def _bits(mask: int):
+    """The members of a bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks_of_rows(rows, n: int, name: str) -> tuple[int, ...]:
+    """n rows of n truth values (nested sequences or a 2-d array) as
+    bitsets: bit y of entry x is set iff ``rows[x][y]`` is true."""
+    shape = (len(rows), *{len(r) for r in rows})
+    if shape != (n, n) and not (n == 0 and shape == (0,)):
+        raise ValueError(f"{name} must be {n}x{n}, got {'x'.join(map(str, shape))}")
+    return tuple(sum(1 << y for y, v in enumerate(r) if v) for r in rows)
+
+
+def _transpose(masks: Iterable[int], n: int) -> tuple[int, ...]:
+    """Bitsets of the transposed relation: bit x of entry y iff bit y of
+    ``masks[x]``."""
+    out = [0] * n
+    for x, s in enumerate(masks):
+        bit = 1 << x
+        for y in _bits(s):
+            out[y] |= bit
+    return tuple(out)
+
+
 class FinitePoset:
-    """A finite poset given by its full order relation."""
+    """A finite poset on 0..n-1, held as the up-set and down-set bitsets
+    of every element.
 
-    def __init__(self, n: int, leq: np.ndarray):
-        leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
-        if leq.shape != (n, n):
-            raise ValueError(f"leq must be {n}x{n}, got {leq.shape}")
-        if not leq.diagonal().all():
+    ``FinitePoset(n, leq)`` takes n rows of n truth values, ``leq[x][y]``
+    meaning x <= y (a numpy array does too); ``from_up_sets`` takes the
+    up-sets themselves.  Either way the relation is checked to be
+    reflexive, antisymmetric (naming the first clash x <= y <= x in
+    row-major order) and transitive.
+    """
+
+    def __init__(self, n: int, leq):
+        self._set_up(n, _masks_of_rows(leq, n, "leq"))
+
+    @classmethod
+    def from_up_sets(cls, up: Iterable[int]) -> FinitePoset:
+        poset = cls.__new__(cls)
+        up = tuple(up)
+        poset._set_up(len(up), up)
+        return poset
+
+    def _set_up(self, n: int, up: tuple[int, ...]) -> None:
+        if any(not u >> x & 1 for x, u in enumerate(up)):
             raise ValueError("order relation must be reflexive")
-        clash = leq & leq.T & ~np.eye(n, dtype=bool)
-        if clash.any():
-            x, y = map(int, np.argwhere(clash)[0])
-            raise AntisymmetryViolation(x, y)
-        if (_composes(leq, leq) & ~leq).any():
-            raise ValueError("order relation must be transitive")
-        leq.setflags(write=False)
+        down = _transpose(up, n)
+        for x in range(n):
+            clash = up[x] & down[x] & ~(1 << x)
+            if clash:
+                raise AntisymmetryViolation(x, (clash & -clash).bit_length() - 1)
+        for u in up:
+            for y in _bits(u):
+                if up[y] & ~u:
+                    raise ValueError("order relation must be transitive")
         self.n = n
-        self.leq = leq
+        self.up = up
+        self.down = down
+
+    def leq(self, x: int, y: int) -> bool:
+        return bool(self.up[x] >> y & 1)
 
     @cached_property
-    def cover_matrix(self) -> np.ndarray:
-        """cover_matrix[x, y]: x < y with nothing strictly between."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = strict & ~_composes(strict, strict)
-        cov.setflags(write=False)
-        return cov
+    def upper_cover_sets(self) -> tuple[int, ...]:
+        """Per element x, the bitset of its upper covers: the minimal
+        elements of its strict up-set."""
+        up = self.up
+        out = []
+        for x, u in enumerate(up):
+            strict = u & ~(1 << x)
+            above = 0
+            for y in _bits(strict):
+                above |= up[y] & ~(1 << y)
+            out.append(strict & ~above)
+        return tuple(out)
 
     @cached_property
-    def cover_array(self) -> np.ndarray:
-        """The covers as a (covers, 2) array of (lower, upper), in order."""
-        return np.argwhere(self.cover_matrix)
+    def lower_cover_sets(self) -> tuple[int, ...]:
+        """Per element y, the bitset of its lower covers."""
+        return _transpose(self.upper_cover_sets, self.n)
 
     @cached_property
     def covers(self) -> tuple[CoverEdge, ...]:
-        """Cover pairs (x, y) with x < y and nothing strictly between."""
-        return tuple(CoverEdge(x, y) for x, y in self.cover_array.tolist())
+        """Cover pairs (x, y) with x < y and nothing strictly between, in
+        row-major order."""
+        return tuple(
+            CoverEdge(x, y) for x, s in enumerate(self.upper_cover_sets) for y in _bits(s)
+        )
 
     @cached_property
     def cover_index(self) -> dict[CoverEdge, int]:
@@ -123,44 +183,39 @@ class FinitePoset:
         return {c: i for i, c in enumerate(self.covers)}
 
 
-def _composes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product: some k has a[x, k] and b[k, y].
-
-    Counted in float32, which goes through BLAS (a bool matmul does not)
-    and is exact while the counts stay below 2^24.
-    """
-    return np.matmul(a, b, dtype=np.float32) > 0
-
-
 def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     """Build a poset from generating pairs x <= y, taking the closure."""
-    leq = np.eye(n, dtype=bool)
+    if n < 0:
+        raise ValueError(f"element count must not be negative, got {n}")
+    up = [1 << x for x in range(n)]
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
-        leq[x, y] = True
-    while True:
-        closed = leq | _composes(leq, leq)
-        if (closed == leq).all():
-            break
-        leq = closed
-    return FinitePoset(n, leq)
+        up[x] |= 1 << y
+    # Warshall's closure, one row bitset OR per element reaching k
+    for k in range(n):
+        bit, uk = 1 << k, up[k]
+        up = [u | uk if u & bit else u for u in up]
+    return FinitePoset.from_up_sets(up)
+
+
+def _table(rows) -> tuple[tuple[int, ...], ...]:
+    """A join or meet table as a tuple of tuples of ints; tuples of tuples
+    are kept as they are."""
+    return tuple(r if type(r) is tuple else tuple(map(int, r)) for r in rows)
 
 
 class FiniteLattice:
-    """A finite lattice: a poset together with its join and meet tables."""
+    """A finite lattice: a poset together with its join and meet tables.
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        join: np.ndarray,
-        meet: np.ndarray,
-        bottom: int,
-        top: int,
-    ):
+    ``join[x][y]`` is the join of x and y; the tables may be given as any
+    n x n rows of integers and are stored as tuples of tuples.
+    """
+
+    def __init__(self, poset: FinitePoset, join, meet, bottom: int, top: int):
         self.poset = poset
-        self.join = join
-        self.meet = meet
+        self.join = _table(join)
+        self.meet = _table(meet)
         self.bottom = bottom
         self.top = top
 
@@ -168,23 +223,16 @@ class FiniteLattice:
     def n(self) -> int:
         return self.poset.n
 
-    @property
-    def leq(self) -> np.ndarray:
-        return self.poset.leq
+    def leq(self, x: int, y: int) -> bool:
+        return self.poset.leq(x, y)
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        lc: list[list[int]] = [[] for _ in range(self.n)]
-        for x, y in self.poset.covers:
-            lc[y].append(x)
-        return tuple(tuple(v) for v in lc)
+        return tuple(tuple(_bits(s)) for s in self.poset.lower_cover_sets)
 
     @cached_property
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        uc: list[list[int]] = [[] for _ in range(self.n)]
-        for x, y in self.poset.covers:
-            uc[x].append(y)
-        return tuple(tuple(v) for v in uc)
+        return tuple(tuple(_bits(s)) for s in self.poset.upper_cover_sets)
 
     @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
@@ -203,11 +251,11 @@ class FiniteLattice:
         return meet_semidistributivity_violation(self)
 
     @cached_property
-    def _gamma_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _gamma_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return _label_table(self, dual=False)
 
     @cached_property
-    def _mu_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def _mu_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return _label_table(self, dual=True)
 
 
@@ -217,38 +265,32 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     Raises NotALattice naming the first offending pair otherwise: pairs
     (x, y) with x <= y in lexicographic order, the join before the meet.
 
-    The common upper bounds U of x and y form an up-set, so z is their
-    least element iff z lies in U and |up(z)| == |U|; meets use down-sets
-    dually.  Each x handles all y >= x at once.
+    The common upper bounds of x and y are up[x] & up[y], and their least
+    element z is the one with exactly that up-set, so the join is one dict
+    lookup from up-sets to elements; meets use down-sets dually.  Row x
+    holds every y at once; a missing entry before column x would have
+    failed in an earlier row.
     """
-    n, leq = p.n, p.leq
+    n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NotALattice(0, 0, "join")
-    geq = np.ascontiguousarray(leq.T)
-    up_size = leq.sum(axis=1)
-    down_size = leq.sum(axis=0)
-    join = np.zeros((n, n), dtype=np.intp)
-    meet = np.zeros((n, n), dtype=np.intp)
+    by_up = {u: z for z, u in enumerate(up)}
+    by_down = {d: z for z, d in enumerate(down)}
+    join, meet = [], []
     for x in range(n):
-        has_join, j = _least_per_row(leq[x] & leq[x:], up_size)
-        has_meet, m = _least_per_row(geq[x] & geq[x:], down_size)
-        ok = has_join & has_meet
-        if not ok.all():
-            y = int(ok.argmin())
-            raise NotALattice(x, x + y, "meet" if has_join[y] else "join")
-        join[x, x:] = join[x:, x] = j
-        meet[x, x:] = meet[x:, x] = m
-    bottom = int(np.argwhere(leq.all(axis=1))[0][0])
-    top = int(np.argwhere(leq.all(axis=0))[0][0])
-    return FiniteLattice(p, join, meet, bottom, top)
-
-
-def _least_per_row(sets: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row, an up-set (down-set) given as a mask: whether it has a
-    least (greatest) element, and that element.  ``size[z]`` is the size of
-    the up-set (down-set) generated by z."""
-    least = sets & (size == sets.sum(axis=1, keepdims=True))
-    return least.any(axis=1), least.argmax(axis=1)
+        ux, dx = up[x], down[x]
+        jrow = tuple(map(by_up.get, [ux & u for u in up]))
+        mrow = tuple(map(by_down.get, [dx & d for d in down]))
+        if None in jrow or None in mrow:
+            for y in range(x, n):
+                if jrow[y] is None:
+                    raise NotALattice(x, y, "join")
+                if mrow[y] is None:
+                    raise NotALattice(x, y, "meet")
+        join.append(jrow)
+        meet.append(mrow)
+    full = (1 << n) - 1
+    return FiniteLattice(p, join, meet, by_up[full], by_down[full])
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
@@ -267,10 +309,10 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
 
 
 def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
-    kind, axis, skip = ("meet", 1, L.top) if dual else ("join", 0, L.bottom)
-    one_cover = L.poset.cover_matrix.sum(axis=axis) == 1
-    one_cover[skip] = False
-    by_cover = tuple(np.flatnonzero(one_cover).tolist())
+    kind, covers, skip = (
+        ("meet", L.upper_covers, L.top) if dual else ("join", L.lower_covers, L.bottom)
+    )
+    by_cover = tuple(x for x, c in enumerate(covers) if len(c) == 1 and x != skip)
     by_def = _irreducibles_by_definition(L, dual)
     if by_cover != by_def:
         raise InternalInconsistency(
@@ -283,21 +325,19 @@ def _irreducibles_by_definition(L: FiniteLattice, dual: bool) -> tuple[int, ...]
     """Elements other than the bottom that are not the join of the elements
     strictly below them (dual: top, meet, above).
 
-    All n joins are folded at once through the join table, pairwise: row x
-    holds the elements strictly below x and the bottom (the empty join)
-    elsewhere, and each pass joins neighbouring columns until one is left.
+    Each element's join is folded through the join table, from the bottom
+    (the empty join) over the elements below it in ascending order: one
+    lookup per comparable pair.
     """
-    op, skip, below = (L.meet, L.top, L.leq) if dual else (L.join, L.bottom, L.leq.T)
-    n = L.n
-    strictly = below & ~np.eye(n, dtype=bool)
-    acc = np.where(strictly, np.arange(n), skip)
-    while acc.shape[1] > 1:
-        if acc.shape[1] % 2:
-            acc = np.column_stack([acc, np.full(n, skip)])
-        acc = op[acc[:, 0::2], acc[:, 1::2]]
-    folded = acc[:, 0]
-    folded[skip] = skip
-    return tuple(np.flatnonzero(folded != np.arange(n)).tolist())
+    op, skip, below = (L.meet, L.top, L.poset.up) if dual else (L.join, L.bottom, L.poset.down)
+    out = []
+    for x, s in enumerate(below):
+        acc = skip
+        for y in _bits(s & ~(1 << x)):
+            acc = op[acc][y]
+        if acc != x and x != skip:
+            out.append(x)
+    return tuple(out)
 
 
 def j_star(L: FiniteLattice, j: int) -> int:
@@ -335,7 +375,7 @@ def join_semidistributivity_violation(
     On a hand-tampered table the search may find no triple; the result is
     then None, and reading a label reports the cover's candidate count.
     """
-    if (L._gamma_table[1] == 1).all():
+    if all(h == 1 for h in L._gamma_table[1]):
         return None
     return _semidistributivity_violation(L.join, L.meet)
 
@@ -348,22 +388,39 @@ def meet_semidistributivity_violation(
     Read off the mu table, dually: None iff every cover has exactly one
     mu candidate.
     """
-    if (L._mu_table[1] == 1).all():
+    if all(h == 1 for h in L._mu_table[1]):
         return None
     return _semidistributivity_violation(L.meet, L.join)
 
 
-def _semidistributivity_violation(
-    op: np.ndarray, dual: np.ndarray
-) -> tuple[int, int, int] | None:
-    """First (x, y, z) in lexicographic order with op[x, y] == op[x, z] but
-    op[x, dual[y, z]] != op[x, y], testing all (y, z) of one x at once."""
-    n = op.shape[0]
+def _semidistributivity_violation(op, dual) -> tuple[int, int, int] | None:
+    """First (x, y, z) in lexicographic order with op[x][y] == op[x][z] but
+    op[x][dual[y][z]] != op[x][y], in O(n^2).
+
+    For each x, the class Z(x, t) = {z : op[x][z] = t} is closed under
+    pairwise dual (meets, for op the join) iff the dual of all its members
+    lies in it: the dual of two members lies above that of all of them
+    and below each.  So one dual fold per class finds the first x with a
+    violation, and only that row is scanned for its first (y, z).  On a
+    hand-tampered table a flagged row may hold no triple; the scan then
+    moves on.
+    """
+    n = len(op)
     for x in range(n):
         row = op[x]
-        bad = (row[:, None] == row) & (row[dual] != row[:, None])
-        if bad.any():
-            return (x, *divmod(int(bad.argmax()), n))
+        least: dict[int, int] = {}
+        members: dict[int, list[int]] = {}
+        for z, t in enumerate(row):
+            w = least.get(t)
+            least[t] = z if w is None else dual[w][z]
+            members.setdefault(t, []).append(z)
+        if all(row[w] == t for t, w in least.items()):
+            continue
+        for y, t in enumerate(row):
+            dy = dual[y]
+            for z in members[t]:
+                if row[dy[z]] != t:
+                    return (x, y, z)
     return None
 
 
@@ -409,30 +466,34 @@ def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
         raise InternalInconsistency(
             f"cover ({x}, {y}) has {hits[i]} {name} labels; expected exactly 1"
         )
-    return int(labels[i])
+    return labels[i]
 
 
-def _label_table(L: FiniteLattice, dual: bool) -> tuple[np.ndarray, np.ndarray]:
-    """gamma (dual: mu) of every cover at once, and how many irreducibles
-    qualify for each, as one (covers x irreducibles) test.
+def _label_table(
+    L: FiniteLattice, dual: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """gamma (dual: mu) of every cover, and how many irreducibles qualify
+    for each, one (covers x irreducibles) pass.
 
     For x <| y the candidates are the join-irreducibles j with x v j = y
     and x v j_* = x (dual: the meet-irreducibles m with y ^ m = x and
-    y ^ m^* = y).  A label is meaningful only where exactly one qualifies.
+    y ^ m^* = y).  A label is meaningful only where exactly one qualifies;
+    the label entry is the first candidate, or 0 if there is none.
     """
-    lower, upper = L.poset.cover_array.T
     if dual:
-        irr, op, near, far = meet_irreducibles(L), L.meet, upper, lower
-        star = [L.upper_covers[k][0] for k in irr]
+        irr, op = meet_irreducibles(L), L.meet
+        star = [(k, L.upper_covers[k][0]) for k in irr]
     else:
-        irr, op, near, far = join_irreducibles(L), L.join, lower, upper
-        star = [L.lower_covers[k][0] for k in irr]
-    irr, star = np.array(irr, dtype=np.intp), np.array(star, dtype=np.intp)
-    near = near[:, None]
-    ok = (op[near, irr] == far[:, None]) & (op[near, star] == near)
-    hits = ok.sum(axis=1)
-    labels = irr[ok.argmax(axis=1)] if irr.size else np.zeros(len(hits), np.intp)
-    return labels, hits
+        irr, op = join_irreducibles(L), L.join
+        star = [(k, L.lower_covers[k][0]) for k in irr]
+    labels, hits = [], []
+    for x, y in L.poset.covers:
+        near, far = (y, x) if dual else (x, y)
+        row = op[near]
+        found = [k for k, s in star if row[k] == far and row[s] == near]
+        labels.append(found[0] if found else 0)
+        hits.append(len(found))
+    return tuple(labels), tuple(hits)
 
 
 def kappa(L: FiniteLattice, j: int) -> int:
@@ -463,26 +524,27 @@ def check_mu_eq_kappa_gamma(L: FiniteLattice) -> bool:
     return all(mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers)
 
 
-def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> None:
+def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> int:
     """Raise ValueError for an endpoint outside 0..n-1 (a negative index
-    would count from the end), then NotComparable unless u <= v."""
+    would count from the end), then NotComparable unless u <= v; return
+    the interval [u, v] as a bitset."""
     for e in (u, v):
         if not 0 <= e < L.n:
             raise ValueError(f"interval endpoint {e} out of range for {L.n} elements")
-    if not L.leq[u, v]:
+    if not L.leq(u, v):
         raise NotComparable(f"{u} is not below {v}")
+    return L.poset.up[u] & L.poset.down[v]
 
 
 def interval_sublattice(
     L: FiniteLattice, u: int, v: int
 ) -> tuple[FiniteLattice, tuple[int, ...]]:
     """The interval [u, v] as a lattice plus its elements in L's indexing."""
-    _interval_endpoints(L, u, v)
-    members = tuple(
-        int(x) for x in np.flatnonzero(L.leq[u] & L.leq[:, v])
-    )
-    sub = FinitePoset(len(members), L.leq[np.ix_(members, members)])
-    return try_lattice(sub), members
+    span = _interval_endpoints(L, u, v)
+    members = tuple(_bits(span))
+    pos = {a: i for i, a in enumerate(members)}
+    up = [sum(1 << pos[b] for b in _bits(L.poset.up[a] & span)) for a in members]
+    return try_lattice(FinitePoset.from_up_sets(up)), members
 
 
 def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
@@ -491,13 +553,9 @@ def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
     An interval is convex, so these are exactly the covers of the lattice
     [u, v]; its join-irreducibles are the y with one lower cover here.
     """
-    _interval_endpoints(L, u, v)
-    return tuple(
-        CoverEdge(x, int(y))
-        for y in np.flatnonzero(L.leq[u] & L.leq[:, v])
-        for x in L.lower_covers[y]
-        if L.leq[u, x]
-    )
+    span = _interval_endpoints(L, u, v)
+    lower = L.poset.lower_cover_sets
+    return tuple(CoverEdge(x, y) for y in _bits(span) for x in _bits(lower[y] & span))
 
 
 def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
@@ -510,13 +568,14 @@ def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
         return False
     order = sorted(range(L1.n), key=lambda x: (inv1[x], x))
     buckets = {inv: [y for y in range(L2.n) if inv2[y] == inv] for inv in set(inv1)}
-    leq1, leq2 = L1.leq.tolist(), L2.leq.tolist()
+    up1, up2 = L1.poset.up, L2.poset.up
     mapping: dict[int, int] = {}
     used = [False] * L2.n
 
     def fits(x: int, y: int) -> bool:
         return not used[y] and all(
-            leq1[u][x] == leq2[v][y] and leq1[x][u] == leq2[y][v]
+            (up1[u] >> x & 1) == (up2[v] >> y & 1)
+            and (up1[x] >> u & 1) == (up2[y] >> v & 1)
             for u, v in mapping.items()
         )
 
@@ -540,14 +599,13 @@ def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
 
 
 def _element_invariants(L: FiniteLattice) -> list[tuple[int, int, int, int]]:
-    down = L.leq.sum(axis=0)
-    up = L.leq.sum(axis=1)
+    p = L.poset
     return [
         (
-            int(down[x]),
-            int(up[x]),
-            len(L.lower_covers[x]),
-            len(L.upper_covers[x]),
+            p.down[x].bit_count(),
+            p.up[x].bit_count(),
+            p.lower_cover_sets[x].bit_count(),
+            p.upper_cover_sets[x].bit_count(),
         )
         for x in range(L.n)
     ]
@@ -561,19 +619,19 @@ def is_lattice_quotient(
     For finite lattices, preserving binary joins and meets gives
     preservation of all joins and meets.
     """
-    fmap = list(f)
-    if len(fmap) != L1.n:
-        raise ValueError(f"map has {len(fmap)} entries for a {L1.n}-element lattice")
-    if any(not (0 <= y < L2.n) for y in fmap):
+    fm = list(f)
+    if len(fm) != L1.n:
+        raise ValueError(f"map has {len(fm)} entries for a {L1.n}-element lattice")
+    if any(not (0 <= y < L2.n) for y in fm):
         raise ValueError("map image out of range")
-    if set(fmap) != set(range(L2.n)):
+    if set(fm) != set(range(L2.n)):
         return False
-    fm = np.array(fmap, dtype=np.intp)
-    x, y = np.triu_indices(L1.n)
-    return all(
-        (fm[op1[x, y]] == op2[fm[x], fm[y]]).all()
-        for op1, op2 in ((L1.join, L2.join), (L1.meet, L2.meet))
-    )
+    for op1, op2 in ((L1.join, L2.join), (L1.meet, L2.meet)):
+        for x in range(L1.n):
+            row2 = op2[fm[x]]
+            if [fm[z] for z in op1[x][x:]] != [row2[fm[y]] for y in range(x, L1.n)]:
+                return False
+    return True
 
 
 def to_dot(

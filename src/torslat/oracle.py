@@ -11,28 +11,25 @@ some factorizable relation, and lattices like M3 should be reachable
 only once the factorizability filter is dropped.
 
 The sweep and the realization search test factorizability with
-galois.factorizable_batch, the same numpy table that names single-relation
-witnesses, on blocks of at most BLOCK candidates, in canonical order.  The
-sweep then runs the invariant suite once per relabelling orbit of the
-factorizable relations, in one process.
+kernels.factorizable_batch, on numpy blocks of at most kernels.BLOCK
+candidates in canonical order; ``kernels`` is imported only when one of
+them runs, so the other commands never load numpy.  The sweep then runs
+the invariant suite once per relabelling orbit of the factorizable
+relations, in one process.  Everything else here works on the same
+bitsets as the main modules.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import NamedTuple
-
-import numpy as np
 
 from .galois import (
     BrickRelation,
     TorsLattice,
     _closed_sets,
-    _membership,
     _tors_from_closed,
     all_torsion_pairs,
-    factorizable_batch,
     perp_left,
     perp_right,
     tors_closure,
@@ -43,6 +40,7 @@ from .lattice import (
     FinitePoset,
     InternalInconsistency,
     NotALattice,
+    _bits,
     _element_invariants,
     are_isomorphic,
     is_semidistributive,
@@ -111,7 +109,7 @@ def brute_torsion_pairs(R: BrickRelation) -> TorsLattice:
 
 def same_tors(a: TorsLattice, b: TorsLattice) -> bool:
     """Exact agreement: same pairs in the same order, same order relation."""
-    return a.pairs == b.pairs and bool(np.array_equal(a.lattice.leq, b.lattice.leq))
+    return a.pairs == b.pairs and a.lattice.poset.up == b.lattice.poset.up
 
 
 def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
@@ -121,30 +119,32 @@ def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
     are scanned for one below all the others, then the common lower
     bounds for one above all the others.
     """
-    n, leq = p.n, p.leq
+    n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NotALattice(0, 0, "join")
-    join = np.zeros((n, n), dtype=np.intp)
-    meet = np.zeros((n, n), dtype=np.intp)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            j = _least_member(leq, leq[x] & leq[y])
+            j = _least_member(up, up[x] & up[y])
             if j is None:
                 raise NotALattice(x, y, "join")
-            m = _least_member(leq.T, leq[:, x] & leq[:, y])
+            m = _least_member(down, down[x] & down[y])
             if m is None:
                 raise NotALattice(x, y, "meet")
-            join[x, y] = join[y, x] = j
-            meet[x, y] = meet[y, x] = m
-    bottom = int(np.argwhere(leq.all(axis=1))[0][0])
-    top = int(np.argwhere(leq.all(axis=0))[0][0])
+            join[x][y] = join[y][x] = j
+            meet[x][y] = meet[y][x] = m
+    full = (1 << n) - 1
+    bottom = next(x for x in range(n) if up[x] == full)
+    top = next(x for x in range(n) if down[x] == full)
     return FiniteLattice(p, join, meet, bottom, top)
 
 
-def _least_member(leq: np.ndarray, members: np.ndarray) -> int | None:
-    for z in np.flatnonzero(members):
-        if not (members & ~leq[z]).any():
-            return int(z)
+def _least_member(up: tuple[int, ...], members: int) -> int | None:
+    """The member whose up-set (given as ``up``) holds all the others."""
+    for z in _bits(members):
+        if not members & ~up[z]:
+            return z
     return None
 
 
@@ -154,11 +154,12 @@ def brute_semidistributivity_violation(
     """First triple (x, y, z) against join- (meet=True: meet-)
     semidistributivity, by the plain triple loop over all elements."""
     op, dual = (L.meet, L.join) if meet else (L.join, L.meet)
-    op, dual = op.tolist(), dual.tolist()
     for x in range(L.n):
+        row = op[x]
         for y in range(L.n):
+            t, dy = row[y], dual[y]
             for z in range(L.n):
-                if op[x][y] == op[x][z] and op[x][dual[y][z]] != op[x][y]:
+                if row[z] == t and row[dy[z]] != t:
                     return (x, y, z)
     return None
 
@@ -235,26 +236,8 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
     return all(_axiom_closure(tables, s) in enumerated for s in steps)
 
 
-# Candidate relations per kernel call; bounds scratch for any m.  A power
-# of two, so the realization search decodes candidate lo + t of a block as
-# lo | t.
-BLOCK = 1024
-
-
-def _rows_of_masks(masks, m: int) -> np.ndarray:
-    """Decode sweep masks into an (N, m) array of row masks.
-
-    A mask holds m*(m-1) off-diagonal bits, row-major: the m-1 bits of
-    row x start at bit x*(m-1), and bit x is spliced in as the diagonal.
-    """
-    masks = np.asarray(masks, dtype=np.int64)[:, None]
-    x = np.arange(m)
-    return _row_choice((masks >> x * (m - 1)) & ((1 << (m - 1)) - 1), x)
-
-
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
-    m = len(rows)
-    return BrickRelation([f"b{i}" for i in range(m)], _membership(rows, m))
+    return BrickRelation.from_row_masks([f"b{i}" for i in range(len(rows))], rows)
 
 
 def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
@@ -267,22 +250,6 @@ def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
             if closure >> x & 1 and rows[x] >> b & 1 and rows[b] & ~rows[x]:
                 return False
     return True
-
-
-def _orbit_keys(masks: np.ndarray, m: int) -> np.ndarray:
-    """The smallest sweep mask of each relation over all m! relabellings.
-
-    Bit i of a mask is the i-th off-diagonal pair (x, y) in row-major
-    order; a relabelling p moves that bit to the pair (p[x], p[y]).
-    """
-    pairs = [(x, y) for x in range(m) for y in range(m) if x != y]
-    bit = {pair: i for i, pair in enumerate(pairs)}
-    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
-    keys = masks.copy()
-    for p in itertools.permutations(range(m)):
-        moved = np.array([1 << bit[p[x], p[y]] for x, y in pairs], dtype=np.int64)
-        np.minimum(keys, bits @ moved, out=keys)
-    return keys
 
 
 def sweep_factorizable(
@@ -305,6 +272,8 @@ def sweep_factorizable(
     budget = budget or SearchBudget()
     if budget.max_brick_set_size > MAX_SWEEP_BRICKS:
         raise BudgetExceeded(f"sweeps are capped at {MAX_SWEEP_BRICKS} bricks")
+    from . import kernels
+
     deadline = budget.deadline()
     t0 = time.monotonic()
     per_m: dict[str, dict] = {}
@@ -314,33 +283,25 @@ def sweep_factorizable(
     for m in range(1, budget.max_brick_set_size + 1):
         if time.monotonic() > deadline:
             raise BudgetExceeded(f"sweep ran past its time limit before m={m}")
-        total = 1 << (m * (m - 1))
-        kept = []
-        for lo in range(0, total, BLOCK):
-            masks = np.arange(lo, min(lo + BLOCK, total), dtype=np.int64)
-            kept.append(masks[factorizable_batch(_rows_of_masks(masks, m), literal_mono)])
-        survivors = np.concatenate(kept)
-        _, first, orbit_of, sizes = np.unique(
-            _orbit_keys(survivors, m),
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
+        by_orbit = kernels.factorizable_orbits(m, literal_mono)
+        firsts = kernels.rows_of([members[0] for members in by_orbit.values()], m)
         failing = []
-        for i, rows in enumerate(_rows_of_masks(survivors[first], m).tolist()):
-            R = _relation_of_rows(tuple(rows))
+        for members, rows in zip(by_orbit.values(), firsts):
+            R = _relation_of_rows(rows)
             if not _abstract_dichotomy_holds(R):
-                dichotomy_failures += int(sizes[i])
+                dichotomy_failures += len(members)
             if verify_tors_lattice(all_torsion_pairs(R)):
-                failing.append(i)
-        members = survivors[np.isin(orbit_of, failing)]
-        for mask, rows in zip(members.tolist(), _rows_of_masks(members, m).tolist()):
-            R = _relation_of_rows(tuple(rows))
-            problems = verify_tors_lattice(all_torsion_pairs(R))
+                failing.extend(members)
+        failing.sort()
+        for mask, rows in zip(failing, kernels.rows_of(failing, m)):
+            problems = verify_tors_lattice(all_torsion_pairs(_relation_of_rows(rows)))
             if problems:
                 violations.append({"m": m, "mask": mask, "problems": problems})
-        per_m[str(m)] = {"relations": total, "factorizable": len(survivors)}
-        orbits[str(m)] = len(first)
+        per_m[str(m)] = {
+            "relations": 1 << (m * (m - 1)),
+            "factorizable": sum(map(len, by_orbit.values())),
+        }
+        orbits[str(m)] = len(by_orbit)
     return {
         "max_brick_set_size": budget.max_brick_set_size,
         "literal_mono": literal_mono,
@@ -368,9 +329,12 @@ def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
     for n in range(1, budget.max_lattice_size + 1):
         found: list[tuple[tuple, FiniteLattice]] = []
         for downs in _natural_posets(n, deadline):
-            leq = _membership(downs, n).T | np.eye(n, dtype=bool)
+            up = [1 << x for x in range(n)]
+            for y, d in enumerate(downs):
+                for x in _bits(d):
+                    up[x] |= 1 << y
             try:
-                L = try_lattice(FinitePoset(n, leq))
+                L = try_lattice(FinitePoset.from_up_sets(up))
             except NotALattice:
                 continue
             key = tuple(sorted(_element_invariants(L)))
@@ -416,16 +380,17 @@ def realize_sd_lattice(
 
     Enumeration order is canonical: rows are bitmasks chosen in ascending
     order with earlier rows more significant, so the first hit is stable.
-    Candidates are tested in numpy blocks of at most BLOCK, in that order,
-    with the deadline checked once per block; a BudgetExceeded names the
-    brick count and how many candidates of that size came before.
+    Candidates are tested in numpy blocks of at most kernels.BLOCK, in
+    that order, with the deadline checked once per block; a
+    BudgetExceeded names the brick count and how many candidates of that
+    size came before.
     Relabelling the bricks changes neither the filters nor the lattice's
     isomorphism type, so the first hit is least in its relabelling orbit,
     where row 0 is 2^d - 1 for d the fewest bits in a row; candidates
     breaking that rule are skipped, and first hits and absences are those
     of the full scan.  Following the derived-cycle conditions, rows are
     forced pairwise distinct while the filter is on, and only tuples that
-    factorizable_batch accepts reach the closure count and the
+    kernels.factorizable_batch accepts reach the closure count and the
     isomorphism test.
     """
     budget = budget or SearchBudget(max_brick_set_size=5)
@@ -457,70 +422,22 @@ def _search_relations(
     deadline: float,
 ) -> BrickRelation | None:
     """The first m-brick candidate, in the order realize_sd_lattice
-    states, that realizes L.  Row x takes the k = 2^(m-1) masks with bit x
-    set, so candidate c is m base-k digits: digit x is (c >> s_x) & (k - 1)
-    with s_x = (m-1)(m-1-x).  BLOCK is a power of two, so candidate lo + t
-    of the block at lo is lo | t, and each digit is lo's (a Python int, so
-    the 2^(m(m-1)) candidates may pass 64 bits) OR'd with one fixed table
-    of t's digits: scratch is O(BLOCK * m^2) whatever m is.  Candidates
-    that cannot lead their orbit (row 0 is not 2^d - 1, d the fewest bits
-    in a row; proof at ``_may_lead_orbit``) are dropped first.  Row 0 is
-    digit 0, so if BLOCK <= 2^s_0 a block shares it and may be skipped whole.
-    """
+    states, that realizes L; the candidates come from
+    kernels.candidate_blocks, and the deadline is checked once per block."""
     if m > 62:
         raise BudgetExceeded(f"{m} bricks do not fit in 64-bit row masks")
-    k = 1 << (m - 1) if m else 1
-    total = k**m
-    x = np.arange(m)
-    shifts = (m - 1) * (m - 1 - x)
-    low = (np.arange(min(BLOCK, total))[:, None] >> np.minimum(shifts, 63)) & (k - 1)
-    full = (1 << m) - 1
-    top = (m - 1) ** 2  # s_0, as a Python int
-    whole = BLOCK <= 1 << top
-    for lo in range(0, total, BLOCK):
+    from . import kernels
+
+    for lo, candidates in kernels.candidate_blocks(m, factorizable_only):
         if time.monotonic() > deadline:
             raise BudgetExceeded(
                 f"realization search ran past its time limit on {m} bricks,"
                 f" after {lo:,} of 2^{m * (m - 1)} candidate relations"
             )
-        # row 0 is 2 d + 1 for digit 0 = d: a run of low bits iff d is one
-        d = lo >> top
-        if whole and d & (d + 1):
-            continue
-        high = np.array([(lo >> s) & (k - 1) for s in shifts.tolist()], dtype=np.int64)
-        rows = _row_choice(low | high, x)
-        rows = rows[_may_lead_orbit(rows)]
-        if factorizable_only:
-            ordered = np.sort(rows, axis=1)
-            rows = rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-            rows = rows[factorizable_batch(rows)]
-        # column y of a relation: the bricks x with an arrow x -> y
-        bits = (rows[:, :, None] >> x) & 1
-        perps = full & ~(bits << x[:, None]).sum(axis=1)
-        for r, p in zip(rows.tolist(), perps.tolist()):
-            if _rows_realize(L, key, tuple(r), p):
-                return _relation_of_rows(tuple(r))
+        for rows, perps in candidates:
+            if _rows_realize(L, key, rows, perps):
+                return _relation_of_rows(rows)
     return None
-
-
-def _may_lead_orbit(rows: np.ndarray) -> np.ndarray:
-    """Whether each relation of an (N, m) row array may be the least of its
-    relabelling orbit, rows compared in order: row 0 is 2^d - 1 for d the
-    fewest bits in a row.  Relabelling a brick with d bits to 0 and its
-    targets to 1..d-1 gives that row 0, and every row 0 holds bit 0 and at
-    least d bits, so none is smaller.
-    """
-    counts = np.zeros_like(rows)
-    for y in range(rows.shape[1]):
-        counts += (rows >> y) & 1
-    head = rows[:, :1]
-    return (((head & (head + 1)) == 0) & (counts >= counts[:, :1])).all(axis=1)
-
-
-def _row_choice(d, x):
-    """The d-th mask with bit x set, in ascending order: bit x spliced into d."""
-    low = (1 << x) - 1
-    return ((d & ~low) << 1) | (1 << x) | (d & low)
 
 
 def _rows_realize(

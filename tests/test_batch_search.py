@@ -1,12 +1,13 @@
-"""The factorizability table and the block search built on it.
+"""The factorizability kernel and the block search built on it.
 
-galois decides factorizability with one numpy table; factorizable_batch,
-factorizability_violation, derived_epi and derived_mono read it.  They
-must agree with the plain double loops below (the implementation the
-table replaced, kept here as the reference) on every relation of at most
-4 bricks and on random relations of up to 8, in both readings of mono,
-and on relations of 63-80 bricks (one relation's masks are Python ints
-of any width; the batch's int64 masks hold at most 63 bricks).  The block
+kernels.factorizable_batch decides factorizability of a numpy block of
+relations; galois.factorizability_violation, derived_epi and derived_mono
+decide one relation by loops over its row and column bitsets.  They must
+agree with each other and with the plain double loops below (kept here as
+the reference) on every relation of at most 4 bricks and on random
+relations of up to 8, in both readings of mono, and on relations of 63-80
+bricks (one relation's masks are Python ints of any width; the batch's
+int64 masks hold at most 63 bricks).  The block
 enumerator must hand the realization search exactly the tuples, in
 exactly the order, that a one-at-a-time loop over the product of row
 choices would, less those that cannot be the least member of their
@@ -29,14 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torslat.kernels as kernels_mod
 import torslat.oracle as oracle_mod
 from torslat.galois import (
     derived_epi,
     derived_mono,
     factorizability_violation,
-    factorizable_batch,
     relation_from_arrows,
 )
+from torslat.kernels import _rows_of_masks, factorizable_batch
 from torslat.lattice import (
     _element_invariants,
     is_semidistributive,
@@ -46,7 +48,7 @@ from torslat.lattice import (
 from torslat.oracle import (
     BudgetExceeded,
     SearchBudget,
-    _rows_of_masks,
+    _relation_of_rows,
     lattice_census,
     realize_sd_lattice,
 )
@@ -182,7 +184,7 @@ def loop_violation(R, literal_mono=False):
     m = R.m
     for x in range(m):
         for z in range(m):
-            if not R.arrow[x, z]:
+            if not R.row_masks[x] >> z & 1:
                 continue
             if not any(epi[x, y] and mono[y, z] for y in range(m)):
                 return ("unfactorized-arrow", x, z)
@@ -203,9 +205,14 @@ def reference(rows, literal_mono):
     return loop_violation(relation_of_rows(rows), literal_mono) is None
 
 
+def row_masks(matrix):
+    """Each row of a boolean matrix as the bitset of its true columns."""
+    return tuple(sum(1 << y for y in range(len(row)) if row[y]) for row in matrix)
+
+
 def assert_table_matches_loops(R, literal_mono):
-    assert np.array_equal(derived_epi(R), loop_epi(R))
-    assert np.array_equal(derived_mono(R, literal_mono), loop_mono(R, literal_mono))
+    assert derived_epi(R) == row_masks(loop_epi(R))
+    assert derived_mono(R, literal_mono) == row_masks(loop_mono(R, literal_mono))
     witness = factorizability_violation(R, literal_mono)
     assert witness == loop_violation(R, literal_mono)
     assert all(type(v) is int for v in (witness or ())[1:])
@@ -232,6 +239,18 @@ def test_kernel_matches_the_loops_on_every_small_relation(literal_mono):
     # every witness form, and so every priority at a cycle pair, is reached
     forms = {"none", "unfactorized-arrow", "epi-cycle", "mono-epi-cycle"}
     assert kinds == (forms if literal_mono else forms | {"mono-cycle"})
+
+
+@pytest.mark.parametrize("literal_mono", [False, True])
+def test_kernel_equals_the_single_relation_code_on_every_small_relation(literal_mono):
+    """The numpy batch kernel and the bitset loops of one relation decide
+    the same, on all 4,165 relations of at most 4 bricks."""
+    for m in range(1, 5):
+        rows = _rows_of_masks(range(1 << (m * (m - 1))), m).tolist()
+        assert factorizable_batch(rows, literal_mono).tolist() == [
+            factorizability_violation(_relation_of_rows(tuple(r)), literal_mono) is None
+            for r in rows
+        ]
 
 
 @st.composite
@@ -313,7 +332,7 @@ def may_lead_orbit(rows):
 @pytest.mark.parametrize("block", [1, 16, 1024])
 @pytest.mark.parametrize("m", range(5))
 def test_blocks_pass_the_filtered_product_in_order(monkeypatch, m, block):
-    monkeypatch.setattr(oracle_mod, "BLOCK", block)
+    monkeypatch.setattr(kernels_mod, "BLOCK", block)
     expected = [
         t
         for t in itertools.product(*row_choices(m))
@@ -325,7 +344,7 @@ def test_blocks_pass_the_filtered_product_in_order(monkeypatch, m, block):
 @pytest.mark.parametrize("block", [1, 16, 1024])
 @pytest.mark.parametrize("m", range(4))
 def test_unfiltered_blocks_pass_the_whole_product_in_order(monkeypatch, m, block):
-    monkeypatch.setattr(oracle_mod, "BLOCK", block)
+    monkeypatch.setattr(kernels_mod, "BLOCK", block)
     assert recorded_candidates(monkeypatch, m, False) == [
         t for t in itertools.product(*row_choices(m)) if may_lead_orbit(t)
     ]
@@ -356,11 +375,11 @@ def test_the_least_of_every_orbit_passes_the_orbit_rule(m):
         masks = np.random.default_rng(0).choice(masks, 2000, replace=False)
     relations = _rows_of_masks(masks, m)
     if m <= 4:
-        assert oracle_mod._may_lead_orbit(relations).tolist() == [
+        assert kernels_mod._may_lead_orbit(relations).tolist() == [
             may_lead_orbit(r) for r in relations.tolist()
         ]
     least = np.array(least_relabellings(relations.tolist(), m), dtype=np.int64)
-    assert oracle_mod._may_lead_orbit(least).all()
+    assert kernels_mod._may_lead_orbit(least).all()
     assert all(may_lead_orbit(r) for r in least.tolist())
 
 
@@ -370,7 +389,7 @@ def test_m3_certificate_tests_few_candidates(monkeypatch):
     skipping those that cannot be least in their orbit leaves 100,194 and
     7,114."""
     rows, calls = [0], [0]
-    real_batch = oracle_mod.factorizable_batch
+    real_batch = kernels_mod.factorizable_batch
     real_realize = oracle_mod._rows_realize
 
     def counting_batch(batch, *args):
@@ -381,7 +400,7 @@ def test_m3_certificate_tests_few_candidates(monkeypatch):
         calls[0] += 1
         return real_realize(*args)
 
-    monkeypatch.setattr(oracle_mod, "factorizable_batch", counting_batch)
+    monkeypatch.setattr(kernels_mod, "factorizable_batch", counting_batch)
     monkeypatch.setattr(oracle_mod, "_rows_realize", counting_realize)
     assert realize_sd_lattice(M3, SearchBudget(max_brick_set_size=5)) is None
     assert 0 < rows[0] <= 757_932 / 5

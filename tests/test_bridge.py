@@ -65,7 +65,7 @@ def test_quotient_two_vertices_fibers():
     L = qm.source.tors.lattice
     for u in range(L.n):
         for v in range(L.n):
-            if L.leq[u, v]:
+            if L.leq(u, v):
                 assert fiber_check(qm, u, v)
     with pytest.raises(NotComparable):
         fiber_check(qm, 1, 2)
@@ -91,7 +91,7 @@ def test_quotient_three_vertices():
         fiber_check(qm, u, v)
         for u in range(L.n)
         for v in range(L.n)
-        if L.leq[u, v]
+        if L.leq(u, v)
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line, including byte-exact goldens."""
 
+import ast
 import gc
 import json
 import os
@@ -135,7 +136,7 @@ def chain_file(tmp_path, m, equal_rows=False):
 
 
 def test_build_rel_and_check_on_seventy_bricks(capsys, tmp_path):
-    # wider than a 64-bit row mask: factorizability runs on object masks
+    # wider than a 64-bit row mask: factorizability runs on Python-int masks
     path = chain_file(tmp_path, 70)
     rc, out, err = run(capsys, "build-rel", path)
     assert (rc, err) == (0, "")
@@ -315,19 +316,82 @@ def test_sweep_literal_mono_stdout_is_the_recorded_report(capsys):
     [
         ("concurrent.futures", "multiprocessing"),
         ("dataclasses", "fractions", "decimal"),
+        ("numpy",),
     ],
-    ids=["process-pool", "dataclasses-fractions-decimal"],
+    ids=["process-pool", "dataclasses-fractions-decimal", "numpy"],
 )
 def test_cli_import_leaves_out(modules):
     """Every CLI command is a fresh process, and importing each of these
-    costs it measured milliseconds (Python 3.11, after numpy, which imports
-    none of them): concurrent.futures about 5 ms and multiprocessing about
-    6 ms; dataclasses about 1 ms, plus about 1 ms for each frozen class it
-    generates methods for; fractions with decimal about 3 ms."""
+    costs it measured milliseconds (Python 3.11): concurrent.futures about
+    5 ms and multiprocessing about 6 ms; dataclasses about 1 ms, plus about
+    1 ms for each frozen class it generates methods for; fractions with
+    decimal about 3 ms; numpy about 120 ms, which only the search kernels
+    of realize and sweep need (see the tests below)."""
     code = f"import sys, torslat.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def entry_point_run(*argv: str) -> tuple[int, bool]:
+    """Run one command as the console script does; its exit code and
+    whether numpy was loaded when it returned."""
+    code = (
+        "import sys, torslat.cli\n"
+        f"sys.argv = ['torslat', *{list(argv)!r}]\n"
+        "rc = torslat.cli.main()\n"
+        "print(rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = child("-c", code)
+    rc, loaded = proc.stderr.split()[-2:]
+    return int(rc), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-tors", str(DATA / "a3.json")),
+        ("build-rel", str(DATA / "a2_rel.json")),
+        ("check", str(DATA / "a3.json")),
+        ("labels", str(DATA / "a3.json")),
+        ("kappa", str(DATA / "a3.json")),
+        ("quotient", str(DATA / "a3.json"), "--ideal", "1,0"),
+        ("census", "--max-size", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_lattice_commands_never_load_numpy(argv):
+    assert entry_point_run(*argv) == (0, False)
+
+
+def test_bare_import_does_not_load_numpy():
+    proc = child("-c", "import sys, torslat; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("realize", str(DATA / "n5_lattice.json")), ("sweep", "--max-size", "2")],
+    ids=lambda argv: argv[0],
+)
+def test_search_commands_run_the_numpy_kernels(argv):
+    assert entry_point_run(*argv) == (0, True)
+
+
+def test_only_the_kernel_module_imports_numpy():
+    package = Path(torslat.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"kernels"}
 
 
 def test_process_entry_freezes_the_gc_and_main_with_argv_does_not(capsys):
@@ -480,6 +544,7 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, command, obj):
         ({"elements": 10**9, "covers": []}, "allocate"),  # fails before allocating
         ({"elements": 2, "covers": [[0, 1], [0, 1]]}, "duplicate cover [0, 1]"),
         ({"elements": 2, "covers": [[0, 1], [1, 1]]}, "cover [1, 1] joins an element"),
+        ({"elements": 3, "covers": [[0, 1], [1, 2], [0, 2]]}, "[0, 2] is not a cover"),
     ],
 )
 def test_bad_lattice_files_exit_two(capsys, tmp_path, obj, message):

@@ -38,7 +38,7 @@ from torslat.galois import (
     verify_tors_lattice,
 )
 from torslat import galois
-from torslat.lattice import CoverEdge, NotComparable, are_isomorphic
+from torslat.lattice import CoverEdge, InternalInconsistency, NotComparable, are_isomorphic
 
 
 @pytest.fixture
@@ -109,8 +109,8 @@ def test_pentagon_torsion_pairs(r_pentagon):
 def test_derived_relations(r_pentagon):
     epi = derived_epi(r_pentagon)
     mono = derived_mono(r_pentagon)
-    off_epi = {(x, y) for x in range(3) for y in range(3) if x != y and epi[x, y]}
-    off_mono = {(x, y) for x in range(3) for y in range(3) if x != y and mono[x, y]}
+    off_epi = {(x, y) for x in range(3) for y in range(3) if x != y and epi[x] >> y & 1}
+    off_mono = {(x, y) for x in range(3) for y in range(3) if x != y and mono[x] >> y & 1}
     assert off_epi == {(1, 2)}
     assert off_mono == {(0, 1)}
 
@@ -223,7 +223,7 @@ def test_interval_ji_and_lemma(r_pentagon):
     TL = all_torsion_pairs(r_pentagon)
     for u in range(5):
         for v in range(5):
-            if not TL.lattice.leq[u, v]:
+            if not TL.lattice.leq(u, v):
                 continue
             assert gap_nonempty_check(TL, u, v)
             assert interval_ji_check(TL, u, v)
@@ -262,3 +262,39 @@ def test_class_budget_boundary(monkeypatch):
     assert all_torsion_pairs(relation_from_arrows(list("abc"), [])).n == 8
     with pytest.raises(galois.TooManyClasses, match="4 bricks have more than 8"):
         all_torsion_pairs(relation_from_arrows(list("abcd"), []))
+
+
+def test_join_table_from_the_torsion_free_side_is_checked_against_the_order(
+    monkeypatch,
+):
+    """The order comes from the torsion sets and the join from the
+    torsion-free sets; a wrong torsion-free set trips the cross-check."""
+    real_perp = galois.perp_right
+
+    def wrong_perp(R, tset):
+        return 0 if tset == 0b01 else real_perp(R, tset)
+
+    monkeypatch.setattr(galois, "perp_right", wrong_perp)
+    with pytest.raises(
+        InternalInconsistency,
+        match=r"^torsion classes 0 and 1: the join table gives 3, against the inclusion order$",
+    ):
+        all_torsion_pairs(relation_from_arrows(["x", "y"], []))
+
+
+@pytest.mark.parametrize(
+    "which, x, y, message",
+    [
+        ("join", 1, 2, "torsion classes 1 and 2: the join table gives 2"),
+        ("meet", 3, 1, "torsion classes 3 and 1: the meet table gives 1"),
+    ],
+)
+def test_table_cross_check_names_the_first_disagreement(
+    r_pentagon, which, x, y, message
+):
+    L = all_torsion_pairs(r_pentagon).lattice
+    tables = {"join": [list(r) for r in L.join], "meet": [list(r) for r in L.meet]}
+    tables[which][x][y] = y  # claims y <= x (meet) or x <= y (join)
+    galois._check_tables(L.poset, L.join, L.meet)  # the built tables pass
+    with pytest.raises(InternalInconsistency, match=f"^{message}, against"):
+        galois._check_tables(L.poset, tables["join"], tables["meet"])

@@ -83,9 +83,22 @@ def test_poset_rejects_cycles():
         poset_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 
 
+@pytest.mark.parametrize(
+    "clashes, first",
+    [([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 1)), ([(1, 3), (1, 2)], (1, 2))],
+)
+def test_antisymmetry_names_the_first_clash_in_row_major_order(clashes, first):
+    leq = np.eye(4, dtype=bool)
+    for x, y in clashes:
+        leq[x, y] = leq[y, x] = True
+    with pytest.raises(AntisymmetryViolation) as exc:
+        FinitePoset(4, leq)
+    assert exc.value.pair == first
+
+
 def test_poset_transitive_closure():
     p = poset_from_pairs(3, [(0, 1), (1, 2)])
-    assert bool(p.leq[0, 2])
+    assert p.leq(0, 2)
 
 
 def test_try_lattice_rejects_two_maximal():
@@ -115,10 +128,10 @@ def test_pentagon_tables(pentagon):
     L = pentagon
     assert L.bottom == 0 and L.top == 4
     assert sorted(L.poset.covers) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
-    assert int(L.join[1, 2]) == 4
-    assert int(L.join[1, 3]) == 4
-    assert int(L.meet[1, 3]) == 0
-    assert int(L.meet[2, 3]) == 2
+    assert L.join[1][2] == 4
+    assert L.join[1][3] == 4
+    assert L.meet[1][3] == 0
+    assert L.meet[2][3] == 2
 
 
 def test_pentagon_irreducibles(pentagon):
@@ -282,10 +295,11 @@ def test_isomorphism_past_the_recursion_limit():
     chain = lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
     p = np.arange(n) * 7 % n  # element i of the copy is named p[i]
     q = np.argsort(p)
+    leq = np.array([[chain.leq(x, y) for y in range(n)] for x in range(n)])
     moved = FiniteLattice(
-        FinitePoset(n, chain.leq[np.ix_(q, q)]),
-        p[chain.join[np.ix_(q, q)]],
-        p[chain.meet[np.ix_(q, q)]],
+        FinitePoset(n, leq[np.ix_(q, q)]),
+        p[np.array(chain.join)[np.ix_(q, q)]],
+        p[np.array(chain.meet)[np.ix_(q, q)]],
         int(p[chain.bottom]),
         int(p[chain.top]),
     )

@@ -21,14 +21,13 @@ import pytest
 
 import torslat.oracle as oracle_mod
 from torslat.cli import main
-from torslat.galois import all_torsion_pairs, factorizable_batch, verify_tors_lattice
+from torslat.galois import all_torsion_pairs, verify_tors_lattice
+from torslat.kernels import _orbit_keys, _rows_of_masks, factorizable_batch
 from torslat.lattice import are_isomorphic
 from torslat.oracle import (
     SearchBudget,
     _abstract_dichotomy_holds,
-    _orbit_keys,
     _relation_of_rows,
-    _rows_of_masks,
     sweep_factorizable,
 )
 
@@ -42,7 +41,7 @@ def off_diagonal(m):
 
 def mask_of(R) -> int:
     return sum(
-        1 << i for i, (x, y) in enumerate(off_diagonal(R.m)) if R.arrow[x, y]
+        1 << i for i, (x, y) in enumerate(off_diagonal(R.m)) if R.row_masks[x] >> y & 1
     )
 
 
