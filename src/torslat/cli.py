@@ -85,11 +85,6 @@ MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
 MAX_RELATION_BRICKS = MAX_TORS_CLASSES - 1
 
 
-# The commands whose searches run numpy kernels; every other command
-# leaves numpy unimported.
-KERNEL_COMMANDS = frozenset({"realize", "sweep"})
-
-
 class InputFileError(Exception):
     """Unusable input file, output path or flag value; exit 2."""
 
@@ -594,18 +589,15 @@ def main(argv: list[str] | None = None) -> int:
 
     With ``argv`` None this is the process entry point (``python -m
     torslat.cli`` or the ``torslat`` script), and the objects that start-up
-    and the imports made (about 12,000 the collector tracks, or 21,000
-    once ``realize`` and ``sweep`` have imported numpy through ``kernels``,
-    which they do here first) are moved out of the cyclic collector's
-    reach.  All but a few dozen of them live until exit anyway; frozen,
-    neither the collections a command triggers nor the full ones at
-    interpreter exit walk them.  A caller passing ``argv`` (tests, tracing
-    harnesses, library code) keeps normal collection.
+    and the imports made (about 13,000 the collector tracks, the same for
+    every command) are moved out of the cyclic collector's reach.  All but
+    a few dozen of them live until exit anyway; frozen, neither the
+    collections a command triggers nor the full ones at interpreter exit
+    walk them.  A caller passing ``argv`` (tests, tracing harnesses,
+    library code) keeps normal collection.
     """
     args = _parser().parse_args(argv)
     if argv is None:
-        if args.command in KERNEL_COMMANDS:
-            from . import kernels  # numpy loads here, to be frozen with the rest
         gc.freeze()
     try:
         args.run(args)

@@ -27,7 +27,7 @@ containment as epi (reversed); it exists only to demonstrate that this
 reading breaks factorizability on relations that should satisfy it.
 ``factorizability_violation``, ``derived_epi`` and ``derived_mono`` are
 loops over row and column bitsets; the exhaustive searches decide many
-relations at once with ``kernels.factorizable_batch`` instead.
+relations at once with ``kernels.factorizable_lanes`` instead.
 
 The invariant suite ``verify_tors_lattice`` checks the interval identities
 of every comparable pair one lower end u at a time, as bitsets over the

@@ -10,13 +10,10 @@ search: every semidistributive lattice should be the torsion lattice of
 some factorizable relation, and lattices like M3 should be reachable
 only once the factorizability filter is dropped.
 
-The sweep and the realization search test factorizability with
-kernels.factorizable_batch, on numpy blocks of at most kernels.BLOCK
-candidates in canonical order; ``kernels`` is imported only when one of
-them runs, so the other commands never load numpy.  The sweep then runs
-the invariant suite once per relabelling orbit of the factorizable
-relations, in one process.  Everything else here works on the same
-bitsets as the main modules.
+The sweep and the realization search take their candidates from the
+bit-sliced kernels of ``kernels``, in blocks of at most kernels.BLOCK
+candidates in canonical order.  The sweep then runs the invariant suite
+once per relabelling orbit of the factorizable relations, in one process.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from .galois import (
     tors_closure,
     verify_tors_lattice,
 )
+from .kernels import candidate_blocks, factorizable_orbits, rows_of
 from .lattice import (
     FiniteLattice,
     FinitePoset,
@@ -89,7 +87,7 @@ class SearchBudget(
     ):
         if max_brick_set_size < 1 or max_lattice_size < 1:
             raise ValueError("budget sizes must be positive")
-        if time_limit <= 0:
+        if not time_limit > 0:
             raise ValueError("time limit must be positive")
         return super().__new__(cls, max_brick_set_size, max_lattice_size, time_limit)
 
@@ -272,8 +270,6 @@ def sweep_factorizable(
     budget = budget or SearchBudget()
     if budget.max_brick_set_size > MAX_SWEEP_BRICKS:
         raise BudgetExceeded(f"sweeps are capped at {MAX_SWEEP_BRICKS} bricks")
-    from . import kernels
-
     deadline = budget.deadline()
     t0 = time.monotonic()
     per_m: dict[str, dict] = {}
@@ -283,8 +279,8 @@ def sweep_factorizable(
     for m in range(1, budget.max_brick_set_size + 1):
         if time.monotonic() > deadline:
             raise BudgetExceeded(f"sweep ran past its time limit before m={m}")
-        by_orbit = kernels.factorizable_orbits(m, literal_mono)
-        firsts = kernels.rows_of([members[0] for members in by_orbit.values()], m)
+        by_orbit = factorizable_orbits(m, literal_mono)
+        firsts = rows_of([members[0] for members in by_orbit.values()], m)
         failing = []
         for members, rows in zip(by_orbit.values(), firsts):
             R = _relation_of_rows(rows)
@@ -293,7 +289,7 @@ def sweep_factorizable(
             if verify_tors_lattice(all_torsion_pairs(R)):
                 failing.extend(members)
         failing.sort()
-        for mask, rows in zip(failing, kernels.rows_of(failing, m)):
+        for mask, rows in zip(failing, rows_of(failing, m)):
             problems = verify_tors_lattice(all_torsion_pairs(_relation_of_rows(rows)))
             if problems:
                 violations.append({"m": m, "mask": mask, "problems": problems})
@@ -380,17 +376,16 @@ def realize_sd_lattice(
 
     Enumeration order is canonical: rows are bitmasks chosen in ascending
     order with earlier rows more significant, so the first hit is stable.
-    Candidates are tested in numpy blocks of at most kernels.BLOCK, in
-    that order, with the deadline checked once per block; a
+    Candidates are tested in bit-sliced blocks of at most kernels.BLOCK,
+    in that order, with the deadline checked once per block; a
     BudgetExceeded names the brick count and how many candidates of that
     size came before.
     Relabelling the bricks changes neither the filters nor the lattice's
     isomorphism type, so the first hit is least in its relabelling orbit,
     where row 0 is 2^d - 1 for d the fewest bits in a row; candidates
     breaking that rule are skipped, and first hits and absences are those
-    of the full scan.  Following the derived-cycle conditions, rows are
-    forced pairwise distinct while the filter is on, and only tuples that
-    kernels.factorizable_batch accepts reach the closure count and the
+    of the full scan.  With the filter on, only tuples that
+    kernels.factorizable_lanes accepts reach the closure count and the
     isomorphism test.
     """
     budget = budget or SearchBudget(max_brick_set_size=5)
@@ -424,11 +419,7 @@ def _search_relations(
     """The first m-brick candidate, in the order realize_sd_lattice
     states, that realizes L; the candidates come from
     kernels.candidate_blocks, and the deadline is checked once per block."""
-    if m > 62:
-        raise BudgetExceeded(f"{m} bricks do not fit in 64-bit row masks")
-    from . import kernels
-
-    for lo, candidates in kernels.candidate_blocks(m, factorizable_only):
+    for lo, candidates in candidate_blocks(m, factorizable_only):
         if time.monotonic() > deadline:
             raise BudgetExceeded(
                 f"realization search ran past its time limit on {m} bricks,"

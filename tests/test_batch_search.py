@@ -1,13 +1,14 @@
 """The factorizability kernel and the block search built on it.
 
-kernels.factorizable_batch decides factorizability of a numpy block of
-relations; galois.factorizability_violation, derived_epi and derived_mono
+kernels.factorizable_lanes decides factorizability of a block of
+relations held bit-sliced, one int per arrow and one bit (lane) per
+relation; galois.factorizability_violation, derived_epi and derived_mono
 decide one relation by loops over its row and column bitsets.  They must
 agree with each other and with the plain double loops below (kept here as
 the reference) on every relation of at most 4 bricks and on random
 relations of up to 8, in both readings of mono, and on relations of 63-80
-bricks (one relation's masks are Python ints of any width; the batch's
-int64 masks hold at most 63 bricks).  The block
+bricks (planes and masks are Python ints of any width).  The test's
+planes are built from explicit row tuples by ``planes_of``.  The block
 enumerator must hand the realization search exactly the tuples, in
 exactly the order, that a one-at-a-time loop over the product of row
 choices would, less those that cannot be the least member of their
@@ -38,7 +39,7 @@ from torslat.galois import (
     factorizability_violation,
     relation_from_arrows,
 )
-from torslat.kernels import _rows_of_masks, factorizable_batch
+from torslat.kernels import factorizable_lanes, rows_of
 from torslat.lattice import (
     _element_invariants,
     is_semidistributive,
@@ -205,6 +206,31 @@ def reference(rows, literal_mono):
     return loop_violation(relation_of_rows(rows), literal_mono) is None
 
 
+def planes_of(batch, m):
+    """The planes of a batch of row tuples on m bricks, lane t holding
+    relation t: plane [x][y] has bit t iff relation t has x -> y."""
+    planes = [[0] * m for _ in range(m)]
+    for t, rows in enumerate(batch):
+        for x, r in enumerate(rows):
+            for y in range(m):
+                if r >> y & 1:
+                    planes[x][y] |= 1 << t
+    return planes, (1 << len(batch)) - 1
+
+
+def lane_flags(mask, n):
+    return [bool(mask >> t & 1) for t in range(n)]
+
+
+def kernel_verdicts(batch, m, literal_mono=False):
+    """factorizable_lanes on a batch of row tuples, one bool per relation."""
+    return lane_flags(factorizable_lanes(*planes_of(batch, m), literal_mono), len(batch))
+
+
+def all_rows(m):
+    return rows_of(range(1 << (m * (m - 1))), m)
+
+
 def row_masks(matrix):
     """Each row of a boolean matrix as the bitset of its true columns."""
     return tuple(sum(1 << y for y in range(len(row)) if row[y]) for row in matrix)
@@ -228,8 +254,8 @@ def test_kernel_matches_the_loops_on_every_small_relation(literal_mono):
     counts = []
     kinds = set()
     for m in range(1, 5):
-        rows = _rows_of_masks(range(1 << (m * (m - 1))), m).tolist()
-        got = factorizable_batch(rows, literal_mono).tolist()
+        rows = all_rows(m)
+        got = kernel_verdicts(rows, m, literal_mono)
         assert got == [reference(r, literal_mono) for r in rows]
         counts.append(sum(got))
         for r in rows:
@@ -243,12 +269,12 @@ def test_kernel_matches_the_loops_on_every_small_relation(literal_mono):
 
 @pytest.mark.parametrize("literal_mono", [False, True])
 def test_kernel_equals_the_single_relation_code_on_every_small_relation(literal_mono):
-    """The numpy batch kernel and the bitset loops of one relation decide
+    """The bit-sliced kernel and the bitset loops of one relation decide
     the same, on all 4,165 relations of at most 4 bricks."""
     for m in range(1, 5):
-        rows = _rows_of_masks(range(1 << (m * (m - 1))), m).tolist()
-        assert factorizable_batch(rows, literal_mono).tolist() == [
-            factorizability_violation(_relation_of_rows(tuple(r)), literal_mono) is None
+        rows = all_rows(m)
+        assert kernel_verdicts(rows, m, literal_mono) == [
+            factorizability_violation(_relation_of_rows(r), literal_mono) is None
             for r in rows
         ]
 
@@ -267,10 +293,8 @@ def same_size_relations(draw, max_bricks=8):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(same_size_relations(), st.booleans())
 def test_kernel_matches_the_loops_on_random_relations(batch, literal_mono):
-    m = len(batch[0])
-    rows = np.array(batch, dtype=np.int64).reshape(len(batch), m)
-    got = factorizable_batch(rows, literal_mono)
-    assert got.tolist() == [reference(r, literal_mono) for r in batch]
+    got = kernel_verdicts(batch, len(batch[0]), literal_mono)
+    assert got == [reference(r, literal_mono) for r in batch]
     for r in batch:
         assert_table_matches_loops(relation_of_rows(r), literal_mono)
 
@@ -286,15 +310,14 @@ def total_order(m, equal_rows=False):
 
 @pytest.mark.parametrize("m", [63, 70, 80])
 @pytest.mark.parametrize("equal_rows", [False, True])
-def test_wide_relations_take_object_masks(m, equal_rows):
+def test_wide_relations_take_any_width(m, equal_rows):
     rows = total_order(m, equal_rows)
     R = relation_of_rows(rows)
     expected = ("epi-cycle", 0, 1) if equal_rows else None
     assert loop_violation(R) == expected
     assert_table_matches_loops(R, False)
-    if m <= 63:  # the batch takes int64 row masks
-        batch = [rows, total_order(m, not equal_rows)]
-        assert factorizable_batch(batch).tolist() == [not equal_rows, equal_rows]
+    batch = [rows, total_order(m, not equal_rows)]
+    assert kernel_verdicts(batch, m) == [not equal_rows, equal_rows]
 
 
 def principal_left_perps(rows):
@@ -367,43 +390,58 @@ def least_relabellings(relations, m):
     return [min(relabelled(rows, p, image) for p, image in images) for rows in relations]
 
 
+def kernel_may_lead(batch, m):
+    """The orbit rule as the search applies it: a row 0 that is not
+    2^d - 1 drops the relation, and otherwise _may_lead_orbit decides,
+    on the batch split by row 0 as the search's blocks are."""
+    out = {}
+    for head in {rows[0] for rows in batch}:
+        group = [t for t, rows in enumerate(batch) if rows[0] == head]
+        if head & (head + 1):
+            verdicts = [False] * len(group)
+        else:
+            planes, full = planes_of([batch[t] for t in group], m)
+            d = head.bit_length()
+            verdicts = lane_flags(kernels_mod._may_lead_orbit(planes, d, full), len(group))
+        out.update(zip(group, verdicts))
+    return [out[t] for t in range(len(batch))]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_the_least_of_every_orbit_passes_the_orbit_rule(m):
     """Every relation for m <= 4, a seeded sample of 2,000 at m = 5."""
-    masks = np.arange(1 << (m * (m - 1)), dtype=np.int64)
+    masks = range(1 << (m * (m - 1)))
     if m == 5:
-        masks = np.random.default_rng(0).choice(masks, 2000, replace=False)
-    relations = _rows_of_masks(masks, m)
+        masks = np.random.default_rng(0).choice(len(masks), 2000, replace=False).tolist()
+    relations = rows_of(masks, m)
     if m <= 4:
-        assert kernels_mod._may_lead_orbit(relations).tolist() == [
-            may_lead_orbit(r) for r in relations.tolist()
-        ]
-    least = np.array(least_relabellings(relations.tolist(), m), dtype=np.int64)
-    assert kernels_mod._may_lead_orbit(least).all()
-    assert all(may_lead_orbit(r) for r in least.tolist())
+        assert kernel_may_lead(relations, m) == [may_lead_orbit(r) for r in relations]
+    least = least_relabellings(relations, m)
+    assert all(kernel_may_lead(least, m))
+    assert all(may_lead_orbit(r) for r in least)
 
 
 def test_m3_certificate_tests_few_candidates(monkeypatch):
-    """Certifying M3 to 5 bricks passed 757,932 rows to factorizable_batch
-    and made 23,033 _rows_realize calls while every candidate was tested;
-    skipping those that cannot be least in their orbit leaves 100,194 and
-    7,114."""
-    rows, calls = [0], [0]
-    real_batch = kernels_mod.factorizable_batch
+    """Certifying M3 on 3 to 5 bricks made 23,033 _rows_realize calls
+    while every candidate was tested; skipping those that cannot be least
+    in their orbit leaves 7,114.  Of the 1,036 blocks, 327 have a row 0
+    of the form 2^d - 1 and reach the kernels; the rest are skipped whole."""
+    blocks, calls = [0], [0]
+    real_planes = kernels_mod._planes
     real_realize = oracle_mod._rows_realize
 
-    def counting_batch(batch, *args):
-        rows[0] += len(batch)
-        return real_batch(batch, *args)
+    def counting_planes(*args):
+        blocks[0] += 1
+        return real_planes(*args)
 
     def counting_realize(*args):
         calls[0] += 1
         return real_realize(*args)
 
-    monkeypatch.setattr(kernels_mod, "factorizable_batch", counting_batch)
+    monkeypatch.setattr(kernels_mod, "_planes", counting_planes)
     monkeypatch.setattr(oracle_mod, "_rows_realize", counting_realize)
     assert realize_sd_lattice(M3, SearchBudget(max_brick_set_size=5)) is None
-    assert 0 < rows[0] <= 757_932 / 5
+    assert 0 < blocks[0] <= 1_036 / 3
     assert 0 < calls[0] <= 23_033 / 3
 
 
@@ -499,7 +537,12 @@ def test_a_huge_brick_budget_costs_nothing_up_front():
     assert peak < 4 * 2**20
 
 
-def test_more_bricks_than_row_mask_bits_is_a_budget_error():
+def test_sixty_three_bricks_search_until_the_time_limit():
+    """The 64-element chain has 63 join-irreducibles; planes have no width
+    limit, so 63 bricks are searched like any other size."""
     chain = try_lattice(poset_from_pairs(64, [(i, i + 1) for i in range(63)]))
-    with pytest.raises(BudgetExceeded, match="63 bricks do not fit"):
-        realize_sd_lattice(chain, SearchBudget(max_brick_set_size=63))
+    budget = SearchBudget(max_brick_set_size=63, time_limit=0.05)
+    msg, seconds, peak = aborted_search(chain, budget)
+    assert "on 63 bricks, after " in msg
+    assert seconds < 5
+    assert peak < 4 * 2**20

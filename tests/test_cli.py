@@ -325,8 +325,8 @@ def test_cli_import_leaves_out(modules):
     costs it measured milliseconds (Python 3.11): concurrent.futures about
     5 ms and multiprocessing about 6 ms; dataclasses about 1 ms, plus about
     1 ms for each frozen class it generates methods for; fractions with
-    decimal about 3 ms; numpy about 120 ms, which only the search kernels
-    of realize and sweep need (see the tests below)."""
+    decimal about 3 ms; numpy about 120 ms, which no command needs (see
+    the tests below)."""
     code = f"import sys, torslat.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -357,6 +357,8 @@ def entry_point_run(*argv: str) -> tuple[int, bool]:
         ("kappa", str(DATA / "a3.json")),
         ("quotient", str(DATA / "a3.json"), "--ideal", "1,0"),
         ("census", "--max-size", "4"),
+        ("realize", str(DATA / "n5_lattice.json")),
+        ("sweep", "--max-size", "2"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -370,16 +372,7 @@ def test_bare_import_does_not_load_numpy():
     assert proc.stdout == "False\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("realize", str(DATA / "n5_lattice.json")), ("sweep", "--max-size", "2")],
-    ids=lambda argv: argv[0],
-)
-def test_search_commands_run_the_numpy_kernels(argv):
-    assert entry_point_run(*argv) == (0, True)
-
-
-def test_only_the_kernel_module_imports_numpy():
+def test_no_module_imports_numpy():
     package = Path(torslat.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
@@ -391,7 +384,7 @@ def test_only_the_kernel_module_imports_numpy():
             )
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.stem)
-    assert importers == {"kernels"}
+    assert importers == set()
 
 
 def test_process_entry_freezes_the_gc_and_main_with_argv_does_not(capsys):

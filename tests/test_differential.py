@@ -76,7 +76,7 @@ from torslat.lattice import (
     poset_from_pairs,
     try_lattice,
 )
-from torslat.kernels import _rows_of_masks, factorizable_batch
+from torslat.kernels import factorizable_orbits, rows_of
 from torslat.oracle import (
     SearchBudget,
     _relation_of_rows,
@@ -323,9 +323,9 @@ def test_suite_matches_reference_on_algebras(q):
 
 def factorizable_relations(max_bricks=4):
     for m in range(1, max_bricks + 1):
-        rows = _rows_of_masks(np.arange(1 << (m * (m - 1))), m)
-        for r in rows[factorizable_batch(rows)].tolist():
-            yield _relation_of_rows(tuple(r))
+        masks = sorted(mask for orbit in factorizable_orbits(m, False).values() for mask in orbit)
+        for r in rows_of(masks, m):
+            yield _relation_of_rows(r)
 
 
 def test_suite_matches_reference_on_every_small_factorizable_relation():
@@ -355,8 +355,7 @@ def test_suite_matches_reference_on_every_relation_up_to_three_bricks():
 
 
 def all_relations(m):
-    rows = _rows_of_masks(np.arange(1 << (m * (m - 1))), m)
-    return [_relation_of_rows(tuple(r)) for r in rows.tolist()]
+    return [_relation_of_rows(r) for r in rows_of(range(1 << (m * (m - 1))), m)]
 
 
 def test_semidistributivity_read_off_label_tables_names_the_triple_witness():

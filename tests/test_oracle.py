@@ -70,6 +70,8 @@ def test_budget_validation():
         SearchBudget(max_brick_set_size=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0)
+    with pytest.raises(ValueError):  # a NaN deadline would never pass
+        SearchBudget(time_limit=float("nan"))
 
 
 def test_brute_matches_closure_method():

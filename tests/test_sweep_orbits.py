@@ -1,11 +1,12 @@
 """The sweep's relabelling orbits.
 
 The sweep runs the invariant suite and the dichotomy once per S_m orbit of
-the factorizable relations.  That is sound only if the orbit key is the
-smallest mask over all relabellings, and if everything the sweep reports
-is constant on each orbit; both are checked here against brute force on
-every relation of at most 4 bricks, as is the constancy of the torsion
-lattice's isomorphism type that the realization search relies on.  The
+the factorizable relations.  That is sound only if each orbit's key is its
+smallest mask over all relabellings and its members are the whole orbit,
+and if everything the sweep reports is constant on each orbit; both are
+checked here against brute force on every relation of at most 4 bricks,
+as is the constancy of the torsion lattice's isomorphism type that the
+realization search relies on.  The
 violation and dichotomy paths never fire on the real suite, so they are
 driven with a faked verdict on one orbit.
 """
@@ -16,13 +17,12 @@ import itertools
 import json
 import time
 
-import numpy as np
 import pytest
 
 import torslat.oracle as oracle_mod
 from torslat.cli import main
-from torslat.galois import all_torsion_pairs, verify_tors_lattice
-from torslat.kernels import _orbit_keys, _rows_of_masks, factorizable_batch
+from torslat.galois import all_torsion_pairs, factorizability_violation, verify_tors_lattice
+from torslat.kernels import factorizable_orbits, rows_of
 from torslat.lattice import are_isomorphic
 from torslat.oracle import (
     SearchBudget,
@@ -56,16 +56,28 @@ def brute_orbit(mask: int, m: int) -> list[int]:
     )
 
 
+def factorizable_masks(m, literal_mono=False):
+    """The sweep masks the kernel finds factorizable."""
+    return {mask for orbit in factorizable_orbits(m, literal_mono).values() for mask in orbit}
+
+
+@pytest.mark.parametrize("literal_mono", [False, True])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_orbit_key_is_the_smallest_relabelled_mask(m):
-    masks = np.arange(1 << (m * (m - 1)), dtype=np.int64)
-    keys = _orbit_keys(masks, m).tolist()
-    assert keys == [brute_orbit(mask, m)[0] for mask in masks.tolist()]
+def test_orbits_are_the_brute_force_grouping(m, literal_mono):
+    """factorizable_orbits equals the factorizable masks, by the
+    single-relation test, grouped by their smallest relabelled mask: the
+    same keys, members and order."""
+    brute = {}
+    for mask, rows in enumerate(rows_of(range(1 << (m * (m - 1))), m)):
+        if factorizability_violation(_relation_of_rows(rows), literal_mono) is None:
+            brute.setdefault(brute_orbit(mask, m)[0], []).append(mask)
+    orbits = factorizable_orbits(m, literal_mono)
+    assert list(orbits.items()) == sorted(brute.items())
 
 
 def test_the_faked_orbit_is_one_factorizable_orbit():
     assert brute_orbit(ORBIT[0], 3) == ORBIT
-    assert factorizable_batch(_rows_of_masks(ORBIT, 3)).all()
+    assert factorizable_orbits(3, False)[ORBIT[0]] == ORBIT
 
 
 @pytest.mark.parametrize("m, orbits", [(1, 1), (2, 3), (3, 16), (4, 218)])
@@ -74,20 +86,14 @@ def test_sweep_outcomes_are_constant_on_every_orbit(m, orbits):
     count, and the dichotomy, for each relation on m bricks (4,165 in all
     for m <= 4), taken one relation at a time.  The orbit counts are those
     of unlabelled digraphs on m vertices."""
-    masks = np.arange(1 << (m * (m - 1)), dtype=np.int64)
-    rows = _rows_of_masks(masks, m)
+    fac, literal = factorizable_masks(m), factorizable_masks(m, literal_mono=True)
     outcome = {}
-    for mask, key, fac, literal, r in zip(
-        masks.tolist(),
-        _orbit_keys(masks, m).tolist(),
-        factorizable_batch(rows).tolist(),
-        factorizable_batch(rows, literal_mono=True).tolist(),
-        rows.tolist(),
-    ):
-        R = _relation_of_rows(tuple(r))
+    for mask, r in enumerate(rows_of(range(1 << (m * (m - 1))), m)):
+        key = brute_orbit(mask, m)[0]
+        R = _relation_of_rows(r)
         problems = verify_tors_lattice(all_torsion_pairs(R))
         dichotomy = _abstract_dichotomy_holds(R)
-        seen = (fac, literal, not problems, len(problems), dichotomy)
+        seen = (mask in fac, mask in literal, not problems, len(problems), dichotomy)
         assert outcome.setdefault(key, seen) == seen, (m, mask, key)
     assert len(outcome) == orbits
 
@@ -98,19 +104,18 @@ def test_torsion_lattice_type_is_constant_on_every_orbit(m):
     their orbit, which is sound because each relation's torsion lattice is
     isomorphic to its orbit key's and factorizability (in both readings)
     agrees with the key's."""
-    masks = np.arange(1 << (m * (m - 1)), dtype=np.int64)
-    keys = _orbit_keys(masks, m)
-    rows, key_rows = _rows_of_masks(masks, m), _rows_of_masks(keys, m)
+    masks = range(1 << (m * (m - 1)))
+    keys = [brute_orbit(mask, m)[0] for mask in masks]
+    rows, key_rows = rows_of(masks, m), rows_of(keys, m)
     for literal in (False, True):
-        assert np.array_equal(
-            factorizable_batch(rows, literal), factorizable_batch(key_rows, literal)
-        )
+        fac = factorizable_masks(m, literal)
+        assert [mask in fac for mask in masks] == [key in fac for key in keys]
     lattice_of = {
-        key: all_torsion_pairs(_relation_of_rows(tuple(r))).lattice
-        for key, r in zip(keys.tolist(), key_rows.tolist())
+        key: all_torsion_pairs(_relation_of_rows(r)).lattice
+        for key, r in zip(keys, key_rows)
     }
-    for key, r in zip(keys.tolist(), rows.tolist()):
-        L = all_torsion_pairs(_relation_of_rows(tuple(r))).lattice
+    for key, r in zip(keys, rows):
+        L = all_torsion_pairs(_relation_of_rows(r)).lattice
         assert are_isomorphic(L, lattice_of[key]), (m, r)
 
 
