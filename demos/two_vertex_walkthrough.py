@@ -8,7 +8,6 @@ by the unique brick sitting in the gap between its two classes.
 
 from torslat import (
     QuiverPresentation,
-    all_cover_labels,
     bricks,
     hom_relation,
     join_irreducibles,
@@ -40,7 +39,7 @@ for i in range(TL.n):
     print(f"   {i}: tset {{{', '.join(members)}}}  fset {{{', '.join(cotorsion)}}}")
 
 print("\neach cover edge carries the unique brick in tset(upper) & fset(lower):")
-for edge, b in sorted(all_cover_labels(TL).items()):
+for edge, b in sorted(TL.cover_labels.items()):
     print(f"   {edge.lower} -| {edge.upper}   label {R.labels[b]}")
 
 L = TL.lattice
@@ -50,4 +49,4 @@ for j in join_irreducibles(L):
 print("meet-irreducibles:", list(meet_irreducibles(L)))
 
 print("\nGraphviz source for the labelled Hasse diagram:\n")
-print(to_dot(L, edge_labels={c: R.labels[b] for c, b in all_cover_labels(TL).items()}))
+print(to_dot(L, edge_labels={c: R.labels[b] for c, b in TL.cover_labels.items()}))

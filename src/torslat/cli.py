@@ -33,7 +33,6 @@ from .galois import (
     LabelNotUnique,
     TooManyClasses,
     TorsLattice,
-    all_cover_labels,
     all_torsion_pairs,
     factorizability_violation,
     relation_from_arrows,
@@ -309,11 +308,10 @@ def _tors_summary(TL: TorsLattice) -> dict:
 
 
 def _tors_dot(TL: TorsLattice) -> str:
-    labels = all_cover_labels(TL)
     return to_dot(
         TL.lattice,
         node_labels=[_class_label(TL, i) for i in range(TL.n)],
-        edge_labels={c: TL.relation.labels[b] for c, b in labels.items()},
+        edge_labels={c: TL.relation.labels[b] for c, b in TL.cover_labels.items()},
     )
 
 
@@ -415,7 +413,7 @@ def _cmd_labels(args):
             "upper_class": _class_list(TL, c.upper),
             "brick": TL.relation.labels[b],
         }
-        for c, b in sorted(all_cover_labels(TL).items())
+        for c, b in sorted(TL.cover_labels.items())
     ]
     _write(args, {"covers": table})
 

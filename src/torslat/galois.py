@@ -1,8 +1,9 @@
 """Torsion pairs over a finite reflexive relation on a set of bricks.
 
-For a reflexive relation ``arrow`` on bricks ``0..m-1`` (read ``arrow[x, y]``
-as "there is a nonzero map from x to y"), the right perp of a subset C is
-``{y : no x in C has arrow[x, y]}`` and the left perp is defined dually.
+For a reflexive relation on bricks ``0..m-1``, given by the bitset
+``rows[x]`` of each brick's targets (bit y read as "there is a nonzero
+map from x to y"), the right perp of a subset C is the set of bricks no
+row of C holds, and the left perp is defined dually.
 A torsion pair is a pair (T, F) with ``F = perp_right(T)`` and
 ``T = perp_left(F)``.  The torsion classes, ordered by inclusion, always
 form a lattice: they are the closed sets of a Galois connection, i.e. the
@@ -14,9 +15,10 @@ of bricks beyond what exhaustive search can afford.  The lattice is built
 from the class masks without a search for least upper bounds: class i
 lies below class j iff tset(i) is inside tset(j), the meet of two classes
 is the class whose torsion set is the intersection of theirs, and the
-join the class whose torsion-free set is the intersection of theirs.  The
-join table, built from the torsion-free side, is cross-checked against
-the order, built from the torsion side.
+join the class whose torsion-free set is the intersection of theirs
+(both tables come from ``lattice._intersection_table``, as in
+``try_lattice``).  The join table, built from the torsion-free side, is
+cross-checked against the order, built from the torsion side.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -53,7 +55,7 @@ from .lattice import (
     NotIrreducible,
     _bits,
     _interval_endpoints,
-    _masks_of_rows,
+    _intersection_table,
     _transpose,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
@@ -101,23 +103,22 @@ class BrickRelation:
     """A reflexive relation on a finite labelled set of bricks, held as the
     bitset of each brick's targets.
 
-    ``BrickRelation(labels, arrow)`` takes m rows of m truth values (a
-    numpy array does too); ``from_row_masks`` takes the row bitsets.
+    ``BrickRelation(labels, rows)`` takes one row bitset per label, bit y
+    of ``rows[x]`` meaning an arrow x -> y, and checks that each row lies
+    inside the m bricks and holds its own brick.
     """
 
-    def __init__(self, labels: Iterable[str], arrow):
+    def __init__(self, labels: Iterable[str], rows: Iterable[int]):
         labels = tuple(str(s) for s in labels)
-        self._set_rows(labels, _masks_of_rows(arrow, len(labels), "arrow"))
-
-    @classmethod
-    def from_row_masks(cls, labels: Iterable[str], rows: Iterable[int]) -> BrickRelation:
-        R = cls.__new__(cls)
-        R._set_rows(tuple(str(s) for s in labels), tuple(rows))
-        return R
-
-    def _set_rows(self, labels: tuple[str, ...], rows: tuple[int, ...]) -> None:
-        if any(not r >> x & 1 for x, r in enumerate(rows)):
-            raise ValueError("relation must be reflexive")
+        rows = tuple(rows)
+        m = len(labels)
+        if len(rows) != m:
+            raise ValueError(f"{len(rows)} rows for {m} brick labels")
+        for x, r in enumerate(rows):
+            if r >> m:
+                raise ValueError(f"row {x} holds arrows past the {m} bricks")
+            if not r >> x & 1:
+                raise ValueError("relation must be reflexive")
         if len(set(labels)) != len(labels):
             raise ValueError("brick labels must be distinct")
         self.labels = labels
@@ -148,7 +149,7 @@ def relation_from_arrows(
         if not (0 <= x < m and 0 <= y < m):
             raise ValueError(f"arrow ({x}, {y}) out of range for {m} bricks")
         rows[x] |= 1 << y
-    return BrickRelation.from_row_masks(labels, rows)
+    return BrickRelation(labels, rows)
 
 
 def perp_right(R: BrickRelation, tset: int) -> int:
@@ -277,14 +278,21 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
             raise InternalInconsistency(
                 f"torsion class {t:b} meets its own perp {f:b}"
             )
-    poset = FinitePoset.from_up_sets(_superset_classes(masks, R.m))
-    meet = _intersection_table(masks, "torsion")
-    join = _intersection_table([p.fset for p in pairs], "torsion-free")
+    poset = FinitePoset(_superset_classes(masks, R.m))
+    tables = []
+    for kind, sets in (("torsion", masks), ("torsion-free", [p.fset for p in pairs])):
+        table, gap = _intersection_table(sets)
+        if gap:
+            raise InternalInconsistency(
+                f"{kind} classes {gap[0]} and {gap[1]} intersect outside the family"
+            )
+        tables.append(table)
+    meet, join = tables
     _check_tables(poset, join, meet)
     return TorsLattice(R, pairs, FiniteLattice(poset, join, meet, 0, len(masks) - 1))
 
 
-def _superset_classes(sets: list[int], m: int) -> list[int]:
+def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, ...]:
     """Per member i of a family of brick sets, the bitset of the members j
     holding it: the AND, over the bricks of member i, of the members
     holding that brick."""
@@ -296,21 +304,7 @@ def _superset_classes(sets: list[int], m: int) -> list[int]:
         for b in _bits(s):
             acc &= holding[b]
         out.append(acc)
-    return out
-
-
-def _intersection_table(sets: list[int], kind: str) -> tuple[tuple[int, ...], ...]:
-    """table[i][j]: the index of sets[i] & sets[j] in the family."""
-    index = {s: i for i, s in enumerate(sets)}
-    table = []
-    for i, s in enumerate(sets):
-        row = tuple(map(index.get, [s & t for t in sets]))
-        if None in row:
-            raise InternalInconsistency(
-                f"{kind} classes {i} and {row.index(None)} intersect outside the family"
-            )
-        table.append(row)
-    return tuple(table)
+    return tuple(out)
 
 
 def _check_tables(poset: FinitePoset, join, meet) -> None:
@@ -331,19 +325,17 @@ def _check_tables(poset: FinitePoset, join, meet) -> None:
             )
 
 
-def _subset_masks(sets: tuple[int, ...]) -> tuple[int, ...]:
-    """Per x, the bitset of the y with sets[y] inside sets[x]."""
-    return tuple(sum(1 << y for y, t in enumerate(sets) if not t & ~s) for s in sets)
-
-
 def _derived(R: BrickRelation, literal: bool):
     """(epi, mono, into) as per-brick bitsets: epi[x] the y with x epi y,
     mono[x] the y with x mono y, into[z] the y with y mono z."""
-    epi = _subset_masks(R.row_masks)
-    # y mono z: every brick hitting y hits z (literal: z's targets inside
-    # y's, i.e. z epi y)
-    into = epi if literal else _subset_masks(R.col_masks)
-    return epi, _transpose(into, R.m), into
+    m = R.m
+    # y epi x, per x: the bricks whose rows hold row x
+    epi_t = _superset_classes(R.row_masks, m)
+    epi = _transpose(epi_t, m)
+    # x mono y: every brick hitting x hits y (literal: y's targets inside
+    # x's, i.e. y epi x)
+    mono = epi_t if literal else _superset_classes(R.col_masks, m)
+    return epi, mono, _transpose(mono, m)
 
 
 def derived_epi(R: BrickRelation) -> tuple[int, ...]:
@@ -432,10 +424,6 @@ def _cover_label_table(TL: TorsLattice) -> dict[CoverEdge, int]:
     failing cover raises just as cover_brick_label does."""
     sd = is_semidistributive(TL.lattice)
     return {c: _brick_label(TL, c, sd) for c in TL.lattice.poset.covers}
-
-
-def all_cover_labels(TL: TorsLattice) -> dict[CoverEdge, int]:
-    return dict(TL.cover_labels)
 
 
 def ji_of_brick(TL: TorsLattice, b: int) -> int:
@@ -661,7 +649,7 @@ def _label_reach(TL: TorsLattice) -> list[dict[int, int]]:
     reach: list[dict[int, int]] = [{} for _ in range(TL.n)]
     for u in sorted(range(TL.n), key=lambda x: up[x].bit_count()):
         acc = reach[u]
-        for y in L.upper_covers[u]:
+        for y in _bits(L.poset.upper_cover_sets[u]):
             for b, s in reach[y].items():
                 acc[b] = acc.get(b, 0) | s
             b = labels[CoverEdge(u, y)]

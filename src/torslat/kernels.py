@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import permutations, product
 from operator import and_, or_
 
-from .lattice import InternalInconsistency, _transpose
+from .lattice import InternalInconsistency
 
 # Lanes per block of either search; bounds scratch for any m.  A power of
 # two, so candidate lo + t of a block is lo | t.
@@ -94,9 +94,9 @@ def rows_of(masks: list[int], m: int) -> list[tuple[int, ...]]:
 def candidate_blocks(m: int, factorizable_only: bool):
     """The m-brick candidates of the realization search, one block at a
     time: yields (lo, candidates) for the block starting at candidate lo,
-    each candidate a pair: its row masks as a tuple, and a list of each
-    brick's principal left perp, the bricks with no arrow into it.
-    Blocks skipped whole are yielded empty, so the caller can keep time.
+    each candidate its row masks as a tuple, decoded as the search reaches
+    it, so an abort or a hit skips the rest of the block.  Blocks skipped
+    whole are yielded empty, so the caller can keep time.
 
     Row x takes the 2^(m-1) masks with bit x set, so candidate c is m
     digits of m-1 bits: digit x is at shift s_x = (m-1)(m-1-x), and row 0
@@ -122,16 +122,7 @@ def candidate_blocks(m: int, factorizable_only: bool):
         keep = _may_lead_orbit(a, head.bit_length() + 1, full)
         if factorizable_only and keep:
             keep &= factorizable_lanes(a, full)
-        yield lo, _decoded([lo | t for t in _lanes(keep)], shifts)
-
-
-def _decoded(numbers: list[int], shifts: list[int]):
-    """Each candidate's row masks and principal left perps, decoded as
-    the search reaches it: an abort or a hit skips the rest of the block."""
-    bricks = (1 << len(shifts)) - 1
-    for c in numbers:
-        rows = _rows(c, shifts)
-        yield rows, [bricks & ~col for col in _transpose(rows, len(rows))]
+        yield lo, (_rows(lo | t, shifts) for t in _lanes(keep))
 
 
 def _may_lead_orbit(a: list[list[int]], d: int, full: int) -> int:

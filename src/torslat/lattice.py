@@ -90,15 +90,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _masks_of_rows(rows, n: int, name: str) -> tuple[int, ...]:
-    """n rows of n truth values (nested sequences or a 2-d array) as
-    bitsets: bit y of entry x is set iff ``rows[x][y]`` is true."""
-    shape = (len(rows), *{len(r) for r in rows})
-    if shape != (n, n) and not (n == 0 and shape == (0,)):
-        raise ValueError(f"{name} must be {n}x{n}, got {'x'.join(map(str, shape))}")
-    return tuple(sum(1 << y for y, v in enumerate(r) if v) for r in rows)
-
-
 def _transpose(masks: Iterable[int], n: int) -> tuple[int, ...]:
     """Bitsets of the transposed relation: bit x of entry y iff bit y of
     ``masks[x]``."""
@@ -114,26 +105,20 @@ class FinitePoset:
     """A finite poset on 0..n-1, held as the up-set and down-set bitsets
     of every element.
 
-    ``FinitePoset(n, leq)`` takes n rows of n truth values, ``leq[x][y]``
-    meaning x <= y (a numpy array does too); ``from_up_sets`` takes the
-    up-sets themselves.  Either way the relation is checked to be
-    reflexive, antisymmetric (naming the first clash x <= y <= x in
-    row-major order) and transitive.
+    ``FinitePoset(up)`` takes the up-sets, ``up[x]`` having bit y iff
+    x <= y, and checks that each lies inside the n elements and that the
+    relation is reflexive, antisymmetric (naming the first clash
+    x <= y <= x in row-major order) and transitive.
     """
 
-    def __init__(self, n: int, leq):
-        self._set_up(n, _masks_of_rows(leq, n, "leq"))
-
-    @classmethod
-    def from_up_sets(cls, up: Iterable[int]) -> FinitePoset:
-        poset = cls.__new__(cls)
+    def __init__(self, up: Iterable[int]):
         up = tuple(up)
-        poset._set_up(len(up), up)
-        return poset
-
-    def _set_up(self, n: int, up: tuple[int, ...]) -> None:
-        if any(not u >> x & 1 for x, u in enumerate(up)):
-            raise ValueError("order relation must be reflexive")
+        n = len(up)
+        for x, u in enumerate(up):
+            if u >> n:
+                raise ValueError(f"up-set of {x} reaches past the {n} elements")
+            if not u >> x & 1:
+                raise ValueError("order relation must be reflexive")
         down = _transpose(up, n)
         for x in range(n):
             clash = up[x] & down[x] & ~(1 << x)
@@ -196,26 +181,20 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     for k in range(n):
         bit, uk = 1 << k, up[k]
         up = [u | uk if u & bit else u for u in up]
-    return FinitePoset.from_up_sets(up)
-
-
-def _table(rows) -> tuple[tuple[int, ...], ...]:
-    """A join or meet table as a tuple of tuples of ints; tuples of tuples
-    are kept as they are."""
-    return tuple(r if type(r) is tuple else tuple(map(int, r)) for r in rows)
+    return FinitePoset(up)
 
 
 class FiniteLattice:
     """A finite lattice: a poset together with its join and meet tables.
 
-    ``join[x][y]`` is the join of x and y; the tables may be given as any
-    n x n rows of integers and are stored as tuples of tuples.
+    ``join[x][y]`` is the join of x and y; the tables are n x n tuples of
+    tuples of ints, stored as given.
     """
 
     def __init__(self, poset: FinitePoset, join, meet, bottom: int, top: int):
         self.poset = poset
-        self.join = _table(join)
-        self.meet = _table(meet)
+        self.join = join
+        self.meet = meet
         self.bottom = bottom
         self.top = top
 
@@ -225,14 +204,6 @@ class FiniteLattice:
 
     def leq(self, x: int, y: int) -> bool:
         return self.poset.leq(x, y)
-
-    @cached_property
-    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(s)) for s in self.poset.lower_cover_sets)
-
-    @cached_property
-    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(s)) for s in self.poset.upper_cover_sets)
 
     @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
@@ -266,31 +237,34 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     (x, y) with x <= y in lexicographic order, the join before the meet.
 
     The common upper bounds of x and y are up[x] & up[y], and their least
-    element z is the one with exactly that up-set, so the join is one dict
-    lookup from up-sets to elements; meets use down-sets dually.  Row x
-    holds every y at once; a missing entry before column x would have
-    failed in an earlier row.
+    element is the one with exactly that up-set, so the join table is the
+    intersection table of the up-sets and the meet table that of the
+    down-sets.
     """
-    n, up, down = p.n, p.up, p.down
-    if n == 0:
+    if p.n == 0:
         raise NotALattice(0, 0, "join")
-    by_up = {u: z for z, u in enumerate(up)}
-    by_down = {d: z for z, d in enumerate(down)}
-    join, meet = [], []
-    for x in range(n):
-        ux, dx = up[x], down[x]
-        jrow = tuple(map(by_up.get, [ux & u for u in up]))
-        mrow = tuple(map(by_down.get, [dx & d for d in down]))
-        if None in jrow or None in mrow:
-            for y in range(x, n):
-                if jrow[y] is None:
-                    raise NotALattice(x, y, "join")
-                if mrow[y] is None:
-                    raise NotALattice(x, y, "meet")
-        join.append(jrow)
-        meet.append(mrow)
-    full = (1 << n) - 1
-    return FiniteLattice(p, join, meet, by_up[full], by_down[full])
+    join, join_gap = _intersection_table(p.up)
+    meet, meet_gap = _intersection_table(p.down)
+    gaps = [(*gap, kind) for gap, kind in ((join_gap, "join"), (meet_gap, "meet")) if gap]
+    if gaps:
+        raise NotALattice(*min(gaps))
+    full = (1 << p.n) - 1
+    return FiniteLattice(p, join, meet, p.up.index(full), p.down.index(full))
+
+
+def _intersection_table(sets: tuple[int, ...] | list[int]):
+    """(table, None) with table[i][j] the index of sets[i] & sets[j] in
+    the family, or (None, (i, j)) for the first i <= j in row-major order
+    whose intersection is not a member.  Row i holds every j at once; a
+    missing entry before column i would have failed in an earlier row."""
+    index = {s: i for i, s in enumerate(sets)}
+    table = []
+    for i, s in enumerate(sets):
+        row = tuple(map(index.get, [s & t for t in sets]))
+        if None in row:
+            return None, (i, row.index(None, i))
+        table.append(row)
+    return tuple(table), None
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
@@ -309,10 +283,11 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
 
 
 def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
+    p = L.poset
     kind, covers, skip = (
-        ("meet", L.upper_covers, L.top) if dual else ("join", L.lower_covers, L.bottom)
+        ("meet", p.upper_cover_sets, L.top) if dual else ("join", p.lower_cover_sets, L.bottom)
     )
-    by_cover = tuple(x for x, c in enumerate(covers) if len(c) == 1 and x != skip)
+    by_cover = tuple(x for x, c in enumerate(covers) if c.bit_count() == 1 and x != skip)
     by_def = _irreducibles_by_definition(L, dual)
     if by_cover != by_def:
         raise InternalInconsistency(
@@ -344,14 +319,14 @@ def j_star(L: FiniteLattice, j: int) -> int:
     """The unique lower cover of a join-irreducible."""
     if j not in L._join_irreducibles:
         raise NotIrreducible(f"element {j} is not join-irreducible")
-    return L.lower_covers[j][0]
+    return L.poset.lower_cover_sets[j].bit_length() - 1
 
 
 def m_star(L: FiniteLattice, m: int) -> int:
     """The unique upper cover of a meet-irreducible."""
     if m not in L._meet_irreducibles:
         raise NotIrreducible(f"element {m} is not meet-irreducible")
-    return L.upper_covers[m][0]
+    return L.poset.upper_cover_sets[m].bit_length() - 1
 
 
 def join_semidistributivity_violation(
@@ -481,11 +456,10 @@ def _label_table(
     the label entry is the first candidate, or 0 if there is none.
     """
     if dual:
-        irr, op = meet_irreducibles(L), L.meet
-        star = [(k, L.upper_covers[k][0]) for k in irr]
+        irr, op, covers = meet_irreducibles(L), L.meet, L.poset.upper_cover_sets
     else:
-        irr, op = join_irreducibles(L), L.join
-        star = [(k, L.lower_covers[k][0]) for k in irr]
+        irr, op, covers = join_irreducibles(L), L.join, L.poset.lower_cover_sets
+    star = [(k, covers[k].bit_length() - 1) for k in irr]
     labels, hits = [], []
     for x, y in L.poset.covers:
         near, far = (y, x) if dual else (x, y)
@@ -544,7 +518,7 @@ def interval_sublattice(
     members = tuple(_bits(span))
     pos = {a: i for i, a in enumerate(members)}
     up = [sum(1 << pos[b] for b in _bits(L.poset.up[a] & span)) for a in members]
-    return try_lattice(FinitePoset.from_up_sets(up)), members
+    return try_lattice(FinitePoset(up)), members
 
 
 def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:

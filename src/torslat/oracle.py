@@ -135,7 +135,7 @@ def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
     full = (1 << n) - 1
     bottom = next(x for x in range(n) if up[x] == full)
     top = next(x for x in range(n) if down[x] == full)
-    return FiniteLattice(p, join, meet, bottom, top)
+    return FiniteLattice(p, tuple(map(tuple, join)), tuple(map(tuple, meet)), bottom, top)
 
 
 def _least_member(up: tuple[int, ...], members: int) -> int | None:
@@ -235,7 +235,7 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
 
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:
-    return BrickRelation.from_row_masks([f"b{i}" for i in range(len(rows))], rows)
+    return BrickRelation([f"b{i}" for i in range(len(rows))], rows)
 
 
 def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
@@ -330,7 +330,7 @@ def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
                 for x in _bits(d):
                     up[x] |= 1 << y
             try:
-                L = try_lattice(FinitePoset.from_up_sets(up))
+                L = try_lattice(FinitePoset(up))
             except NotALattice:
                 continue
             key = tuple(sorted(_element_invariants(L)))
@@ -425,21 +425,25 @@ def _search_relations(
                 f"realization search ran past its time limit on {m} bricks,"
                 f" after {lo:,} of 2^{m * (m - 1)} candidate relations"
             )
-        for rows, perps in candidates:
-            if _rows_realize(L, key, rows, perps):
+        for rows in candidates:
+            if _rows_realize(L, key, rows):
                 return _relation_of_rows(rows)
     return None
 
 
-def _rows_realize(
-    L: FiniteLattice, key: tuple, rows: tuple[int, ...], perps: list[int]
-) -> bool:
-    """Whether the relation with these rows realizes L; ``perps`` holds
-    each brick's principal left perp, the bricks with no arrow into it."""
-    closed = _closed_sets(perps, (1 << len(rows)) - 1, cap=L.n)
+def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
+    """Whether the relation with these rows realizes L.
+
+    A relation has as many torsion-free classes as torsion classes, and
+    they are the full set and the intersections of the principal right
+    perps, the complements of the rows; so the count needs no columns,
+    and only a relation with L.n of them gets its torsion lattice built.
+    """
+    full = (1 << len(rows)) - 1
+    closed = _closed_sets([full & ~r for r in rows], full, cap=L.n)
     if closed is None or len(closed) != L.n:
         return False
-    TL = _tors_from_closed(_relation_of_rows(rows), closed)
+    TL = all_torsion_pairs(_relation_of_rows(rows))
     if tuple(sorted(_element_invariants(TL.lattice))) != key:
         return False
     return are_isomorphic(TL.lattice, L)

@@ -34,9 +34,12 @@ from hypothesis import strategies as st
 import torslat.kernels as kernels_mod
 import torslat.oracle as oracle_mod
 from torslat.galois import (
+    _closed_sets,
+    all_torsion_pairs,
     derived_epi,
     derived_mono,
     factorizability_violation,
+    perp_right,
     relation_from_arrows,
 )
 from torslat.kernels import factorizable_lanes, rows_of
@@ -320,19 +323,10 @@ def test_wide_relations_take_any_width(m, equal_rows):
     assert kernel_verdicts(batch, m) == [not equal_rows, equal_rows]
 
 
-def principal_left_perps(rows):
-    """Per brick y, the bricks with no arrow into y, by a plain bit loop."""
-    m = len(rows)
-    return [
-        sum(1 << x for x in range(m) if not rows[x] >> y & 1) for y in range(m)
-    ]
-
-
 def recorded_candidates(monkeypatch, m, factorizable_only):
     seen = []
 
-    def record(L, key, rows, perps):
-        assert perps == principal_left_perps(rows)
+    def record(L, key, rows):
         seen.append(rows)
         return False
 
@@ -419,6 +413,34 @@ def test_the_least_of_every_orbit_passes_the_orbit_rule(m):
     least = least_relabellings(relations, m)
     assert all(kernel_may_lead(least, m))
     assert all(may_lead_orbit(r) for r in least)
+
+
+def assert_realize_counts_torsion_free_classes(rows):
+    """The realization search counts a candidate's classes on the
+    torsion-free side, from the complemented rows.  Those classes are the
+    right perps of all brick sets, as many as the torsion classes; and
+    the relation realizes its own torsion lattice."""
+    R = relation_of_rows(rows)
+    full = R.full_mask
+    free = _closed_sets([full & ~r for r in rows], full, cap=1 << R.m)
+    assert free == {perp_right(R, s) for s in range(1 << R.m)}
+    TL = all_torsion_pairs(R)
+    assert len(free) == TL.n
+    key = tuple(sorted(_element_invariants(TL.lattice)))
+    assert oracle_mod._rows_realize(TL.lattice, key, rows)
+
+
+def test_torsion_free_count_on_every_small_relation():
+    for m in range(5):
+        for rows in itertools.product(*row_choices(m)):
+            assert_realize_counts_torsion_free_classes(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(same_size_relations())
+def test_torsion_free_count_on_random_relations(batch):
+    for rows in batch:
+        assert_realize_counts_torsion_free_classes(rows)
 
 
 def test_m3_certificate_tests_few_candidates(monkeypatch):

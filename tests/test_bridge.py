@@ -73,6 +73,29 @@ def test_quotient_two_vertices_fibers():
         fiber_check(qm, 0, -1)
 
 
+def failing_fibers(qm):
+    L = qm.source.tors.lattice
+    pairs = [(u, v) for u in range(L.n) for v in range(L.n) if L.leq(u, v)]
+    return [(u, v) for u, v in pairs if not fiber_check(qm, u, v)]
+
+
+@pytest.mark.parametrize(
+    "field, value, failing",
+    [
+        # the killed brick [11] and the surviving [01] both dropped
+        ("brick_map", (0, None, None), [(0, 2), (0, 3), (1, 4)]),
+        # classes 3 and 4 merged instead of the fiber {2, 3}
+        ("element_map", (0, 1, 2, 3, 3), [(2, 3), (3, 4)]),
+    ],
+)
+def test_tampered_quotient_maps_fail_the_checks(field, value, failing):
+    qm = quotient_map(A2L, ((0,),))
+    assert failing_fibers(qm) == []
+    setattr(qm, field, value)
+    assert failing_fibers(qm) == failing
+    assert not label_preservation_check(qm)
+
+
 def test_quotient_three_vertices():
     qm = quotient_map(A3R, ((0, 1),))
     assert qm.source.tors.n == 14

@@ -94,6 +94,25 @@ def test_quotient_a2_boolean_target_with_one_collapsed_fiber(capsys):
     assert report["target"]["join_irreducibles"] == 2
 
 
+def test_quotient_reports_a_tampered_map(monkeypatch, capsys):
+    import torslat.cli
+
+    real = torslat.cli.quotient_map
+
+    def tampered(Q, extra_paths):
+        qm = real(Q, extra_paths)
+        qm.brick_map = (0, None, None)
+        return qm
+
+    monkeypatch.setattr(torslat.cli, "quotient_map", tampered)
+    rc, out, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", "0")
+    assert rc == 1
+    report = json.loads(out)
+    assert report["fiber_checks"] is False
+    assert report["label_preservation"] is False
+    assert "quotient structure checks failed" in err
+
+
 def test_quotient_dot_golden(capsys):
     rc, out, _ = run(capsys, "quotient", DATA / "a2.json", "--ideal", "0", "--dot", "-")
     assert rc == 0

@@ -221,7 +221,7 @@ def test_unlabellable_cover_is_reported_once_and_raises_directly():
     assert sum("expected one" in p for p in problems) == 1
     assert not any("label set mismatch" in p for p in problems)
     with pytest.raises(galois_mod.LabelNotUnique):
-        galois_mod.all_cover_labels(TL)
+        TL.cover_labels
     with pytest.raises(galois_mod.LabelNotUnique):
         galois_mod.interval_label_set(TL, 0, TL.n - 1)
 

@@ -268,7 +268,7 @@ def rebuilt(TL, pairs=None, join=None, meet=None):
     """A copy of TL with nothing cached, optionally with replaced parts."""
     L = TL.lattice
     lattice = FiniteLattice(
-        FinitePoset(L.n, leq_matrix(L)),
+        FinitePoset(L.poset.up),
         L.join if join is None else join,
         L.meet if meet is None else meet,
         L.bottom,
@@ -453,12 +453,12 @@ def loop_label(L, c, dual):
         if not is_meet_semidistributive(L):
             return NotSemidistributive
         irr, op, near, far = meet_irreducibles(L), L.meet, y, x
-        star = [L.upper_covers[k][0] for k in irr]
+        star = [L.poset.upper_cover_sets[k].bit_length() - 1 for k in irr]
     else:
         if not is_join_semidistributive(L):
             return NotSemidistributive
         irr, op, near, far = join_irreducibles(L), L.join, x, y
-        star = [L.lower_covers[k][0] for k in irr]
+        star = [L.poset.lower_cover_sets[k].bit_length() - 1 for k in irr]
     hits = [k for k, s in zip(irr, star) if op[near][k] == far and op[near][s] == near]
     return hits[0] if len(hits) == 1 else len(hits)
 
@@ -481,9 +481,10 @@ def test_label_tables_match_loops_on_census(index):
             check_kappa_bijection(L)
         return
     jis, mis = join_irreducibles(L), meet_irreducibles(L)
-    kap = [loop_label(L, CoverEdge(L.lower_covers[j][0], j), dual=True) for j in jis]
+    lower, upper = L.poset.lower_cover_sets, L.poset.upper_cover_sets
+    kap = [loop_label(L, CoverEdge(lower[j].bit_length() - 1, j), dual=True) for j in jis]
     assert [kappa(L, j) for j in jis] == kap
-    back = [loop_label(L, CoverEdge(m, L.upper_covers[m][0]), dual=False) for m in mis]
+    back = [loop_label(L, CoverEdge(m, upper[m].bit_length() - 1), dual=False) for m in mis]
     assert [kappa_dual(L, m) for m in mis] == back
     assert check_kappa_bijection(L) == (
         sorted(kap) == list(mis)

@@ -10,14 +10,12 @@ All masks below use bit b for brick b.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from torslat.galois import (
     BrickRelation,
     LabelMissing,
     LabelNotUnique,
-    all_cover_labels,
     all_torsion_pairs,
     cover_brick_label,
     derived_epi,
@@ -68,9 +66,14 @@ def test_relation_validation():
     with pytest.raises(ValueError, match="range"):
         relation_from_arrows(["a", "b"], [(0, 2)])
     with pytest.raises(ValueError, match="reflexive"):
-        BrickRelation(("a", "b"), np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError, match="2x2"):
-        BrickRelation(("a", "b"), np.eye(3, dtype=bool))
+        BrickRelation(("a", "b"), [0b00, 0b00])
+    # a row bit past the bricks made all_torsion_pairs raise IndexError
+    with pytest.raises(ValueError, match="row 0 holds arrows past the 2 bricks"):
+        BrickRelation(("a", "b"), [0b111, 0b110])
+    with pytest.raises(ValueError, match="3 rows for 2 brick labels"):
+        BrickRelation(("a", "b"), [0b001, 0b010, 0b100])
+    with pytest.raises(ValueError, match="1 rows for 2 brick labels"):
+        BrickRelation(("a", "b"), [0b01])
 
 
 def test_masks(r_pentagon):
@@ -134,7 +137,7 @@ def test_literal_mono_reading_fails(r_pentagon):
 
 def test_pentagon_cover_labels(r_pentagon):
     TL = all_torsion_pairs(r_pentagon)
-    got = all_cover_labels(TL)
+    got = TL.cover_labels
     assert got == {
         CoverEdge(0, 1): 0,
         CoverEdge(0, 2): 2,
@@ -151,7 +154,7 @@ def test_pentagon_cover_labels(r_pentagon):
 def test_antichain_is_boolean(r_antichain):
     TL = all_torsion_pairs(r_antichain)
     assert [p.tset for p in TL.pairs] == [0b00, 0b01, 0b10, 0b11]
-    labels = all_cover_labels(TL)
+    labels = TL.cover_labels
     assert labels[CoverEdge(0, 1)] == 0
     assert labels[CoverEdge(0, 2)] == 1
     assert labels[CoverEdge(1, 3)] == 1

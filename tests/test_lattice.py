@@ -7,7 +7,6 @@ expected values below were computed by hand from the definitions.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from torslat.lattice import (
@@ -88,12 +87,19 @@ def test_poset_rejects_cycles():
     [([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 1)), ([(1, 3), (1, 2)], (1, 2))],
 )
 def test_antisymmetry_names_the_first_clash_in_row_major_order(clashes, first):
-    leq = np.eye(4, dtype=bool)
+    up = [1 << x for x in range(4)]
     for x, y in clashes:
-        leq[x, y] = leq[y, x] = True
+        up[x] |= 1 << y
+        up[y] |= 1 << x
     with pytest.raises(AntisymmetryViolation) as exc:
-        FinitePoset(4, leq)
+        FinitePoset(up)
     assert exc.value.pair == first
+
+
+def test_poset_rejects_up_sets_past_its_elements():
+    # bit 2 of a two-element poset made the constructor raise IndexError
+    with pytest.raises(ValueError, match="up-set of 0 reaches past the 2 elements"):
+        FinitePoset([0b101, 0b10])
 
 
 def test_poset_transitive_closure():
@@ -293,15 +299,14 @@ def test_isomorphism_past_the_recursion_limit():
     RecursionError when each step was a Python call."""
     n = 1100
     chain = lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
-    p = np.arange(n) * 7 % n  # element i of the copy is named p[i]
-    q = np.argsort(p)
-    leq = np.array([[chain.leq(x, y) for y in range(n)] for x in range(n)])
+    p = [i * 7 % n for i in range(n)]  # element i of the copy is named p[i]
+    q = sorted(range(n), key=p.__getitem__)  # and copy element a is q[a]
     moved = FiniteLattice(
-        FinitePoset(n, leq[np.ix_(q, q)]),
-        p[np.array(chain.join)[np.ix_(q, q)]],
-        p[np.array(chain.meet)[np.ix_(q, q)]],
-        int(p[chain.bottom]),
-        int(p[chain.top]),
+        FinitePoset([sum(1 << p[y] for y in range(n) if chain.leq(x, y)) for x in q]),
+        tuple(tuple(p[chain.join[x][y]] for y in q) for x in q),
+        tuple(tuple(p[chain.meet[x][y]] for y in q) for x in q),
+        p[chain.bottom],
+        p[chain.top],
     )
     assert are_isomorphic(chain, chain)
     assert are_isomorphic(chain, moved)
