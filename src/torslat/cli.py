@@ -67,7 +67,7 @@ from .oracle import (
     surjection_dichotomy_sweep,
     sweep_factorizable,
 )
-from .quiver import QuiverPresentation, UnsupportedAlgebra
+from .quiver import QuiverPresentation
 
 # A lattice realized by m bricks has at most 2^m elements, and realize
 # cannot get through 8 bricks (2^56 candidate relations), so larger
@@ -199,7 +199,7 @@ def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
         return QuiverPresentation(
             vertices, tuple(orientation), tuple(tuple(p) for p in relations)
         )
-    except (ValueError, UnsupportedAlgebra) as exc:
+    except ValueError as exc:
         raise InputFileError(f"{path}: {exc}")
 
 
@@ -444,8 +444,8 @@ def _cmd_quotient(args):
             raise InputFileError(f"bad --ideal value {spec_str!r}")
     try:
         qm = quotient_map(Q, tuple(ideal))
-    except (InvalidIdeal, UnsupportedAlgebra) as exc:
-        raise InputFileError(str(exc))
+    except InvalidIdeal as exc:
+        raise InputFileError(f"--ideal: {exc}")
     src = qm.source.tors
     dst = qm.target.tors
     fibers: dict[int, list[int]] = {}

@@ -307,18 +307,23 @@ def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, .
     return tuple(out)
 
 
+# bytes of 0/1 flags to the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _check_tables(poset: FinitePoset, join, meet) -> None:
     """join[i][j] == j exactly for the j above i, and meet[i][j] == j
     exactly for the j below i; InternalInconsistency names the first
     class pair where that fails."""
-    n = poset.n
+    ids = range(poset.n)
     for kind, table, sets in (("join", join, poset.up), ("meet", meet, poset.down)):
         for i, row in enumerate(table):
-            s = sets[i]
-            fixed = sum(map(operator.eq, row, range(n)))
-            if fixed == s.bit_count() and all(row[j] == j for j in _bits(s)):
+            # the bitset of the j with row[j] == j, read as a binary numeral
+            fixed = int(bytes(map(operator.eq, row, ids)).translate(_DIGITS)[::-1], 2)
+            wrong = fixed ^ sets[i]
+            if not wrong:
                 continue
-            j = next(j for j in range(n) if (row[j] == j) != bool(s >> j & 1))
+            j = (wrong & -wrong).bit_length() - 1
             raise InternalInconsistency(
                 f"torsion classes {i} and {j}: the {kind} table gives {row[j]},"
                 " against the inclusion order"

@@ -1,9 +1,9 @@
 """Interval modules over small type-A quiver algebras.
 
-Supported algebras: path algebras of a linearly ordered quiver
-``1 - 2 - ... - n`` with arbitrary arrow orientations and no relations
-(hereditary), or with all arrows oriented the same way and monomial path
-relations.  Anything else raises UnsupportedAlgebra.
+Supported algebras: the path algebra of a quiver ``1 - 2 - ... - n``
+with any arrow orientations, modulo any monomial path relations.  Such an
+algebra is a string algebra without bands, so its indecomposables are
+the finitely many interval modules described below.
 
 Arrow ``k`` (for ``k = 0..n-2``) joins vertices ``k+1`` and ``k+2``;
 ``orientation[k] == "right"`` points it ``k+1 -> k+2`` and ``"left"``
@@ -24,10 +24,6 @@ from typing import Iterable, NamedTuple
 
 from .galois import BrickRelation, relation_from_arrows
 from .lattice import InternalInconsistency
-
-
-class UnsupportedAlgebra(Exception):
-    """The presentation is outside the supported type-A family."""
 
 
 class UnexpectedHomDim(Exception):
@@ -107,10 +103,6 @@ class QuiverPresentation(
             if path in seen:
                 raise ValueError(f"duplicate relation path {path}")
             seen.add(path)
-        if self.relations and len(set(self.orientation)) > 1:
-            raise UnsupportedAlgebra(
-                "relations are only supported on linearly oriented quivers"
-            )
         return self
 
     @cached_property

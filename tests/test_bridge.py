@@ -19,7 +19,7 @@ from torslat.bridge import (
     tors_of_algebra,
 )
 from torslat.lattice import NotComparable, join_irreducibles, meet_irreducibles
-from torslat.quiver import QuiverPresentation, UnsupportedAlgebra
+from torslat.quiver import QuiverPresentation
 
 A2L = QuiverPresentation(2, ("left",))
 A3R = QuiverPresentation(3, ("right", "right"))
@@ -148,5 +148,7 @@ def test_invalid_ideals():
         quotient_map(
             QuiverPresentation(3, ("right", "right"), ((0, 1),)), ((0, 1),)
         )
-    with pytest.raises(UnsupportedAlgebra):
-        quotient_map(QuiverPresentation(3, ("right", "left")), ((0,),))
+    # a relation on a mixed orientation is a legal ideal
+    qm = quotient_map(QuiverPresentation(3, ("right", "left")), ((0,),))
+    assert failing_fibers(qm) == []
+    assert label_preservation_check(qm)

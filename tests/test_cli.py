@@ -173,8 +173,11 @@ def test_build_rel_and_check_on_seventy_bricks(capsys, tmp_path):
     assert json.loads(out)["violation"] == ["epi-cycle", 0, 1]
 
 
-def test_check_quiver_all_pass(capsys):
-    rc, out, _ = run(capsys, "check", DATA / "a2.json")
+# a4_mixed_rel: 1 -> 2 -> 3 <- 4 modulo the path through vertex 2;
+# relations are legal on every orientation
+@pytest.mark.parametrize("name", ["a2.json", "a4_mixed_rel.json"])
+def test_check_quiver_all_pass(capsys, name):
+    rc, out, _ = run(capsys, "check", DATA / name)
     assert rc == 0
     report = json.loads(out)
     assert report["ok"] is True
@@ -185,6 +188,20 @@ def test_check_quiver_all_pass(capsys):
     assert "surjection_dichotomy" in names
     assert "subset_scan_agreement" in names
     assert all(c["ok"] for c in report["checks"])
+
+
+def test_quotient_of_a_mixed_orientation(capsys, tmp_path):
+    path = tmp_path / "a4_mixed.json"
+    path.write_text(
+        json.dumps({"vertices": 4, "orientation": ["right", "right", "left"]}),
+        encoding="utf-8",
+    )
+    rc, out, err = run(capsys, "quotient", path, "--ideal", "0,1")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["fiber_checks"] is True
+    assert report["label_preservation"] is True
+    assert report["killed_bricks"] == ["[1110]", "[1111]"]
 
 
 def test_check_relation_input(capsys):
@@ -471,8 +488,13 @@ def test_missing_file_is_input_error(capsys):
 def test_quotient_bad_ideal_values(capsys):
     rc, _, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", "5")
     assert rc == 2
+    assert err == "error: --ideal: relation path (5,) has an arrow out of range\n"
     rc, _, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", "x")
     assert rc == 2
+    assert "--ideal" in err
+    rc, _, err = run(capsys, "quotient", DATA / "a4_mixed_rel.json", "--ideal", "0,1")
+    assert rc == 2
+    assert err == "error: --ideal: duplicate relation path (0, 1)\n"
 
 
 def test_console_script_entry_point():

@@ -10,6 +10,8 @@ All masks below use bit b for brick b.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from torslat.galois import (
@@ -301,3 +303,30 @@ def test_table_cross_check_names_the_first_disagreement(
     galois._check_tables(L.poset, L.join, L.meet)  # the built tables pass
     with pytest.raises(InternalInconsistency, match=f"^{message}, against"):
         galois._check_tables(L.poset, tables["join"], tables["meet"])
+
+
+def first_table_disagreement(poset, join, meet):
+    """The pair _check_tables must name, found entry by entry."""
+    for kind, table, sets in (("join", join, poset.up), ("meet", meet, poset.down)):
+        for i, row in enumerate(table):
+            for j in range(poset.n):
+                if (row[j] == j) != bool(sets[i] >> j & 1):
+                    return f"torsion classes {i} and {j}: the {kind} table gives {row[j]}"
+    return None
+
+
+@pytest.mark.parametrize("arrows", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)], []])
+def test_table_cross_check_matches_an_entry_by_entry_scan(arrows):
+    """Tampering entries j and n - 1 - j of any row of either table is
+    named as the entry scan names it: the first class pair in row-major
+    order."""
+    L = all_torsion_pairs(relation_from_arrows(list("abc"), arrows)).lattice
+    assert first_table_disagreement(L.poset, L.join, L.meet) is None
+    for which, i, j in itertools.product(("join", "meet"), range(L.n), range(L.n)):
+        tables = {"join": [list(r) for r in L.join], "meet": [list(r) for r in L.meet]}
+        row = tables[which][i]
+        for k in {j, L.n - 1 - j}:
+            row[k] = (k + 1) % L.n if row[k] == k else k
+        message = first_table_disagreement(L.poset, tables["join"], tables["meet"])
+        with pytest.raises(InternalInconsistency, match=f"^{message}, against"):
+            galois._check_tables(L.poset, tables["join"], tables["meet"])

@@ -17,7 +17,6 @@ from torslat.lattice import InternalInconsistency
 from torslat.quiver import (
     IntervalModule,
     QuiverPresentation,
-    UnsupportedAlgebra,
     annihilated_by,
     arrow_ends,
     bricks,
@@ -32,6 +31,8 @@ from torslat.quiver import (
     summands,
     torsion_subobject,
 )
+
+from test_monomial_algebras import ALGEBRAS
 
 A2L = QuiverPresentation(2, ("left",))
 A2R = QuiverPresentation(2, ("right",))
@@ -65,8 +66,12 @@ def test_presentation_validation():
         QuiverPresentation(3, ("right", "right"), ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="contain an arrow"):
         QuiverPresentation(3, ("right", "right"), ((),))
-    with pytest.raises(UnsupportedAlgebra):
-        QuiverPresentation(3, ("right", "left"), ((0,),))
+    # relations are legal on every orientation
+    mixed = QuiverPresentation(3, ("right", "left"), ((0,),))
+    assert indecomposables(mixed) == (
+        IntervalModule(1, 1), IntervalModule(2, 2),
+        IntervalModule(2, 3), IntervalModule(3, 3),
+    )
 
 
 def test_arrow_ends():
@@ -153,7 +158,8 @@ def fraction_nullspace(rows, ncols):
     return basis
 
 
-# Every orientation of A2-A6, and the linear monomial quotients the tests use.
+# Every orientation of A2-A6, the linear monomial quotients the tests use,
+# and every algebra of test_monomial_algebras.
 HOM_QUIVERS = [
     QuiverPresentation(n, o)
     for n in range(2, 7)
@@ -166,7 +172,7 @@ HOM_QUIVERS = [
 ] + [
     QuiverPresentation(5, ("left",) * 4, rels)
     for rels in [((1, 0),), ((1, 0), (2, 1)), ((2, 1, 0),), ((1, 0), (3, 2))]
-]
+] + [QuiverPresentation(*spec) for spec in ALGEBRAS]
 
 
 def test_integer_hom_solver_matches_the_rational_one(monkeypatch):
