@@ -12,11 +12,11 @@ surviving covers keep their brick labels.
 
 from __future__ import annotations
 
-from .galois import BrickRelation, TorsLattice, all_torsion_pairs
+from .galois import BrickRelation, TorsLattice, all_torsion_pairs, interval_label_set
 from .lattice import (
     CoverEdge,
     InternalInconsistency,
-    interval_covers,
+    _bits,
     is_lattice_quotient,
 )
 from .quiver import (
@@ -127,15 +127,37 @@ def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
     Returns True when all three have the same truth value.
     """
     TL = qm.source.tors
-    covers = interval_covers(TL.lattice, u, v)
-    labels = TL.cover_labels
+    labels = interval_label_set(TL, u, v)
+    alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
     same_image = qm.element_map[u] == qm.element_map[v]
-    between = TL.fset(u) & TL.tset(v)
-    killed_gap = all(
-        qm.brick_map[b] is None for b in range(TL.relation.m) if between >> b & 1
-    )
-    killed_covers = all(qm.brick_map[labels[c]] is None for c in covers)
-    return same_image == killed_gap == killed_covers
+    return same_image == (not TL.fset(u) & TL.tset(v) & alive) == (not labels & alive)
+
+
+def _fibers_agree(qm: QuotientMap) -> bool:
+    """fiber_check on every comparable pair, one bitset per lower end u.
+
+    With f the element map, each u needs, for all v >= u, f(u) == f(v) iff
+    no surviving brick of fset(u) lies in tset(v): (i) == (ii).  On a cover
+    that brick set is the label, so a cover is contracted iff its label is
+    killed.  ``quotient_map`` returns only lattice homomorphisms, so f(u) ==
+    f(v) iff f is constant on [u, v] iff a maximal chain from u to v is
+    contracted iff every cover inside [u, v] is: (iii).  The labels are read
+    first, so a labelling failure raises as in fiber_check.
+    """
+    TL = qm.source.tors
+    TL.cover_labels  # raises on a cover without exactly one label
+    f, up, holding = qm.element_map, TL.lattice.poset.up, TL._tclasses
+    alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
+    fiber = dict.fromkeys(f, 0)
+    for i, t in enumerate(f):
+        fiber[t] |= 1 << i
+    for u in range(TL.n):
+        hit = 0
+        for b in _bits(TL.fset(u) & alive):
+            hit |= holding[b]
+        if fiber[f[u]] & up[u] != up[u] & ~hit:
+            return False
+    return True
 
 
 def label_preservation_check(qm: QuotientMap) -> bool:

@@ -21,7 +21,7 @@ from collections import Counter
 
 from .bridge import (
     InvalidIdeal,
-    fiber_check,
+    _fibers_agree,
     label_preservation_check,
     quotient_map,
     tors_of_algebra,
@@ -44,7 +44,6 @@ from .lattice import (
     InternalInconsistency,
     NotALattice,
     NotSemidistributive,
-    _bits,
     is_semidistributive,
     join_irreducibles,
     kappa,
@@ -97,8 +96,34 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_int_pair(entry) -> bool:
-    return isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))
+def _require(path: str, obj, *keys: str):
+    """Exit 2 unless obj is an object holding every key."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        names = " and ".join(f"'{k}'" for k in keys)
+        raise InputFileError(f"{path}: expected an object with {names}")
+
+
+def _strings(path: str, obj: dict, key: str) -> list[str]:
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputFileError(f"{path}: '{key}' must be an array of strings")
+    return value
+
+
+def _pairs(path: str, entries: list, noun: str, shape: str, self_pair: str) -> list:
+    """The [x, y] integer pairs, in order; exit 2 at the first entry that is
+    not one, has x == y or repeats an earlier pair."""
+    pairs: dict[tuple[int, int], None] = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
+            raise InputFileError(f"{path}: {noun} {entry!r} is not an {shape} pair")
+        x, y = entry
+        if x == y:
+            raise InputFileError(f"{path}: {noun} [{x}, {y}] {self_pair}")
+        if (x, y) in pairs:
+            raise InputFileError(f"{path}: duplicate {noun} [{x}, {y}]")
+        pairs[x, y] = None
+    return list(pairs)
 
 
 def _load_json(path: str):
@@ -129,14 +154,9 @@ def relation_from_json(path: str) -> BrickRelation:
 
 
 def _relation_from_obj(path: str, obj) -> BrickRelation:
-    if not isinstance(obj, dict) or "labels" not in obj or "arrows" not in obj:
-        raise InputFileError(
-            f"{path}: expected an object with 'labels' and 'arrows'"
-        )
-    labels = obj["labels"]
+    _require(path, obj, "labels", "arrows")
+    labels = _strings(path, obj, "labels")
     arrows = obj["arrows"]
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise InputFileError(f"{path}: 'labels' must be an array of strings")
     if len(labels) > MAX_RELATION_BRICKS:
         raise InputFileError(
             f"{path}: {len(labels)} bricks have more than {MAX_TORS_CLASSES}"
@@ -145,20 +165,7 @@ def _relation_from_obj(path: str, obj) -> BrickRelation:
         )
     if not isinstance(arrows, list):
         raise InputFileError(f"{path}: 'arrows' must be an array of pairs")
-    seen = set()
-    pairs = []
-    for entry in arrows:
-        if not _is_int_pair(entry):
-            raise InputFileError(f"{path}: arrow {entry!r} is not an [i, j] pair")
-        x, y = entry
-        if x == y:
-            raise InputFileError(
-                f"{path}: arrow [{x}, {y}] duplicates the implicit diagonal"
-            )
-        if (x, y) in seen:
-            raise InputFileError(f"{path}: duplicate arrow [{x}, {y}]")
-        seen.add((x, y))
-        pairs.append((x, y))
+    pairs = _pairs(path, arrows, "arrow", "[i, j]", "duplicates the implicit diagonal")
     try:
         return relation_from_arrows(labels, pairs)
     except ValueError as exc:
@@ -171,12 +178,8 @@ def quiver_from_json(path: str) -> QuiverPresentation:
 
 
 def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
-    if not isinstance(obj, dict) or "vertices" not in obj or "orientation" not in obj:
-        raise InputFileError(
-            f"{path}: expected an object with 'vertices' and 'orientation'"
-        )
+    _require(path, obj, "vertices", "orientation")
     vertices = obj["vertices"]
-    orientation = obj["orientation"]
     relations = obj.get("relations", [])
     if not _is_int(vertices):
         raise InputFileError(f"{path}: 'vertices' must be an integer")
@@ -185,10 +188,7 @@ def _quiver_from_obj(path: str, obj) -> QuiverPresentation:
             f"{path}: {vertices} vertices have at least 2^{vertices} torsion"
             f" classes; at most {MAX_QUIVER_VERTICES} vertices are supported"
         )
-    if not isinstance(orientation, list) or not all(
-        isinstance(s, str) for s in orientation
-    ):
-        raise InputFileError(f"{path}: 'orientation' must be an array of strings")
+    orientation = _strings(path, obj, "orientation")
     if not isinstance(relations, list) or not all(
         isinstance(p, list) and all(_is_int(k) for k in p) for p in relations
     ):
@@ -210,10 +210,7 @@ def lattice_from_json(path: str) -> FiniteLattice:
     order the list generates are rejected.
     """
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
-        raise InputFileError(
-            f"{path}: expected an object with 'elements' and 'covers'"
-        )
+    _require(path, obj, "elements", "covers")
     n = obj["elements"]
     covers = obj["covers"]
     if not _is_int(n) or not isinstance(covers, list):
@@ -225,18 +222,7 @@ def lattice_from_json(path: str) -> FiniteLattice:
             f"{path}: refusing to allocate tables for {n} elements;"
             f" at most {MAX_LATTICE_ELEMENTS} are supported"
         )
-    seen = set()
-    pairs = []
-    for entry in covers:
-        if not _is_int_pair(entry):
-            raise InputFileError(f"{path}: cover {entry!r} is not an [l, u] pair")
-        x, y = entry
-        if x == y:
-            raise InputFileError(f"{path}: cover [{x}, {y}] joins an element to itself")
-        if (x, y) in seen:
-            raise InputFileError(f"{path}: duplicate cover [{x}, {y}]")
-        seen.add((x, y))
-        pairs.append((x, y))
+    pairs = _pairs(path, covers, "cover", "[l, u]", "joins an element to itself")
     try:
         poset = poset_from_pairs(n, pairs)
         for x, y in pairs:
@@ -446,19 +432,14 @@ def _cmd_quotient(args):
         qm = quotient_map(Q, tuple(ideal))
     except InvalidIdeal as exc:
         raise InputFileError(f"--ideal: {exc}")
-    src = qm.source.tors
     dst = qm.target.tors
     fibers: dict[int, list[int]] = {}
     for i, t in enumerate(qm.element_map):
         fibers.setdefault(t, []).append(i)
-    fiber_ok = all(
-        fiber_check(qm, u, v)
-        for u, above in enumerate(src.lattice.poset.up)
-        for v in _bits(above)
-    )
+    fiber_ok = _fibers_agree(qm)
     labels_ok = label_preservation_check(qm)
     report = {
-        "source_pairs": src.n,
+        "source_pairs": qm.source.tors.n,
         "target_pairs": dst.n,
         "element_map": list(qm.element_map),
         "killed_bricks": [

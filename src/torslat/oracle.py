@@ -50,7 +50,6 @@ from .quiver import (
     QuiverPresentation,
     bricks,
     exists_surjection,
-    hom_dim,
     hom_relation,
     indecomposables,
     submodules,
@@ -463,15 +462,10 @@ def surjection_dichotomy_sweep(Q: QuiverPresentation) -> dict:
     violations = []
     for b, B in enumerate(bs):
         closure = tors_closure(R, 1 << b)
-        for x in range(R.m):
-            if not closure >> x & 1:
-                continue
-            checked += 1
-            X = bs[x]
-            if hom_dim(Q, X, B).dim != 0 and not exists_surjection(Q, X, B):
-                violations.append(
-                    {"brick": B.label(Q.n), "member": X.label(Q.n)}
-                )
+        checked += closure.bit_count()
+        for x in _bits(closure & R.col_masks[b]):  # the members X with Hom(X, B) != 0
+            if not exists_surjection(Q, bs[x], B):
+                violations.append({"brick": B.label(Q.n), "member": bs[x].label(Q.n)})
     return {
         "vertices": Q.n,
         "orientation": list(Q.orientation),

@@ -9,16 +9,20 @@ for these maps, so they must pass on every comparable pair.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from test_monomial_algebras import QUOTIENTS
 
 from torslat.bridge import (
     InvalidIdeal,
+    _fibers_agree,
     fiber_check,
     label_preservation_check,
     quotient_map,
     tors_of_algebra,
 )
-from torslat.lattice import NotComparable, join_irreducibles, meet_irreducibles
+from torslat.lattice import NotComparable, _bits, join_irreducibles, meet_irreducibles
 from torslat.quiver import QuiverPresentation
 
 A2L = QuiverPresentation(2, ("left",))
@@ -152,3 +156,56 @@ def test_invalid_ideals():
     qm = quotient_map(QuiverPresentation(3, ("right", "left")), ((0,),))
     assert failing_fibers(qm) == []
     assert label_preservation_check(qm)
+
+
+def single_arrow_quotients():
+    """(quiver, path) for every arrow of every A2-A5 orientation: 98 maps."""
+    return [
+        (QuiverPresentation(n, o), (k,))
+        for n in range(2, 6)
+        for o in itertools.product(("left", "right"), repeat=n - 1)
+        for k in range(n - 1)
+    ]
+
+
+def tampered_brick_maps(brick_map):
+    """Five wrong brick maps: all killed, none killed, the first and the
+    last brick's survival flipped, and every survivor sent to target brick
+    0, which the fiber criteria cannot see (only survival enters them)."""
+    def flip(b):
+        return tuple(
+            (0 if t is None else None) if i == b else t for i, t in enumerate(brick_map)
+        )
+
+    return [
+        (None,) * len(brick_map),
+        tuple(0 if t is None else t for t in brick_map),
+        flip(0),
+        flip(len(brick_map) - 1),
+        tuple(None if t is None else 0 for t in brick_map),
+    ]
+
+
+def test_single_arrow_quotient_count():
+    assert len(single_arrow_quotients()) == 98
+
+
+@pytest.mark.parametrize(
+    "q, path",
+    single_arrow_quotients() + [(QuiverPresentation(*s), p) for s, p in QUOTIENTS],
+    ids=[f"{q!r}/{p}" for q, p in single_arrow_quotients()]
+    + [f"{s}/{p}" for s, p in QUOTIENTS],
+)
+def test_fibers_agree_is_fiber_check_on_every_pair(q, path):
+    """The one-bitset-per-class reading gives fiber_check's verdict on all
+    comparable pairs, for the real map and for tampered brick maps."""
+    qm = quotient_map(q, (path,))
+    up = qm.source.tors.lattice.poset.up
+
+    def every_pair_passes():
+        return all(fiber_check(qm, u, v) for u in range(len(up)) for v in _bits(up[u]))
+
+    assert _fibers_agree(qm) and every_pair_passes()
+    for brick_map in tampered_brick_maps(qm.brick_map):
+        qm.brick_map = brick_map
+        assert _fibers_agree(qm) == every_pair_passes()

@@ -587,6 +587,56 @@ def test_bad_lattice_files_exit_two(capsys, tmp_path, obj, message):
     assert message in err
 
 
+READER_MESSAGES = [
+    # relation files
+    ("build-rel", [], "expected an object with 'labels' and 'arrows'"),
+    ("build-rel", {"labels": []}, "expected an object with 'labels' and 'arrows'"),
+    ("build-rel", {"labels": ["a", 1], "arrows": 5}, "'labels' must be an array of strings"),
+    ("build-rel", {"labels": "ab", "arrows": []}, "'labels' must be an array of strings"),
+    ("build-rel", {"labels": ["a"], "arrows": {}}, "'arrows' must be an array of pairs"),
+    ("build-rel", {"labels": ["a", "b"], "arrows": [[0]]}, "arrow [0] is not an [i, j] pair"),
+    ("build-rel", {"labels": ["a", "b"], "arrows": [[0, 1.0]]},
+     "arrow [0, 1.0] is not an [i, j] pair"),
+    ("build-rel", {"labels": ["a", "b"], "arrows": [[1, 1], [0]]},
+     "arrow [1, 1] duplicates the implicit diagonal"),
+    ("build-rel", {"labels": ["a", "b"], "arrows": [[0, 1], [0, 1]]}, "duplicate arrow [0, 1]"),
+    ("build-rel", {"labels": ["a", "b"], "arrows": [[0, 5]]},
+     "arrow (0, 5) out of range for 2 bricks"),
+    # quiver files
+    ("build-tors", {"vertices": 2}, "expected an object with 'vertices' and 'orientation'"),
+    ("build-tors", {"vertices": "2", "orientation": ["left"]}, "'vertices' must be an integer"),
+    ("build-tors", {"vertices": 2, "orientation": [0]}, "'orientation' must be an array of strings"),
+    ("build-tors", {"vertices": 2, "orientation": ["left"], "relations": [0]},
+     "'relations' must be an array of arrow index arrays"),
+    # lattice files
+    ("realize", {"covers": []}, "expected an object with 'elements' and 'covers'"),
+    ("realize", {"elements": 2.0, "covers": []}, "bad 'elements' or 'covers'"),
+    ("realize", {"elements": -1, "covers": {}}, "bad 'elements' or 'covers'"),
+    ("realize", {"elements": -1, "covers": [[0]]}, "'elements' must not be negative, got -1"),
+    ("realize", {"elements": MAX_LATTICE_ELEMENTS + 1, "covers": [[0]]},
+     f"refusing to allocate tables for {MAX_LATTICE_ELEMENTS + 1} elements;"
+     f" at most {MAX_LATTICE_ELEMENTS} are supported"),
+    ("realize", {"elements": 2, "covers": [[0, 1, 1]]}, "cover [0, 1, 1] is not an [l, u] pair"),
+    ("realize", {"elements": 2, "covers": [[1, 1], [0, 1], [0, 1]]},
+     "cover [1, 1] joins an element to itself"),
+    ("realize", {"elements": 2, "covers": [[0, 1], [0, 1], [1, 1]]}, "duplicate cover [0, 1]"),
+    ("realize", {"elements": 2, "covers": [[0, 5]]}, "pair (0, 5) out of range for n=2"),
+    ("realize", {"elements": 3, "covers": [[0, 1], [1, 2], [0, 2]]},
+     "[0, 2] is not a cover of the order the covers generate"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, obj, message", READER_MESSAGES, ids=[m for _, _, m in READER_MESSAGES]
+)
+def test_reader_messages(capsys, tmp_path, command, obj, message):
+    """Each malformed shape of the three input formats exits 2 with its own
+    line, and a file with several faults names the one checked first."""
+    path = write_json(tmp_path, obj)
+    rc, out, err = run(capsys, command, path)
+    assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, tmp_path):
     import torslat.cli
 

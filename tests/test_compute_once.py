@@ -8,6 +8,7 @@ each module's submodules once and closes O(classes x modules) sets, the
 cover-to-brick table is built once per torsion lattice and read by the
 interval and quotient checks, the invariant suite builds no lattice
 besides the one it checks and checks no interval one pair at a time,
+`quotient` checks no fiber one pair at a time,
 semidistributivity is read off the label tables with no triple search
 unless the lattice fails it, and tampered tables still trip the "two
 characterizations must agree" checks.
@@ -23,6 +24,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import torslat.bridge as bridge_mod
+import torslat.cli as cli_mod
 import torslat.galois as galois_mod
 import torslat.lattice as lattice_mod
 import torslat.oracle as oracle_mod
@@ -289,6 +291,24 @@ def test_invariant_suite_checks_no_interval_one_at_a_time(monkeypatch):
         monkeypatch.setattr(galois_mod, name, per_pair)
     assert verify_tors_lattice(TL) == []
     assert sum(up.bit_count() for up in TL.lattice.poset.up) == 399
+
+
+def test_quotient_checks_no_fiber_one_pair_at_a_time(monkeypatch, tmp_path):
+    """`quotient` on linear A4 reads its fibers off one bitset per class:
+    no per-pair fiber_check runs (399 before, each rebuilding
+    interval_covers)."""
+
+    def per_pair(*args):
+        raise AssertionError("a fiber was checked one pair at a time")
+
+    for mod in (lattice_mod, galois_mod, bridge_mod, cli_mod):
+        for name in ("interval_covers", "fiber_check"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, per_pair)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["quotient", write_a4(tmp_path), "--ideal", "1,0"]) == 0
+    assert '"fiber_checks": true' in out.getvalue()
 
 
 def test_triple_search_runs_only_on_failing_lattices(monkeypatch, tmp_path):
