@@ -9,6 +9,7 @@ and surviving cover labels are preserved on the way down.
 
 from torslat import (
     QuiverPresentation,
+    bricks,
     fiber_check,
     label_preservation_check,
     quotient_map,
@@ -16,16 +17,16 @@ from torslat import (
 )
 
 Q = QuiverPresentation(3, ("right", "right"), ())
-print("source: linear A3, torsion classes:", tors_of_algebra(Q).tors.n)
+print("source: linear A3, torsion classes:", tors_of_algebra(Q).n)
 
 qm = quotient_map(Q, ((0, 1),))
 src, dst = qm.source, qm.target
 print("target: same quiver with the two-step path killed")
-print("surviving bricks:", [M.label(3) for i, M in enumerate(src.bricks)
+print("surviving bricks:", [M.label(3) for i, M in enumerate(bricks(Q))
                             if qm.brick_map[i] is not None])
-print("killed bricks:   ", [M.label(3) for i, M in enumerate(src.bricks)
+print("killed bricks:   ", [M.label(3) for i, M in enumerate(bricks(Q))
                             if qm.brick_map[i] is None])
-print("torsion classes drop from", src.tors.n, "to", dst.tors.n)
+print("torsion classes drop from", src.n, "to", dst.n)
 
 fibers = {}
 for i, t in enumerate(qm.element_map):
@@ -37,9 +38,9 @@ for t in sorted(fibers):
 
 comparable = [
     (u, v)
-    for u in range(src.tors.n)
-    for v in range(src.tors.n)
-    if src.tors.lattice.leq(u, v)
+    for u in range(src.n)
+    for v in range(src.n)
+    if src.lattice.leq(u, v)
 ]
 print("\nfiber characterization (same image iff the gap is entirely killed):")
 print("   holds on all", len(comparable), "comparable pairs:",
@@ -48,6 +49,6 @@ print("surviving cover labels preserved:", label_preservation_check(qm))
 
 # Quotients compose: kill one arrow of the radical-square-zero algebra
 # and only four bricks survive.
-deeper = quotient_map(qm.target.quiver, ((1,),))
+deeper = quotient_map(QuiverPresentation(3, ("right", "right"), ((0, 1),)), ((1,),))
 print("\nquotient once more by the second arrow:")
-print("torsion classes drop from", deeper.source.tors.n, "to", deeper.target.tors.n)
+print("torsion classes drop from", deeper.source.n, "to", deeper.target.n)

@@ -18,9 +18,8 @@ from torslat import (
 )
 
 Q = QuiverPresentation(2, ("left",), ())
-alg = tors_of_algebra(Q)
-R = alg.relation
-TL = alg.tors
+TL = tors_of_algebra(Q)
+R = TL.relation
 
 print("bricks of the algebra:")
 for M in bricks(Q):

@@ -12,46 +12,23 @@ surviving covers keep their brick labels.
 
 from __future__ import annotations
 
-from .galois import BrickRelation, TorsLattice, all_torsion_pairs, interval_label_set
+from .galois import TorsLattice, all_torsion_pairs, interval_label_set
 from .lattice import (
     CoverEdge,
     InternalInconsistency,
     _bits,
     is_lattice_quotient,
 )
-from .quiver import (
-    IntervalModule,
-    QuiverPresentation,
-    annihilated_by,
-    bricks,
-    hom_relation,
-)
+from .quiver import QuiverPresentation, bricks, hom_relation
 
 
 class InvalidIdeal(Exception):
     """The extra relation paths do not define a usable quotient ideal."""
 
 
-class AlgebraTors:
-    """An algebra's bricks, hom relation, and torsion lattice, together."""
-
-    def __init__(
-        self,
-        quiver: QuiverPresentation,
-        bricks: tuple[IntervalModule, ...],
-        relation: BrickRelation,
-        tors: TorsLattice,
-    ):
-        self.quiver = quiver
-        self.bricks = bricks
-        self.relation = relation
-        self.tors = tors
-
-
-def tors_of_algebra(Q: QuiverPresentation) -> AlgebraTors:
-    bs = bricks(Q)
-    R = hom_relation(Q)
-    return AlgebraTors(Q, bs, R, all_torsion_pairs(R))
+def tors_of_algebra(Q: QuiverPresentation) -> TorsLattice:
+    """tors A: the torsion lattice of the hom-nonzero relation on Q's bricks."""
+    return all_torsion_pairs(hom_relation(Q))
 
 
 class QuotientMap:
@@ -64,15 +41,13 @@ class QuotientMap:
 
     def __init__(
         self,
-        source: AlgebraTors,
-        target: AlgebraTors,
-        extra_paths: tuple[tuple[int, ...], ...],
+        source: TorsLattice,
+        target: TorsLattice,
         element_map: tuple[int, ...],
         brick_map: tuple[int | None, ...],
     ):
         self.source = source
         self.target = target
-        self.extra_paths = extra_paths
         self.element_map = element_map
         self.brick_map = brick_map
 
@@ -82,40 +57,36 @@ def quotient_map(
 ) -> QuotientMap:
     """Quotient by the monomial ideal the paths generate; map tors onto tors.
 
-    The element map restricts a torsion class to the bricks that survive;
-    the result is checked to be a surjective lattice homomorphism.
+    A source brick survives exactly when it is a brick of the quotient, so
+    the brick map reads the quotient's own brick list.  The element map
+    restricts a torsion class to the bricks that survive; the result is
+    checked to be a surjective lattice homomorphism.
     """
-    extra = tuple(tuple(p) for p in extra_paths)
     try:
-        target_q = QuiverPresentation(Q.n, Q.orientation, Q.relations + extra)
+        target_q = QuiverPresentation(Q.n, Q.orientation, (*Q.relations, *extra_paths))
     except ValueError as exc:
         raise InvalidIdeal(str(exc)) from exc
     source = tors_of_algebra(Q)
     target = tors_of_algebra(target_q)
-    target_index = {M: i for i, M in enumerate(target.bricks)}
-    brick_map: list[int | None] = []
-    for M in source.bricks:
-        if annihilated_by(Q, M, extra):
-            brick_map.append(target_index[M])
-        else:
-            brick_map.append(None)
+    target_index = {M: i for i, M in enumerate(bricks(target_q))}
+    brick_map = tuple(target_index.get(M) for M in bricks(Q))
     element_map = []
-    for pair in source.tors.pairs:
+    for pair in source.pairs:
         mask = 0
         for b, tb in enumerate(brick_map):
             if tb is not None and pair.tset >> b & 1:
                 mask |= 1 << tb
-        idx = target.tors.index_of_tset.get(mask)
+        idx = target.index_of_tset.get(mask)
         if idx is None:
             raise InternalInconsistency(
                 f"restricted class {mask:b} is not a torsion class of the quotient"
             )
         element_map.append(idx)
-    if not is_lattice_quotient(element_map, source.tors.lattice, target.tors.lattice):
+    if not is_lattice_quotient(element_map, source.lattice, target.lattice):
         raise InternalInconsistency(
             "restriction map is not a surjective lattice homomorphism"
         )
-    return QuotientMap(source, target, extra, tuple(element_map), tuple(brick_map))
+    return QuotientMap(source, target, tuple(element_map), brick_map)
 
 
 def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
@@ -126,7 +97,7 @@ def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
     (iii) every cover between u and v has a killed label brick.
     Returns True when all three have the same truth value.
     """
-    TL = qm.source.tors
+    TL = qm.source
     labels = interval_label_set(TL, u, v)
     alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
     same_image = qm.element_map[u] == qm.element_map[v]
@@ -144,7 +115,7 @@ def _fibers_agree(qm: QuotientMap) -> bool:
     contracted iff every cover inside [u, v] is: (iii).  The labels are read
     first, so a labelling failure raises as in fiber_check.
     """
-    TL = qm.source.tors
+    TL = qm.source
     TL.cover_labels  # raises on a cover without exactly one label
     f, up, holding = qm.element_map, TL.lattice.poset.up, TL._tclasses
     alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
@@ -162,8 +133,7 @@ def _fibers_agree(qm: QuotientMap) -> bool:
 
 def label_preservation_check(qm: QuotientMap) -> bool:
     """Covers that survive stay covers and keep their brick labels."""
-    src = qm.source.tors
-    dst = qm.target.tors
+    src, dst = qm.source, qm.target
     dst_covers = dst.lattice.poset.cover_index
     for c in src.lattice.poset.covers:
         image = CoverEdge(qm.element_map[c.lower], qm.element_map[c.upper])

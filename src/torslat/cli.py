@@ -242,7 +242,7 @@ def _read_tors(path: str) -> tuple[QuiverPresentation | None, TorsLattice]:
     obj = _load_json(path)
     if isinstance(obj, dict) and "vertices" in obj:
         Q = _quiver_from_obj(path, obj)
-        return Q, tors_of_algebra(Q).tors
+        return Q, tors_of_algebra(Q)
     return None, all_torsion_pairs(_relation_from_obj(path, obj))
 
 
@@ -323,7 +323,7 @@ def _write(args, report: dict, dot: str | None = None):
 
 def _cmd_build(args):
     if args.command == "build-tors":
-        TL, witness = tors_of_algebra(quiver_from_json(args.input)).tors, None
+        TL, witness = tors_of_algebra(quiver_from_json(args.input)), None
     else:
         TL = all_torsion_pairs(relation_from_json(args.input))
         witness = factorizability_violation(TL.relation)
@@ -432,18 +432,18 @@ def _cmd_quotient(args):
         qm = quotient_map(Q, tuple(ideal))
     except InvalidIdeal as exc:
         raise InputFileError(f"--ideal: {exc}")
-    dst = qm.target.tors
+    src, dst = qm.source, qm.target
     fibers: dict[int, list[int]] = {}
     for i, t in enumerate(qm.element_map):
         fibers.setdefault(t, []).append(i)
     fiber_ok = _fibers_agree(qm)
     labels_ok = label_preservation_check(qm)
     report = {
-        "source_pairs": qm.source.tors.n,
+        "source_pairs": src.n,
         "target_pairs": dst.n,
         "element_map": list(qm.element_map),
         "killed_bricks": [
-            qm.source.relation.labels[b]
+            src.relation.labels[b]
             for b, t in enumerate(qm.brick_map)
             if t is None
         ],

@@ -49,12 +49,16 @@ class AntisymmetryViolation(Exception):
 
 
 class NotALattice(Exception):
-    """Raised when a poset lacks a join or meet for some pair."""
+    """Raised when a poset lacks a join or meet for some pair, or is empty:
+    pair () lacks the join of no elements, a bottom."""
 
-    def __init__(self, x: int, y: int, kind: str):
-        self.pair = (x, y)
+    def __init__(self, pair: tuple[int, ...], kind: str):
+        self.pair = pair
         self.kind = kind
-        super().__init__(f"no {kind} for elements {x} and {y}")
+        super().__init__(
+            f"no {kind} for elements {pair[0]} and {pair[1]}" if pair
+            else "the empty order has no bottom and no top"
+        )
 
 
 class NotIrreducible(Exception):
@@ -234,7 +238,8 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     """Check that every pair has a join and a meet; return the tables.
 
     Raises NotALattice naming the first offending pair otherwise: pairs
-    (x, y) with x <= y in lexicographic order, the join before the meet.
+    (x, y) with x <= y in lexicographic order, the join before the meet;
+    the empty poset raises with the empty pair.
 
     The common upper bounds of x and y are up[x] & up[y], and their least
     element is the one with exactly that up-set, so the join table is the
@@ -242,10 +247,10 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     down-sets.
     """
     if p.n == 0:
-        raise NotALattice(0, 0, "join")
+        raise NotALattice((), "join")
     join, join_gap = _intersection_table(p.up)
     meet, meet_gap = _intersection_table(p.down)
-    gaps = [(*gap, kind) for gap, kind in ((join_gap, "join"), (meet_gap, "meet")) if gap]
+    gaps = [(gap, kind) for gap, kind in ((join_gap, "join"), (meet_gap, "meet")) if gap]
     if gaps:
         raise NotALattice(*min(gaps))
     full = (1 << p.n) - 1

@@ -118,17 +118,17 @@ def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
-        raise NotALattice(0, 0, "join")
+        raise NotALattice((), "join")
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
             j = _least_member(up, up[x] & up[y])
             if j is None:
-                raise NotALattice(x, y, "join")
+                raise NotALattice((x, y), "join")
             m = _least_member(down, down[x] & down[y])
             if m is None:
-                raise NotALattice(x, y, "meet")
+                raise NotALattice((x, y), "meet")
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = m
     full = (1 << n) - 1

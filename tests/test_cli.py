@@ -608,11 +608,25 @@ READER_MESSAGES = [
     ("build-tors", {"vertices": 2, "orientation": [0]}, "'orientation' must be an array of strings"),
     ("build-tors", {"vertices": 2, "orientation": ["left"], "relations": [0]},
      "'relations' must be an array of arrow index arrays"),
+    ("build-tors", {"vertices": 0, "orientation": []}, "need at least one vertex, got n=0"),
+    ("build-tors", {"vertices": 3, "orientation": ["left"]}, "need 2 orientations, got 1"),
+    ("build-tors", {"vertices": 2, "orientation": ["up"]},
+     "orientation entries must be 'left' or 'right'"),
+    ("build-tors", {"vertices": 3, "orientation": ["left", "right"], "relations": [[0, 1]]},
+     "relation path (0, 1) is not composable"),
+    ("build-tors", {"vertices": 3, "orientation": ["left", "left"], "relations": [[1, 0], [1, 0]]},
+     "duplicate relation path (1, 0)"),
+    ("build-tors", {"vertices": 2, "orientation": ["left"], "relations": [[2]]},
+     "relation path (2,) has an arrow out of range"),
+    ("build-tors", {"vertices": 2, "orientation": ["left"], "relations": [[]]},
+     "relation paths must contain an arrow"),
     # lattice files
     ("realize", {"covers": []}, "expected an object with 'elements' and 'covers'"),
     ("realize", {"elements": 2.0, "covers": []}, "bad 'elements' or 'covers'"),
     ("realize", {"elements": -1, "covers": {}}, "bad 'elements' or 'covers'"),
     ("realize", {"elements": -1, "covers": [[0]]}, "'elements' must not be negative, got -1"),
+    ("realize", {"elements": 0, "covers": []},
+     "not a lattice: the empty order has no bottom and no top"),
     ("realize", {"elements": MAX_LATTICE_ELEMENTS + 1, "covers": [[0]]},
      f"refusing to allocate tables for {MAX_LATTICE_ELEMENTS + 1} elements;"
      f" at most {MAX_LATTICE_ELEMENTS} are supported"),

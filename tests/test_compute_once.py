@@ -62,7 +62,7 @@ def test_irreducible_scan_runs_once_per_lattice(monkeypatch):
         return real_scan(L, dual)
 
     monkeypatch.setattr(lattice_mod, "_irreducibles_by_definition", counting_scan)
-    TL = tors_of_algebra(LINEAR_A4).tors
+    TL = tors_of_algebra(LINEAR_A4)
     assert verify_tors_lattice(TL) == []
     for dual in (False, True):
         seen = [L for L, d in scanned if d == dual]
@@ -161,7 +161,7 @@ QUIVERS = [
 
 @pytest.mark.parametrize("q", QUIVERS, ids=repr)
 def test_closure_tables_keep_the_module_wise_answers(q):
-    assert closure_axiom_check(q, tors_of_algebra(q).tors)
+    assert closure_axiom_check(q, tors_of_algebra(q))
     reference = axioms_by_module(q)
     tables = oracle_mod._closure_tables(q)  # what subset_is_torsion_closed reads
     for mask in range(1 << len(indecomposables(q))):
@@ -207,7 +207,7 @@ def test_cover_labels_are_computed_once_per_lattice(monkeypatch):
 
     monkeypatch.setattr(galois_mod, "_cover_label_table", counting_table)
     monkeypatch.setattr(galois_mod, "cover_brick_label", counting_label)
-    TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3)).tors
+    TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3))
     assert verify_tors_lattice(TL) == []
     assert verify_tors_lattice(TL) == []
     assert len(TL.lattice.poset.covers) == 84
@@ -230,7 +230,7 @@ def test_unlabellable_cover_is_reported_once_and_raises_directly():
 
 def test_invariant_suite_builds_no_lattice(monkeypatch):
     """Rebuilding every interval as a lattice took 399 builds on A4."""
-    TL = tors_of_algebra(LINEAR_A4).tors
+    TL = tors_of_algebra(LINEAR_A4)
     builds = [0]
     real_build = lattice_mod.try_lattice
 
@@ -276,7 +276,7 @@ def test_invariant_suite_checks_no_interval_one_at_a_time(monkeypatch):
     """The interval identities of all 399 comparable pairs of linear A4 are
     row-at-a-time bitset passes: no per-pair reference function runs (399
     interval_covers reads before, 798 before that)."""
-    TL = tors_of_algebra(LINEAR_A4).tors
+    TL = tors_of_algebra(LINEAR_A4)
 
     def per_pair(*args):
         raise AssertionError("an interval was checked one at a time")

@@ -165,7 +165,7 @@ def test_interval_covers_match_sublattices_on_census_and_type_a():
     checked = sum(assert_intervals_match_sublattices(L) for L in CENSUS)
     for n in (2, 3, 4):
         for orientation in itertools.product(("left", "right"), repeat=n - 1):
-            TL = tors_of_algebra(QuiverPresentation(n, orientation)).tors
+            TL = tors_of_algebra(QuiverPresentation(n, orientation))
             checked += assert_intervals_match_sublattices(TL.lattice)
     assert checked == 5260
 
@@ -317,7 +317,7 @@ QUOTIENTS = [
 
 @pytest.mark.parametrize("q", TYPE_A + QUOTIENTS, ids=repr)
 def test_suite_matches_reference_on_algebras(q):
-    TL = tors_of_algebra(q).tors
+    TL = tors_of_algebra(q)
     assert assert_suites_agree(TL) == []
 
 
@@ -365,7 +365,7 @@ def test_semidistributivity_read_off_label_tables_names_the_triple_witness():
     relations of 4 bricks, every A2-A5 orientation and the census
     lattices, most of the relations failing."""
     lattices = [all_torsion_pairs(R).lattice for R in all_relations(4)]
-    lattices += [tors_of_algebra(q).tors.lattice for q in TYPE_A]
+    lattices += [tors_of_algebra(q).lattice for q in TYPE_A]
     lattices += CENSUS
     failing = 0
     for L in lattices:
@@ -379,8 +379,8 @@ def test_semidistributivity_read_off_label_tables_names_the_triple_witness():
 
 
 TAMPER_BASES = [
-    lambda: tors_of_algebra(QuiverPresentation(3, ("left", "left"))).tors,
-    lambda: tors_of_algebra(QuiverPresentation(3, ("right", "left"))).tors,
+    lambda: tors_of_algebra(QuiverPresentation(3, ("left", "left"))),
+    lambda: tors_of_algebra(QuiverPresentation(3, ("right", "left"))),
     lambda: all_torsion_pairs(relation_from_arrows(list("abc"), [(0, 1), (1, 2)])),
 ]
 
@@ -499,7 +499,7 @@ def test_label_tables_match_loops_on_census(index):
 
 @pytest.mark.parametrize("q", TYPE_A[:6] + QUOTIENTS[:4], ids=repr)
 def test_tf_dual_check_matches_loop(q):
-    TL = tors_of_algebra(q).tors
+    TL = tors_of_algebra(q)
     pairs = list(TL.pairs)
     assert tf_dual_check(TL)
     pairs[1] = TorsionPair(pairs[1].tset, pairs[0].fset)

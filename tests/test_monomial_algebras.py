@@ -33,7 +33,7 @@ from torslat.oracle import (
     same_tors,
     surjection_dichotomy_sweep,
 )
-from torslat.quiver import IntervalModule, QuiverPresentation
+from torslat.quiver import IntervalModule, QuiverPresentation, bricks
 
 
 def paths(orientation):
@@ -104,14 +104,14 @@ def test_family_sizes():
 @pytest.mark.parametrize("spec", ALGEBRAS, ids=spec_id)
 def test_algebra_passes_every_check(spec):
     Q = QuiverPresentation(*spec)
-    alg = tors_of_algebra(Q)
-    assert not {span(p) for p in Q.relations} & set(alg.bricks)
-    assert is_factorizable(alg.relation)
-    assert verify_tors_lattice(alg.tors) == []
-    assert closure_axiom_check(Q, alg.tors)
+    TL = tors_of_algebra(Q)
+    assert not {span(p) for p in Q.relations} & set(bricks(Q))
+    assert is_factorizable(TL.relation)
+    assert verify_tors_lattice(TL) == []
+    assert closure_axiom_check(Q, TL)
     assert surjection_dichotomy_sweep(Q)["violations"] == []
-    if alg.relation.m <= 12:
-        assert same_tors(alg.tors, brute_torsion_pairs(alg.relation))
+    if TL.relation.m <= 12:
+        assert same_tors(TL, brute_torsion_pairs(TL.relation))
 
 
 @pytest.mark.parametrize(
@@ -120,9 +120,10 @@ def test_algebra_passes_every_check(spec):
     ids=[f"{spec_id(s)}/{'.'.join(map(str, p))}" for s, p in QUOTIENTS],
 )
 def test_quotient_passes_fiber_and_label_checks(spec, extra):
-    qm = quotient_map(QuiverPresentation(*spec), (extra,))
-    assert qm.brick_map[qm.source.bricks.index(span(extra))] is None
-    L = qm.source.tors.lattice
+    Q = QuiverPresentation(*spec)
+    qm = quotient_map(Q, (extra,))
+    assert qm.brick_map[bricks(Q).index(span(extra))] is None
+    L = qm.source.lattice
     assert all(
         fiber_check(qm, u, v) for u in range(L.n) for v in range(L.n) if L.leq(u, v)
     )
