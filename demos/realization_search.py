@@ -9,7 +9,6 @@ only by a non-factorizable relation.
 """
 
 from torslat import (
-    SearchBudget,
     is_factorizable,
     is_semidistributive,
     join_irreducibles,
@@ -29,7 +28,7 @@ def arrows_of(R):
     ]
 
 
-census = lattice_census(SearchBudget(max_lattice_size=6))
+census = lattice_census(6)
 print(f"lattices with at most 6 elements, up to isomorphism: {len(census)}")
 
 sd = [L for L in census if is_semidistributive(L)]
@@ -37,7 +36,7 @@ print(f"semidistributive among them: {len(sd)}\n")
 
 print("factorizable realizations (brick count equals join-irreducible count):")
 for L in sd:
-    R = realize_sd_lattice(L, SearchBudget(max_brick_set_size=5))
+    R = realize_sd_lattice(L, 5)
     assert R is not None
     print(f"   {L.n} elements, {len(join_irreducibles(L))} join-irreducibles:"
           f" arrows {arrows_of(R)}")
@@ -45,8 +44,8 @@ for L in sd:
 m3 = try_lattice(poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
 print("\nthe diamond M3 is not semidistributive:", not is_semidistributive(m3))
 print("factorizable search over all relations on 3 bricks:",
-      realize_sd_lattice(m3, SearchBudget(max_brick_set_size=3)))
-loose = realize_sd_lattice(m3, SearchBudget(max_brick_set_size=3), factorizable_only=False)
+      realize_sd_lattice(m3, 3))
+loose = realize_sd_lattice(m3, 3, factorizable_only=False)
 print("unfiltered search finds the directed 3-cycle:", arrows_of(loose),
       "factorizable:", is_factorizable(loose))
 
@@ -54,5 +53,5 @@ seven = try_lattice(poset_from_pairs(
     7, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (4, 5), (5, 6), (2, 6)]
 ))
 print("\na 7-element semidistributive lattice with 4 join-irreducibles:")
-R7 = realize_sd_lattice(seven, SearchBudget(max_brick_set_size=4))
+R7 = realize_sd_lattice(seven, 4)
 print("   realized on", R7.m, "bricks with arrows", arrows_of(R7))

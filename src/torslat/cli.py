@@ -56,8 +56,8 @@ from .lattice import (
 from .oracle import (
     MAX_CENSUS_ELEMENTS,
     MAX_SWEEP_BRICKS,
+    TIME_LIMIT,
     BudgetExceeded,
-    SearchBudget,
     brute_torsion_pairs,
     closure_axiom_check,
     lattice_census,
@@ -142,6 +142,8 @@ def _load_json(path: str):
         raise InputFileError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except ValueError:  # int()'s digit-count limit on a JSON integer
+        raise InputFileError(f"{path}: a number has too many digits")
 
 
 def relation_from_json(path: str) -> BrickRelation:
@@ -460,8 +462,8 @@ def _cmd_quotient(args):
 
 def _cmd_realize(args):
     L = lattice_from_json(args.input)
-    budget = SearchBudget(max_brick_set_size=_in_range("--max-bricks", args.max_bricks))
-    R = realize_sd_lattice(L, budget, factorizable_only=not args.unfiltered)
+    max_bricks = _in_range("--max-bricks", args.max_bricks)
+    R = realize_sd_lattice(L, max_bricks, factorizable_only=not args.unfiltered)
     if R is None:
         _write(args, {"realized": False, "reason": "none within budget"})
         return
@@ -485,8 +487,7 @@ def _cmd_realize(args):
 
 def _cmd_sweep(args):
     size = _in_range("--max-size", args.max_size, MAX_SWEEP_BRICKS)
-    budget = SearchBudget(max_brick_set_size=size)
-    report = sweep_factorizable(budget, literal_mono=args.literal_mono)
+    report = sweep_factorizable(size, literal_mono=args.literal_mono)
     runtime = report.pop("runtime_seconds")
     orbits = report.pop("orbits")
     _write(args, report)
@@ -504,14 +505,13 @@ def _cmd_sweep(args):
 
 def _cmd_census(args):
     size = _in_range("--max-size", args.max_size, MAX_CENSUS_ELEMENTS)
-    budget = SearchBudget(max_lattice_size=size)
     out = [
         {
             "elements": L.n,
             "covers": [[c.lower, c.upper] for c in sorted(L.poset.covers)],
             "semidistributive": is_semidistributive(L),
         }
-        for L in lattice_census(budget)
+        for L in lattice_census(size)
     ]
     sizes = Counter(str(e["elements"]) for e in out)
     sd = Counter(str(e["elements"]) for e in out if e["semidistributive"])
@@ -549,16 +549,19 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated arrow indices of a relation path; repeatable",
     )
     command(sp, _cmd_quotient, dot=True)
-    sp = add("realize", help="search for a relation with the given torsion lattice")
-    sp.add_argument("--max-bricks", type=_int, default=5)
-    sp.add_argument("--unfiltered", action="store_true")
+    stops = f"A search still running after {TIME_LIMIT:g} s stops with exit 1."
+    sp = add(
+        "realize", help="search for a relation with the given torsion lattice", description=stops
+    )
+    sp.add_argument("--max-bricks", type=_int, default=5, help="most bricks (default %(default)s)")
+    sp.add_argument("--unfiltered", action="store_true", help="try all relations (default off)")
     command(sp, _cmd_realize)
-    sp = add("sweep", help="exhaustive relation sweep with invariant checks")
-    sp.add_argument("--max-size", type=_int, default=4)
-    sp.add_argument("--literal-mono", action="store_true")
+    sp = add("sweep", help="exhaustive relation sweep with invariant checks", description=stops)
+    sp.add_argument("--max-size", type=_int, default=4, help="most bricks (default %(default)s)")
+    sp.add_argument("--literal-mono", action="store_true", help="mono = reversed epi (default off)")
     command(sp, _cmd_sweep, reads_input=False)
-    sp = add("census", help="all small lattices up to isomorphism")
-    sp.add_argument("--max-size", type=_int, default=6)
+    sp = add("census", help="all small lattices up to isomorphism", description=stops)
+    sp.add_argument("--max-size", type=_int, default=6, help="most elements (default %(default)s)")
     command(sp, _cmd_census, reads_input=False)
     return p
 

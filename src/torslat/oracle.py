@@ -19,7 +19,6 @@ once per relabelling orbit of the factorizable relations, in one process.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 from .galois import (
     BrickRelation,
@@ -59,39 +58,22 @@ from .quiver import (
 
 # Caps of the exhaustive searches: a sweep to m bricks decodes all
 # 2^(m(m-1)) relations of size m (2^20 at 5, 2^30 at 6), and the census
-# enumerates every naturally labelled poset up to the element count.
+# enumerates every naturally labelled poset up to the element count.  Each
+# search also stops after TIME_LIMIT seconds, read when the search starts.
 MAX_SWEEP_BRICKS = 5
 MAX_CENSUS_ELEMENTS = 7
+TIME_LIMIT = 600.0
 
 
 class BudgetExceeded(Exception):
-    """A search exceeded its configured size or time budget."""
+    """A search exceeded its size cap or TIME_LIMIT."""
 
 
-class SearchBudget(
-    NamedTuple(
-        "SearchBudget",
-        [("max_brick_set_size", int), ("max_lattice_size", int), ("time_limit", float)],
-    )
-):
-    """Size and time caps for the exhaustive searches."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        max_brick_set_size: int = 4,
-        max_lattice_size: int = 6,
-        time_limit: float = 600.0,
-    ):
-        if max_brick_set_size < 1 or max_lattice_size < 1:
-            raise ValueError("budget sizes must be positive")
-        if not time_limit > 0:
-            raise ValueError("time limit must be positive")
-        return super().__new__(cls, max_brick_set_size, max_lattice_size, time_limit)
-
-    def deadline(self) -> float:
-        return time.monotonic() + self.time_limit
+def _deadline(size: int) -> float:
+    """The deadline of a search up to ``size``, which must be positive."""
+    if size < 1:
+        raise ValueError(f"search size must be positive, got {size}")
+    return time.monotonic() + TIME_LIMIT
 
 
 def brute_torsion_pairs(R: BrickRelation) -> TorsLattice:
@@ -249,13 +231,10 @@ def _abstract_dichotomy_holds(R: BrickRelation) -> bool:
     return True
 
 
-def sweep_factorizable(
-    budget: SearchBudget | None = None,
-    literal_mono: bool = False,
-) -> dict:
+def sweep_factorizable(max_size: int, literal_mono: bool = False) -> dict:
     """Check the labelling theory over every reflexive relation, per size.
 
-    For each m up to the budget, all 2^(m(m-1)) relations are decoded;
+    For each m up to max_size, all 2^(m(m-1)) relations are decoded;
     the factorizable ones must pass the full torsion-lattice invariant
     suite.  Factorizability, the suite's verdict and the dichotomy are
     invariant under relabelling the bricks, so the suite and the dichotomy
@@ -266,16 +245,15 @@ def sweep_factorizable(
     inside its closure fails to be a derived epi, the orbits verified per
     size and the runtime.
     """
-    budget = budget or SearchBudget()
-    if budget.max_brick_set_size > MAX_SWEEP_BRICKS:
+    deadline = _deadline(max_size)
+    if max_size > MAX_SWEEP_BRICKS:
         raise BudgetExceeded(f"sweeps are capped at {MAX_SWEEP_BRICKS} bricks")
-    deadline = budget.deadline()
     t0 = time.monotonic()
     per_m: dict[str, dict] = {}
     orbits: dict[str, int] = {}
     violations: list[dict] = []
     dichotomy_failures = 0
-    for m in range(1, budget.max_brick_set_size + 1):
+    for m in range(1, max_size + 1):
         if time.monotonic() > deadline:
             raise BudgetExceeded(f"sweep ran past its time limit before m={m}")
         by_orbit = factorizable_orbits(m, literal_mono)
@@ -298,7 +276,7 @@ def sweep_factorizable(
         }
         orbits[str(m)] = len(by_orbit)
     return {
-        "max_brick_set_size": budget.max_brick_set_size,
+        "max_brick_set_size": max_size,
         "literal_mono": literal_mono,
         "per_m": per_m,
         "violations": violations,
@@ -308,20 +286,19 @@ def sweep_factorizable(
     }
 
 
-def lattice_census(budget: SearchBudget | None = None) -> list[FiniteLattice]:
-    """All lattices with at most max_lattice_size elements, up to isomorphism.
+def lattice_census(max_size: int) -> list[FiniteLattice]:
+    """All lattices with at most max_size elements, up to isomorphism.
 
     Enumerates naturally labeled posets with a forced bottom 0 and top
     n-1 (every lattice is labeled that way by any linear extension),
     keeps the ones where joins and meets exist, and dedups by
     backtracking isomorphism inside invariant buckets.
     """
-    budget = budget or SearchBudget()
-    if budget.max_lattice_size > MAX_CENSUS_ELEMENTS:
+    deadline = _deadline(max_size)
+    if max_size > MAX_CENSUS_ELEMENTS:
         raise BudgetExceeded(f"census is capped at {MAX_CENSUS_ELEMENTS} elements")
-    deadline = budget.deadline()
     out: list[FiniteLattice] = []
-    for n in range(1, budget.max_lattice_size + 1):
+    for n in range(1, max_size + 1):
         found: list[tuple[tuple, FiniteLattice]] = []
         for downs in _natural_posets(n, deadline):
             up = [1 << x for x in range(n)]
@@ -359,16 +336,14 @@ def _natural_posets(n: int, deadline: float, downs: tuple[int, ...] = ()):
 
 
 def realize_sd_lattice(
-    L: FiniteLattice,
-    budget: SearchBudget | None = None,
-    factorizable_only: bool = True,
+    L: FiniteLattice, max_bricks: int, factorizable_only: bool = True
 ) -> BrickRelation | None:
     """Search for a brick relation whose torsion lattice is isomorphic to L.
 
     With the factorizability filter on, a semidistributive L is searched
     on exactly #join-irreducibles bricks (the κ bijection forces that
     count) and a non-semidistributive L is swept over every size up to
-    the budget to certify absence.  Without the filter, all relations are
+    max_bricks to certify absence.  Without the filter, all relations are
     tried.  Sizes below max(#ji, #mi) are skipped in either mode: every
     torsion class is both a join of brick closures and an intersection of
     principal perps, so fewer bricks cannot produce enough irreducibles.
@@ -387,19 +362,16 @@ def realize_sd_lattice(
     kernels.factorizable_lanes accepts reach the closure count and the
     isomorphism test.
     """
-    budget = budget or SearchBudget(max_brick_set_size=5)
-    deadline = budget.deadline()
+    deadline = _deadline(max_bricks)
     n_ji = len(join_irreducibles(L))
     n_mi = len(meet_irreducibles(L))
     lower = max(n_ji, n_mi)
     if factorizable_only and is_semidistributive(L):
-        if n_ji > budget.max_brick_set_size:
-            raise BudgetExceeded(
-                f"{n_ji} join-irreducibles exceed the {budget.max_brick_set_size}-brick budget"
-            )
+        if n_ji > max_bricks:
+            raise BudgetExceeded(f"{n_ji} join-irreducibles exceed the {max_bricks}-brick budget")
         sizes = [n_ji]
     else:
-        sizes = range(lower, budget.max_brick_set_size + 1)
+        sizes = range(lower, max_bricks + 1)
     key = tuple(sorted(_element_invariants(L)))
     for m in sizes:
         hit = _search_relations(L, key, m, factorizable_only, deadline)

@@ -29,7 +29,6 @@ from torslat.lattice import (
     try_lattice,
 )
 from torslat.oracle import (
-    SearchBudget,
     brute_torsion_pairs,
     closure_axiom_check,
     lattice_census,
@@ -216,7 +215,7 @@ def test_surjection_dichotomy():
 @criterion(7)
 def test_factorizable_implies_semidistributive_sweep():
     t0 = time.monotonic()
-    report = sweep_factorizable(SearchBudget(max_brick_set_size=4))
+    report = sweep_factorizable(4)
     elapsed = time.monotonic() - t0
     assert report["per_m"]["4"]["relations"] == 4096
     assert report["violations"] == [], report["violations"]
@@ -232,24 +231,22 @@ def test_factorizable_implies_semidistributive_sweep():
 @criterion(8)
 def test_realization_converse():
     t0 = time.monotonic()
-    census = lattice_census(SearchBudget(max_lattice_size=6))
+    census = lattice_census(6)
     sd = [L for L in census if is_semidistributive(L)]
     realized = 0
     for L in sd:
         assert len(join_irreducibles(L)) <= 5
-        R = realize_sd_lattice(L, SearchBudget(max_brick_set_size=5))
+        R = realize_sd_lattice(L, 5)
         assert R is not None, f"no factorizable realization for {L.n}-element lattice"
         assert is_factorizable(R)
         realized += 1
     m3 = try_lattice(
         poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     )
-    assert realize_sd_lattice(m3, SearchBudget(max_brick_set_size=3)) is None, (
+    assert realize_sd_lattice(m3, 3) is None, (
         "M3 must admit no factorizable realization on <= 3 points"
     )
-    loose = realize_sd_lattice(
-        m3, SearchBudget(max_brick_set_size=3), factorizable_only=False
-    )
+    loose = realize_sd_lattice(m3, 3, factorizable_only=False)
     assert loose is not None and not is_factorizable(loose), (
         "M3 must be realized by a non-factorizable relation"
     )
@@ -259,7 +256,7 @@ def test_realization_converse():
         )
     )
     assert is_semidistributive(seven)
-    R7 = realize_sd_lattice(seven, SearchBudget(max_brick_set_size=4))
+    R7 = realize_sd_lattice(seven, 4)
     assert R7 is not None and R7.m == 4, "7-element example needs 4 bricks"
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"took {elapsed:.2f}s, budget 600s"

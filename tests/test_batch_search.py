@@ -51,7 +51,6 @@ from torslat.lattice import (
 )
 from torslat.oracle import (
     BudgetExceeded,
-    SearchBudget,
     _relation_of_rows,
     lattice_census,
     realize_sd_lattice,
@@ -140,7 +139,7 @@ UNFILTERED_HITS = {
     24: None,
 }
 
-CENSUS = lattice_census(SearchBudget(max_lattice_size=7))
+CENSUS = lattice_census(7)
 M3 = try_lattice(poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
 
 
@@ -462,14 +461,14 @@ def test_m3_certificate_tests_few_candidates(monkeypatch):
 
     monkeypatch.setattr(kernels_mod, "_planes", counting_planes)
     monkeypatch.setattr(oracle_mod, "_rows_realize", counting_realize)
-    assert realize_sd_lattice(M3, SearchBudget(max_brick_set_size=5)) is None
+    assert realize_sd_lattice(M3, 5) is None
     assert 0 < blocks[0] <= 1_036 / 3
     assert 0 < calls[0] <= 23_033 / 3
 
 
-def hit(L, budget, factorizable_only=True):
+def hit(L, max_bricks, factorizable_only=True):
     try:
-        R = realize_sd_lattice(L, budget, factorizable_only)
+        R = realize_sd_lattice(L, max_bricks, factorizable_only)
     except BudgetExceeded:
         return BUDGET
     return None if R is None else R.row_masks
@@ -486,39 +485,38 @@ def test_pinned_hits_cover_the_intended_lattices():
 
 @pytest.mark.parametrize("index", sorted(SD_HITS))
 def test_semidistributive_first_hits_are_pinned(index):
-    assert hit(CENSUS[index], SearchBudget(max_brick_set_size=5)) == SD_HITS[index]
+    assert hit(CENSUS[index], 5) == SD_HITS[index]
 
 
 @pytest.mark.parametrize("index", sorted(NON_SD_HITS))
 def test_non_semidistributive_absence_is_pinned(index):
-    assert hit(CENSUS[index], SearchBudget(max_brick_set_size=4)) == NON_SD_HITS[index]
+    assert hit(CENSUS[index], 4) == NON_SD_HITS[index]
 
 
 @pytest.mark.parametrize("index", sorted(UNFILTERED_HITS))
 def test_unfiltered_first_hits_are_pinned(index):
-    budget = SearchBudget(max_brick_set_size=3)
-    assert hit(CENSUS[index], budget, False) == UNFILTERED_HITS[index]
+    assert hit(CENSUS[index], 3, False) == UNFILTERED_HITS[index]
 
 
 def test_m3_has_no_factorizable_realization_up_to_five_bricks():
-    assert realize_sd_lattice(M3, SearchBudget(max_brick_set_size=5)) is None
+    assert realize_sd_lattice(M3, 5) is None
 
 
-def aborted_search(L, budget):
+def aborted_search(L, max_bricks):
     """The BudgetExceeded message, the seconds and the traced peak bytes."""
     tracemalloc.start()
     t0 = time.monotonic()
     try:
         with pytest.raises(BudgetExceeded) as exc:
-            realize_sd_lattice(L, budget)
+            realize_sd_lattice(L, max_bricks)
         return str(exc.value), time.monotonic() - t0, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_budget_abort_names_its_stage_and_block_memory_stays_small():
-    budget = SearchBudget(max_brick_set_size=8, time_limit=0.5)
-    msg, seconds, peak = aborted_search(M3, budget)
+def test_budget_abort_names_its_stage_and_block_memory_stays_small(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 0.5)
+    msg, seconds, peak = aborted_search(M3, 8)
     found = re.search(r"on (\d+) bricks, after ([\d,]+) of 2\^(\d+) candidate", msg)
     assert found, msg
     m = int(found.group(1))
@@ -529,12 +527,12 @@ def test_budget_abort_names_its_stage_and_block_memory_stays_small():
     assert peak < 4 * 2**20
 
 
-def test_search_on_eight_bricks_works_in_bounded_blocks():
+def test_search_on_eight_bricks_works_in_bounded_blocks(monkeypatch):
     # M8, eight atoms: not semidistributive, so the search starts at 8 bricks
     atoms = range(1, 9)
     m8 = try_lattice(poset_from_pairs(10, [(0, a) for a in atoms] + [(a, 9) for a in atoms]))
-    budget = SearchBudget(max_brick_set_size=8, time_limit=0.3)
-    msg, seconds, peak = aborted_search(m8, budget)
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 0.3)
+    msg, seconds, peak = aborted_search(m8, 8)
     assert "on 8 bricks, after " in msg
     assert seconds < 5
     assert peak < 4 * 2**20
@@ -545,26 +543,26 @@ def test_nine_free_bricks_realize_the_boolean_lattice():
     candidate, the arrow-free relation, realizes the 512-element lattice."""
     covers = [(s, s | 1 << i) for s in range(512) for i in range(9) if not s >> i & 1]
     boolean = try_lattice(poset_from_pairs(512, covers))
-    R = realize_sd_lattice(boolean, SearchBudget(max_brick_set_size=9))
+    R = realize_sd_lattice(boolean, 9)
     assert R.row_masks == tuple(1 << i for i in range(9))
 
 
-def test_a_huge_brick_budget_costs_nothing_up_front():
+def test_a_huge_brick_budget_costs_nothing_up_front(monkeypatch):
     """M3 is not semidistributive, so every size up to the budget is
     searched; the sizes are not listed before the first candidate."""
-    budget = SearchBudget(max_brick_set_size=10**9, time_limit=0.05)
-    msg, seconds, peak = aborted_search(M3, budget)
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 0.05)
+    msg, seconds, peak = aborted_search(M3, 10**9)
     assert "ran past its time limit" in msg
     assert seconds < 1
     assert peak < 4 * 2**20
 
 
-def test_sixty_three_bricks_search_until_the_time_limit():
+def test_sixty_three_bricks_search_until_the_time_limit(monkeypatch):
     """The 64-element chain has 63 join-irreducibles; planes have no width
     limit, so 63 bricks are searched like any other size."""
     chain = try_lattice(poset_from_pairs(64, [(i, i + 1) for i in range(63)]))
-    budget = SearchBudget(max_brick_set_size=63, time_limit=0.05)
-    msg, seconds, peak = aborted_search(chain, budget)
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 0.05)
+    msg, seconds, peak = aborted_search(chain, 63)
     assert "on 63 bricks, after " in msg
     assert seconds < 5
     assert peak < 4 * 2**20

@@ -741,6 +741,17 @@ def test_unreadable_input_exits_two_naming_the_file(
     assert str(path) in err and message in err
 
 
+@pytest.mark.parametrize("command", ["build-tors", "build-rel", "check", "realize"])
+def test_integer_past_the_digit_limit_exits_two(tmp_path, command):
+    """json.load raises a plain ValueError past int()'s 4,300-digit limit."""
+    path = tmp_path / "long.json"
+    path.write_text('{"vertices": ' + "9" * 5000 + ', "orientation": []}', encoding="utf-8")
+    proc = child("-m", "torslat.cli", command, str(path), timeout=30)
+    assert one_line_error(proc.returncode, proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("flag", ["--json", "--dot"])
 def test_unwritable_output_path_exits_two_naming_it(capsys, tmp_path, flag):
     dest = tmp_path / "missing" / "out.txt"

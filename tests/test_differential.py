@@ -78,7 +78,6 @@ from torslat.lattice import (
 )
 from torslat.kernels import factorizable_orbits, rows_of
 from torslat.oracle import (
-    SearchBudget,
     _relation_of_rows,
     brute_semidistributivity_violation,
     brute_try_lattice,
@@ -149,7 +148,7 @@ def assert_intervals_match_sublattices(L):
     return checked
 
 
-CENSUS = lattice_census(SearchBudget(max_lattice_size=7))
+CENSUS = lattice_census(7)
 
 
 def test_census_has_every_lattice_up_to_seven():

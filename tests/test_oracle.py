@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+import torslat.oracle as oracle_mod
 from torslat.bridge import tors_of_algebra
 from torslat.galois import (
     TorsionPair,
@@ -32,7 +33,6 @@ from torslat.lattice import (
 )
 from torslat.oracle import (
     BudgetExceeded,
-    SearchBudget,
     brute_torsion_pairs,
     closure_axiom_check,
     lattice_census,
@@ -65,13 +65,13 @@ def corpus_relations():
     yield hom_relation(QuiverPresentation(4, ("right", "right", "right")))
 
 
-def test_budget_validation():
+def test_size_zero_is_refused_by_every_search():
     with pytest.raises(ValueError):
-        SearchBudget(max_brick_set_size=0)
+        sweep_factorizable(0)
     with pytest.raises(ValueError):
-        SearchBudget(time_limit=0)
-    with pytest.raises(ValueError):  # a NaN deadline would never pass
-        SearchBudget(time_limit=float("nan"))
+        lattice_census(0)
+    with pytest.raises(ValueError):
+        realize_sd_lattice(lattice_from_covers(1, []), 0)
 
 
 def test_brute_matches_closure_method():
@@ -141,7 +141,7 @@ def test_closure_steps_reject_every_tampered_a4_lattice():
 
 
 def test_sweep_counts_small():
-    rep = sweep_factorizable(SearchBudget(max_brick_set_size=3))
+    rep = sweep_factorizable(3)
     assert rep["per_m"] == {
         "1": {"relations": 1, "factorizable": 1},
         "2": {"relations": 4, "factorizable": 3},
@@ -153,19 +153,20 @@ def test_sweep_counts_small():
 
 
 def test_sweep_literal_reading_counts():
-    rep = sweep_factorizable(SearchBudget(max_brick_set_size=2), literal_mono=True)
+    rep = sweep_factorizable(2, literal_mono=True)
     assert rep["per_m"]["2"] == {"relations": 4, "factorizable": 1}
 
 
-def test_sweep_budget_caps():
+def test_sweep_budget_caps(monkeypatch):
     with pytest.raises(BudgetExceeded):
-        sweep_factorizable(SearchBudget(max_brick_set_size=6))
+        sweep_factorizable(6)
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 1e-9)
     with pytest.raises(BudgetExceeded, match="time limit before m=1"):
-        sweep_factorizable(SearchBudget(max_brick_set_size=3, time_limit=1e-9))
+        sweep_factorizable(3)
 
 
 def test_census_counts():
-    census = lattice_census(SearchBudget(max_lattice_size=6))
+    census = lattice_census(6)
     by_size: dict[int, int] = {}
     for L in census:
         by_size[L.n] = by_size.get(L.n, 0) + 1
@@ -176,7 +177,7 @@ def test_census_counts():
 
 
 def test_census_contains_classics():
-    census = [L for L in lattice_census(SearchBudget(max_lattice_size=5)) if L.n == 5]
+    census = [L for L in lattice_census(5) if L.n == 5]
     n5 = lattice_from_covers(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
     m3 = lattice_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     assert any(are_isomorphic(L, n5) for L in census)
@@ -186,19 +187,19 @@ def test_census_contains_classics():
 
 def test_census_budget_cap():
     with pytest.raises(BudgetExceeded):
-        lattice_census(SearchBudget(max_lattice_size=8))
+        lattice_census(8)
 
 
 def test_realize_trivial_lattices():
     point = lattice_from_covers(1, [])
     chain2 = lattice_from_covers(2, [(0, 1)])
-    assert realize_sd_lattice(point).row_masks == ()
-    assert realize_sd_lattice(chain2).row_masks == (1,)
+    assert realize_sd_lattice(point, 5).row_masks == ()
+    assert realize_sd_lattice(chain2, 5).row_masks == (1,)
 
 
 def test_realize_pentagon():
     n5 = lattice_from_covers(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
-    R = realize_sd_lattice(n5)
+    R = realize_sd_lattice(n5, 5)
     assert R is not None
     assert R.row_masks == (1, 3, 6)
     assert is_factorizable(R)
@@ -207,9 +208,8 @@ def test_realize_pentagon():
 
 def test_realize_m3_needs_unfiltered():
     m3 = lattice_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    budget = SearchBudget(max_brick_set_size=3)
-    assert realize_sd_lattice(m3, budget) is None
-    R = realize_sd_lattice(m3, budget, factorizable_only=False)
+    assert realize_sd_lattice(m3, 3) is None
+    R = realize_sd_lattice(m3, 3, factorizable_only=False)
     assert R is not None
     assert R.row_masks == (3, 6, 5)
     assert factorizability_violation(R) == ("unfactorized-arrow", 0, 1)
@@ -221,7 +221,7 @@ def test_realize_seven_element_example():
         7, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (4, 5), (5, 6), (2, 6)]
     )
     assert is_semidistributive(seven)
-    R = realize_sd_lattice(seven)
+    R = realize_sd_lattice(seven, 5)
     assert R is not None
     assert R.m == 4
     assert R.row_masks == (1, 3, 5, 14)
@@ -232,8 +232,8 @@ def test_realize_seven_element_example():
 def test_realize_budget():
     chain6 = lattice_from_covers(6, [(i, i + 1) for i in range(5)])
     with pytest.raises(BudgetExceeded):
-        realize_sd_lattice(chain6, SearchBudget(max_brick_set_size=4))
-    R = realize_sd_lattice(chain6, SearchBudget(max_brick_set_size=5))
+        realize_sd_lattice(chain6, 4)
+    R = realize_sd_lattice(chain6, 5)
     assert R is not None and R.row_masks == (1, 3, 7, 15, 31)
 
 

@@ -25,7 +25,6 @@ from torslat.galois import all_torsion_pairs, factorizability_violation, verify_
 from torslat.kernels import factorizable_orbits, rows_of
 from torslat.lattice import are_isomorphic
 from torslat.oracle import (
-    SearchBudget,
     _abstract_dichotomy_holds,
     _relation_of_rows,
     sweep_factorizable,
@@ -133,7 +132,7 @@ def fake_suite(monkeypatch):
 
 def test_a_failing_orbit_reports_every_member_in_mask_order(monkeypatch):
     fake_suite(monkeypatch)
-    report = sweep_factorizable(SearchBudget(max_brick_set_size=4))
+    report = sweep_factorizable(4)
     assert report["violations"] == [
         {"m": 3, "mask": mask, "problems": [f"fake problem at mask {mask}"]}
         for mask in ORBIT
@@ -155,7 +154,7 @@ def test_dichotomy_failures_count_the_whole_orbit(monkeypatch):
         return not (R.m == 3 and mask_of(R) in ORBIT)
 
     monkeypatch.setattr(oracle_mod, "_abstract_dichotomy_holds", holds)
-    report = sweep_factorizable(SearchBudget(max_brick_set_size=3))
+    report = sweep_factorizable(3)
     assert report["abstract_dichotomy_failures"] == len(ORBIT)
     assert report["violations"] == []
 
@@ -166,5 +165,6 @@ def test_time_limit_names_the_size_it_stopped_before(monkeypatch):
         return True
 
     monkeypatch.setattr(oracle_mod, "_abstract_dichotomy_holds", slow)
+    monkeypatch.setattr(oracle_mod, "TIME_LIMIT", 0.1)
     with pytest.raises(oracle_mod.BudgetExceeded, match="time limit before m=2"):
-        sweep_factorizable(SearchBudget(max_brick_set_size=3, time_limit=0.1))
+        sweep_factorizable(3)
