@@ -17,6 +17,7 @@ from .lattice import (
     CoverEdge,
     InternalInconsistency,
     _bits,
+    _is_cover,
     is_lattice_quotient,
 )
 from .quiver import QuiverPresentation, bricks, hom_relation
@@ -134,12 +135,11 @@ def _fibers_agree(qm: QuotientMap) -> bool:
 def label_preservation_check(qm: QuotientMap) -> bool:
     """Covers that survive stay covers and keep their brick labels."""
     src, dst = qm.source, qm.target
-    dst_covers = dst.lattice.poset.cover_index
     for c in src.lattice.poset.covers:
         image = CoverEdge(qm.element_map[c.lower], qm.element_map[c.upper])
         if image.lower == image.upper:
             continue
-        if image not in dst_covers:
+        if not _is_cover(dst.lattice, image):
             return False
         if qm.brick_map[src.cover_labels[c]] != dst.cover_labels[image]:
             return False

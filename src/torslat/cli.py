@@ -79,7 +79,8 @@ MAX_QUIVER_VERTICES = MAX_TORS_CLASSES.bit_length() - 1
 # Bricks with different columns have different principal left perps,
 # torsion classes other than the full set, so a wider relation is over
 # MAX_TORS_CLASSES or has two equal columns (a mono-cycle, not
-# factorizable); it is refused before the O(m^2) arrow matrix is built.
+# factorizable); it is refused on its label count, before its arrows are
+# read or any principal perp is intersected.
 MAX_RELATION_BRICKS = MAX_TORS_CLASSES - 1
 
 
@@ -107,6 +108,8 @@ def _strings(path: str, obj: dict, key: str) -> list[str]:
     value = obj[key]
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise InputFileError(f"{path}: '{key}' must be an array of strings")
+    if any("\ud800" <= ch <= "\udfff" for s in value for ch in s):
+        raise InputFileError(f"{path}: '{key}' holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 
@@ -305,6 +308,8 @@ def _tors_dot(TL: TorsLattice) -> str:
 
 def _emit(text: str, dest: str | None):
     if dest is None or dest == "-":
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise InputFileError("stdout: cannot write: it is closed")
         sys.stdout.write(text)
         return
     try:

@@ -56,6 +56,7 @@ from .lattice import (
     _bits,
     _interval_endpoints,
     _intersection_table,
+    _is_cover,
     _transpose,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
@@ -403,7 +404,7 @@ def cover_brick_label(TL: TorsLattice, c: CoverEdge) -> int:
     under the brick-to-join-irreducible correspondence; a disagreement
     would be a bug, not bad input.
     """
-    if c not in TL.lattice.poset.cover_index:
+    if not _is_cover(TL.lattice, c):
         raise ValueError(f"({c.lower}, {c.upper}) is not a cover")
     return _brick_label(TL, c, is_semidistributive(TL.lattice))
 

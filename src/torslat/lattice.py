@@ -8,14 +8,14 @@ as tuples of tuples.  Everything here is sized for exhaustive small-case
 work (up to a few thousand elements), and no pass is cubic in the number
 of elements: a join is the element whose up-set is the intersection of
 two up-sets, one dict lookup, and the covers, irreducibles and label
-tables are single passes over the comparable pairs or the covers.
-Derived quantities (covers, irreducibles, the gamma and mu label of every
-cover, semidistributivity witnesses) are computed once per lattice and
-cached on it.  The irreducibles are cross-checked once per lattice
-against a second characterization, their cover counts against a fold of
-the join (meet) table over the elements below (above) each element; the
-invariant suite checks gamma against mu through kappa.
-Semidistributivity is read off the label tables: a lattice is join-
+table are single passes over the comparable pairs or the covers.
+Derived quantities (covers, irreducibles, the label table, the sorted
+element invariants, semidistributivity witnesses) are computed once per
+lattice and cached on it.  The irreducibles are cross-checked once per
+lattice against a second characterization, their cover counts against a
+fold of the join (meet) table over the elements below (above) each
+element; the invariant suite checks gamma against mu through kappa.
+Semidistributivity is read off the label table: a lattice is join-
 (meet-) semidistributive iff every cover has exactly one gamma (mu)
 candidate.  Only a lattice that is not gets searched for its first
 witness, by a meet fold per row of the join table (see
@@ -27,11 +27,10 @@ on a join-semidistributive lattice every cover ``x <| y`` determines a
 unique join-irreducible ``j`` with ``x v j = y`` and ``x v j_* = x``, and
 dually.  ``kappa`` sends a join-irreducible ``j`` to ``mu`` of the cover
 ``j_* <| j`` and is a bijection onto the meet-irreducibles whenever the
-lattice is semidistributive.  gamma and mu of all covers come from one
-(covers x irreducibles) test each; the single-cover functions and kappa
-read those tables.  The kappa checks walk kappa, kappa_dual and the
-labels cover by cover over the cached tables, so the first failing cover
-raises just as a single call would.
+lattice is semidistributive.  One table, keyed by cover, holds every
+cover's gamma and mu candidates; the single-cover functions and kappa
+read it.  The kappa checks walk kappa, kappa_dual and the labels cover
+by cover over it, so the first failing cover raises as one call would.
 """
 
 from __future__ import annotations
@@ -166,11 +165,6 @@ class FinitePoset:
             CoverEdge(x, y) for x, s in enumerate(self.upper_cover_sets) for y in _bits(s)
         )
 
-    @cached_property
-    def cover_index(self) -> dict[CoverEdge, int]:
-        """Position of each cover in ``covers``."""
-        return {c: i for i, c in enumerate(self.covers)}
-
 
 def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     """Build a poset from generating pairs x <= y, taking the closure."""
@@ -226,12 +220,12 @@ class FiniteLattice:
         return meet_semidistributivity_violation(self)
 
     @cached_property
-    def _gamma_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _label_table(self, dual=False)
+    def _labels(self) -> dict[CoverEdge, tuple[list[int], list[int]]]:
+        return _label_table(self)
 
     @cached_property
-    def _mu_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _label_table(self, dual=True)
+    def _invariant_key(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(sorted(_element_invariants(self)))
 
 
 def try_lattice(p: FinitePoset) -> FiniteLattice:
@@ -339,7 +333,7 @@ def join_semidistributivity_violation(
 ) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with x v y = x v z but x v (y ^ z) != x v y.
 
-    Read off the gamma table: L is join-semidistributive iff every cover
+    Read off the label table: L is join-semidistributive iff every cover
     x <| y has exactly one gamma candidate, and only otherwise are the
     triples searched, so that the first witness is named.  Why: the
     candidates of x <| y are the minimal elements of Z = {z : x v z = y}.
@@ -355,7 +349,7 @@ def join_semidistributivity_violation(
     On a hand-tampered table the search may find no triple; the result is
     then None, and reading a label reports the cover's candidate count.
     """
-    if all(h == 1 for h in L._gamma_table[1]):
+    if all(len(gamma) == 1 for gamma, _ in L._labels.values()):
         return None
     return _semidistributivity_violation(L.join, L.meet)
 
@@ -365,10 +359,10 @@ def meet_semidistributivity_violation(
 ) -> tuple[int, int, int] | None:
     """First triple (x, y, z) with x ^ y = x ^ z but x ^ (y v z) != x ^ y.
 
-    Read off the mu table, dually: None iff every cover has exactly one
+    Read off the label table, dually: None iff every cover has exactly one
     mu candidate.
     """
-    if all(h == 1 for h in L._mu_table[1]):
+    if all(len(mu) == 1 for _, mu in L._labels.values()):
         return None
     return _semidistributivity_violation(L.meet, L.join)
 
@@ -429,10 +423,16 @@ def mu_label(L: FiniteLattice, c: CoverEdge) -> int:
     return _cover_label(L, c, dual=True)
 
 
+def _is_cover(L: FiniteLattice, c: CoverEdge) -> bool:
+    """Whether c is a cover of L (False for ends out of range); no label is built."""
+    x, y = c
+    p = L.poset
+    return 0 <= x < p.n and 0 <= y and bool(p.upper_cover_sets[x] >> y & 1)
+
+
 def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
     x, y = c
-    i = L.poset.cover_index.get(c)
-    if i is None:
+    if not _is_cover(L, c):
         raise ValueError(f"({x}, {y}) is not a cover")
     kind, name, w = (
         ("meet", "mu", L._msd_witness) if dual else ("join", "gamma", L._jsd_witness)
@@ -441,38 +441,34 @@ def _cover_label(L: FiniteLattice, c: CoverEdge, dual: bool) -> int:
         raise NotSemidistributive(
             f"lattice is not {kind}-semidistributive, witness {w}", w
         )
-    labels, hits = L._mu_table if dual else L._gamma_table
-    if hits[i] != 1:
+    found = L._labels[c][dual]
+    if len(found) != 1:
         raise InternalInconsistency(
-            f"cover ({x}, {y}) has {hits[i]} {name} labels; expected exactly 1"
+            f"cover ({x}, {y}) has {len(found)} {name} labels; expected exactly 1"
         )
-    return labels[i]
+    return found[0]
 
 
-def _label_table(
-    L: FiniteLattice, dual: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """gamma (dual: mu) of every cover, and how many irreducibles qualify
-    for each, one (covers x irreducibles) pass.
+def _label_table(L: FiniteLattice) -> dict[CoverEdge, tuple[list[int], list[int]]]:
+    """Each cover's gamma and mu candidates, ascending, one pass over the covers.
 
-    For x <| y the candidates are the join-irreducibles j with x v j = y
-    and x v j_* = x (dual: the meet-irreducibles m with y ^ m = x and
-    y ^ m^* = y).  A label is meaningful only where exactly one qualifies;
-    the label entry is the first candidate, or 0 if there is none.
+    For x <| y the gamma candidates are the join-irreducibles j with
+    x v j = y and x v j_* = x, and the mu candidates the meet-irreducibles
+    m with y ^ m = x and y ^ m^* = y.  A label means something only where
+    exactly one candidate qualifies.
     """
-    if dual:
-        irr, op, covers = meet_irreducibles(L), L.meet, L.poset.upper_cover_sets
-    else:
-        irr, op, covers = join_irreducibles(L), L.join, L.poset.lower_cover_sets
-    star = [(k, covers[k].bit_length() - 1) for k in irr]
-    labels, hits = [], []
-    for x, y in L.poset.covers:
-        near, far = (y, x) if dual else (x, y)
-        row = op[near]
-        found = [k for k, s in star if row[k] == far and row[s] == near]
-        labels.append(found[0] if found else 0)
-        hits.append(len(found))
-    return tuple(labels), tuple(hits)
+    p = L.poset
+    jstar = [(j, p.lower_cover_sets[j].bit_length() - 1) for j in join_irreducibles(L)]
+    mstar = [(m, p.upper_cover_sets[m].bit_length() - 1) for m in meet_irreducibles(L)]
+    table = {}
+    for c in p.covers:
+        x, y = c
+        jx, my = L.join[x], L.meet[y]
+        table[c] = (
+            [j for j, s in jstar if jx[j] == y and jx[s] == x],
+            [m for m, s in mstar if my[m] == x and my[s] == y],
+        )
+    return table
 
 
 def kappa(L: FiniteLattice, j: int) -> int:
@@ -538,13 +534,12 @@ def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
 
 
 def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
-    """Order isomorphism test by invariant-pruned backtracking."""
-    if L1.n != L2.n:
+    """Order isomorphism test by invariant-pruned backtracking, after the
+    cached sorted invariants (which differ when the sizes do) agree."""
+    if L1._invariant_key != L2._invariant_key:
         return False
     inv1 = _element_invariants(L1)
     inv2 = _element_invariants(L2)
-    if sorted(inv1) != sorted(inv2):
-        return False
     order = sorted(range(L1.n), key=lambda x: (inv1[x], x))
     buckets = {inv: [y for y in range(L2.n) if inv2[y] == inv] for inv in set(inv1)}
     up1, up2 = L1.poset.up, L2.poset.up
@@ -580,13 +575,8 @@ def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
 def _element_invariants(L: FiniteLattice) -> list[tuple[int, int, int, int]]:
     p = L.poset
     return [
-        (
-            p.down[x].bit_count(),
-            p.up[x].bit_count(),
-            p.lower_cover_sets[x].bit_count(),
-            p.upper_cover_sets[x].bit_count(),
-        )
-        for x in range(L.n)
+        (down.bit_count(), up.bit_count(), lower.bit_count(), upper.bit_count())
+        for down, up, lower, upper in zip(p.down, p.up, p.lower_cover_sets, p.upper_cover_sets)
     ]
 
 

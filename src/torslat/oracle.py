@@ -38,7 +38,6 @@ from .lattice import (
     InternalInconsistency,
     NotALattice,
     _bits,
-    _element_invariants,
     are_isomorphic,
     is_semidistributive,
     join_irreducibles,
@@ -299,7 +298,7 @@ def lattice_census(max_size: int) -> list[FiniteLattice]:
         raise BudgetExceeded(f"census is capped at {MAX_CENSUS_ELEMENTS} elements")
     out: list[FiniteLattice] = []
     for n in range(1, max_size + 1):
-        found: list[tuple[tuple, FiniteLattice]] = []
+        found: list[FiniteLattice] = []
         for downs in _natural_posets(n, deadline):
             up = [1 << x for x in range(n)]
             for y, d in enumerate(downs):
@@ -309,13 +308,9 @@ def lattice_census(max_size: int) -> list[FiniteLattice]:
                 L = try_lattice(FinitePoset(up))
             except NotALattice:
                 continue
-            key = tuple(sorted(_element_invariants(L)))
-            if any(
-                k == key and are_isomorphic(L, other) for k, other in found
-            ):
-                continue
-            found.append((key, L))
-        out.extend(L for _, L in found)
+            if not any(are_isomorphic(L, other) for other in found):
+                found.append(L)
+        out.extend(found)
     return out
 
 
@@ -372,20 +367,15 @@ def realize_sd_lattice(
         sizes = [n_ji]
     else:
         sizes = range(lower, max_bricks + 1)
-    key = tuple(sorted(_element_invariants(L)))
     for m in sizes:
-        hit = _search_relations(L, key, m, factorizable_only, deadline)
+        hit = _search_relations(L, m, factorizable_only, deadline)
         if hit is not None:
             return hit
     return None
 
 
 def _search_relations(
-    L: FiniteLattice,
-    key: tuple,
-    m: int,
-    factorizable_only: bool,
-    deadline: float,
+    L: FiniteLattice, m: int, factorizable_only: bool, deadline: float
 ) -> BrickRelation | None:
     """The first m-brick candidate, in the order realize_sd_lattice
     states, that realizes L; the candidates come from
@@ -397,12 +387,12 @@ def _search_relations(
                 f" after {lo:,} of 2^{m * (m - 1)} candidate relations"
             )
         for rows in candidates:
-            if _rows_realize(L, key, rows):
+            if _rows_realize(L, rows):
                 return _relation_of_rows(rows)
     return None
 
 
-def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
+def _rows_realize(L: FiniteLattice, rows: tuple[int, ...]) -> bool:
     """Whether the relation with these rows realizes L.
 
     A relation has as many torsion-free classes as torsion classes, and
@@ -414,10 +404,7 @@ def _rows_realize(L: FiniteLattice, key: tuple, rows: tuple[int, ...]) -> bool:
     closed = _closed_sets([full & ~r for r in rows], full, cap=L.n)
     if closed is None or len(closed) != L.n:
         return False
-    TL = all_torsion_pairs(_relation_of_rows(rows))
-    if tuple(sorted(_element_invariants(TL.lattice))) != key:
-        return False
-    return are_isomorphic(TL.lattice, L)
+    return are_isomorphic(all_torsion_pairs(_relation_of_rows(rows)).lattice, L)
 
 
 def surjection_dichotomy_sweep(Q: QuiverPresentation) -> dict:

@@ -44,7 +44,6 @@ from torslat.galois import (
 )
 from torslat.kernels import factorizable_lanes, rows_of
 from torslat.lattice import (
-    _element_invariants,
     is_semidistributive,
     poset_from_pairs,
     try_lattice,
@@ -325,14 +324,13 @@ def test_wide_relations_take_any_width(m, equal_rows):
 def recorded_candidates(monkeypatch, m, factorizable_only):
     seen = []
 
-    def record(L, key, rows):
+    def record(L, rows):
         seen.append(rows)
         return False
 
     monkeypatch.setattr(oracle_mod, "_rows_realize", record)
-    key = tuple(sorted(_element_invariants(M3)))
     deadline = time.monotonic() + 60
-    assert oracle_mod._search_relations(M3, key, m, factorizable_only, deadline) is None
+    assert oracle_mod._search_relations(M3, m, factorizable_only, deadline) is None
     return seen
 
 
@@ -425,8 +423,7 @@ def assert_realize_counts_torsion_free_classes(rows):
     assert free == {perp_right(R, s) for s in range(1 << R.m)}
     TL = all_torsion_pairs(R)
     assert len(free) == TL.n
-    key = tuple(sorted(_element_invariants(TL.lattice)))
-    assert oracle_mod._rows_realize(TL.lattice, key, rows)
+    assert oracle_mod._rows_realize(TL.lattice, rows)
 
 
 def test_torsion_free_count_on_every_small_relation():

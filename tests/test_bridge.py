@@ -100,6 +100,13 @@ def test_tampered_quotient_maps_fail_the_checks(field, value, failing):
     assert not label_preservation_check(qm)
 
 
+def test_cover_sent_onto_a_non_cover_fails_label_preservation():
+    qm = quotient_map(A2L, ((0,),))
+    qm.element_map = (0, 3, 2, 2, 3)  # the cover 0 <| 1 onto 0 < 3, not a cover
+    assert (0, 3) not in qm.target.lattice.poset.covers
+    assert not label_preservation_check(qm)
+
+
 def test_quotient_three_vertices():
     qm = quotient_map(A3R, ((0, 1),))
     assert qm.source.n == 14

@@ -27,8 +27,9 @@ def golden(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
 
 
-def child(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` on the package under test, installed or not."""
+def child(*args: str, timeout: float | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on the package under test, installed or not;
+    ``kwargs`` go to subprocess.run."""
     src = str(Path(torslat.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -37,6 +38,7 @@ def child(*args: str, timeout: float | None = None) -> subprocess.CompletedProce
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
+        **kwargs,
     )
 
 
@@ -503,6 +505,17 @@ def test_console_script_entry_point():
     assert proc.stdout == golden("a2_tors.json")
 
 
+def test_closed_stdout_exits_two_with_one_line():
+    """With fd 1 closed at start-up there is no sys.stdout to write the
+    report to: one error line, as for an unwritable --json path."""
+    proc = child(
+        "-m", "torslat.cli", "build-tors", str(DATA / "a2.json"),
+        timeout=30, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: stdout: cannot write: it is closed\n"
+
+
 def write_json(tmp_path, obj) -> Path:
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -602,6 +615,8 @@ READER_MESSAGES = [
     ("build-rel", {"labels": ["a", "b"], "arrows": [[0, 1], [0, 1]]}, "duplicate arrow [0, 1]"),
     ("build-rel", {"labels": ["a", "b"], "arrows": [[0, 5]]},
      "arrow (0, 5) out of range for 2 bricks"),
+    ("build-rel", {"labels": ["\ud800", "b"], "arrows": []},
+     "'labels' holds a lone surrogate, which UTF-8 cannot encode"),
     # quiver files
     ("build-tors", {"vertices": 2}, "expected an object with 'vertices' and 'orientation'"),
     ("build-tors", {"vertices": "2", "orientation": ["left"]}, "'vertices' must be an integer"),
@@ -649,6 +664,18 @@ def test_reader_messages(capsys, tmp_path, command, obj, message):
     path = write_json(tmp_path, obj)
     rc, out, err = run(capsys, command, path)
     assert (rc, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("dot", ["-", "out.dot"])
+def test_lone_surrogate_label_writes_no_dot(capsys, tmp_path, dot):
+    """A JSON escape can hold a lone surrogate, which no UTF-8 output can:
+    the reader refuses it before any DOT is written or its file opened."""
+    path = write_json(tmp_path, {"labels": ["\ud800", "b"], "arrows": []})
+    dest = dot if dot == "-" else tmp_path / dot
+    rc, out, err = run(capsys, "build-rel", path, "--dot", dest)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: 'labels' holds a lone surrogate, which UTF-8 cannot encode\n"
+    assert not (tmp_path / "out.dot").exists()
 
 
 def test_internal_errors_are_not_reported_as_bad_input(monkeypatch, tmp_path):

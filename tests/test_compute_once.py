@@ -5,11 +5,11 @@ Counts, not timings: the by-definition irreducible scan runs once per
 lattice during the invariant suite, the exact Hom solver runs a bounded
 number of times during `torslat check`, the closure-axiom check derives
 each module's submodules once and closes O(classes x modules) sets, the
-cover-to-brick table is built once per torsion lattice and read by the
-interval and quotient checks, the invariant suite builds no lattice
-besides the one it checks and checks no interval one pair at a time,
-`quotient` checks no fiber one pair at a time,
-semidistributivity is read off the label tables with no triple search
+cover-to-brick table and the gamma/mu label table are built once per
+lattice and read by the interval and quotient checks, the invariant
+suite builds no lattice besides the one it checks and checks no interval
+one pair at a time, `quotient` checks no fiber one pair at a time,
+semidistributivity is read off the label table with no triple search
 unless the lattice fails it, and tampered tables still trip the "two
 characterizations must agree" checks.
 """
@@ -20,6 +20,7 @@ import io
 import itertools
 from collections import Counter
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,31 @@ def test_unlabellable_cover_is_reported_once_and_raises_directly():
         TL.cover_labels
     with pytest.raises(galois_mod.LabelNotUnique):
         galois_mod.interval_label_set(TL, 0, TL.n - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, lattices",
+    [
+        (["check", str(Path(__file__).parent / "data" / "a2_rel.json")], 1),
+        (["quotient", None, "--ideal", "1,0"], 2),  # the source and the target
+    ],
+)
+def test_gamma_mu_table_is_built_once_per_lattice(monkeypatch, tmp_path, argv, lattices):
+    """One pass labels every cover with its gamma and mu candidates;
+    separate gamma and mu passes took 2 (check) and 4 (quotient)."""
+    built = []  # holds the lattices themselves, so no id is reused
+    real_table = lattice_mod._label_table
+
+    def counting_table(L):
+        built.append(L)
+        return real_table(L)
+
+    monkeypatch.setattr(lattice_mod, "_label_table", counting_table)
+    argv = [write_a4(tmp_path) if a is None else a for a in argv]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(built) == lattices
+    assert len({id(L) for L in built}) == lattices
 
 
 def test_invariant_suite_builds_no_lattice(monkeypatch):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import torslat.lattice as lattice_mod
 from torslat.lattice import (
     AntisymmetryViolation,
     CoverEdge,
@@ -292,6 +293,26 @@ def test_isomorphism(pentagon, diamond_m3):
     assert are_isomorphic(pentagon, relabeled)
     assert not are_isomorphic(pentagon, diamond_m3)
     assert are_isomorphic(diamond_m3, diamond_m3)
+
+
+def test_isomorphism_reads_the_cached_invariant_key_first(
+    monkeypatch, pentagon, diamond_m3, chain3
+):
+    """Different sizes or invariants are told apart by the sorted
+    invariants cached on each lattice, before any per-element work."""
+    relabeled = lattice_from_covers(5, [(0, 2), (0, 1), (1, 4), (4, 3), (2, 3)])
+    for L in (pentagon, diamond_m3, chain3, relabeled):
+        L._invariant_key  # cached before the per-element invariants are shut off
+
+    def per_element(L):
+        raise AssertionError("per-element invariants read")
+
+    monkeypatch.setattr(lattice_mod, "_element_invariants", per_element)
+    assert not are_isomorphic(pentagon, chain3)  # 5 elements against 3
+    assert not are_isomorphic(pentagon, diamond_m3)  # 5 against 5, other invariants
+    monkeypatch.undo()
+    assert are_isomorphic(pentagon, relabeled)
+    assert are_isomorphic(relabeled, pentagon)
 
 
 def test_isomorphism_past_the_recursion_limit():
