@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from collections import Counter
 
@@ -307,16 +308,21 @@ def _tors_dot(TL: TorsLattice) -> str:
 
 
 def _emit(text: str, dest: str | None):
-    if dest is None or dest == "-":
-        if sys.stdout is None:  # fd 1 was closed when the process started
-            raise InputFileError("stdout: cannot write: it is closed")
-        sys.stdout.write(text)
-        return
+    to_stdout = dest is None or dest == "-"
+    if to_stdout and sys.stdout is None:  # fd 1 was closed at start-up
+        raise InputFileError("stdout: cannot write: it is closed")
     try:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise InputFileError(f"{dest}: cannot write: {exc.strerror}")
+        if to_stdout:  # what stays buffered would fail again at exit
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputFileError(f"{'stdout' if to_stdout else dest}: cannot write: {exc.strerror}")
 
 
 def _write(args, report: dict, dot: str | None = None):

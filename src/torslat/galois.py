@@ -15,10 +15,9 @@ of bricks beyond what exhaustive search can afford.  The lattice is built
 from the class masks without a search for least upper bounds: class i
 lies below class j iff tset(i) is inside tset(j), the meet of two classes
 is the class whose torsion set is the intersection of theirs, and the
-join the class whose torsion-free set is the intersection of theirs
-(both tables come from ``lattice._intersection_table``, as in
-``try_lattice``).  The join table, built from the torsion-free side, is
-cross-checked against the order, built from the torsion side.
+join the class whose torsion-free set is the intersection of theirs; the
+tables are built only when read, and ``_tors_from_closed`` certifies the
+classes first, which makes them agree with the order.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -42,7 +41,6 @@ relation may have at most MAX_TORS_CLASSES torsion classes.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -55,7 +53,6 @@ from .lattice import (
     NotIrreducible,
     _bits,
     _interval_endpoints,
-    _intersection_table,
     _is_cover,
     _transpose,
     check_kappa_bijection,
@@ -69,13 +66,11 @@ from .lattice import (
     meet_irreducibles,
 )
 
-# Torsion classes a lattice may have.  The join and meet tables hold n^2
-# entries each, one dict lookup apiece, and the order, the covers and the
+# Torsion classes a lattice may have.  The order, the covers and the
 # invariant suite's passes grow with the comparable pairs: measured on a
 # 2-core machine (Python 3.11), building the 2,048 classes of 11 bricks
-# without arrows takes about 2.3 s and 80 MB, linear A7 (1,430 classes)
-# about 1.2 s and 46 MB.  Linear A8 has 4,862, and its two tables alone
-# would hold 47 million entries, about 380 MB of pointers.
+# without arrows takes about 0.2 s and 17 MB, linear A7 (1,430 classes)
+# about 0.2 s and 16 MB, and linear A8 (4,862, over the cap) 2 s and 26 MB.
 MAX_TORS_CLASSES = 1 << 11
 
 
@@ -237,7 +232,7 @@ def all_torsion_pairs(R: BrickRelation) -> TorsLattice:
 
     The torsion classes are generated as intersections of the principal
     left perps (plus the full class), not by scanning all subsets.  More
-    than MAX_TORS_CLASSES of them raise TooManyClasses before any table
+    than MAX_TORS_CLASSES of them raise TooManyClasses before the lattice
     is built.
     """
     principals = [perp_left(R, 1 << y) for y in range(R.m)]
@@ -263,34 +258,36 @@ def _closed_sets(principals: list[int], full: int, cap: int) -> set[int] | None:
 
 
 def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
-    """The lattice of the given torsion classes, a family closed under
-    intersection that holds the empty and the full set.
-
-    The order is inclusion of the torsion sets; the meet of two classes is
-    the class holding the intersection of their torsion sets, and the
-    join the class holding the intersection of their torsion-free sets.
-    The join and meet tables are checked against the order: i <= j iff
-    join[i][j] == j iff meet[j][i] == i.
+    """The lattice of the torsion classes, ordered by inclusion, from a
+    family of brick sets certified to be exactly the torsion classes:
+    (a) each member t is perp_left(perp_right(t)); (b) the empty set is a
+    member; (c) for each member t and brick b outside it, perp_right(t) &
+    ~row[b], which is perp_right(t + b), is perp_right of a member, so by
+    (a) the closure of t + b is a member.  By (a) the members are torsion
+    classes.  A torsion class S is reached from the empty member: while
+    the member t inside S is not S, the closure of t and a brick of S
+    outside t is a member inside S and larger than t.  So the members are
+    all the closed sets of the Galois connection, and the intersection of
+    two torsion (torsion-free) sets is a member's: their meet (join), the
+    tables the lattice builds when read.  InternalInconsistency names the
+    first member failing (a) or (c).
     """
     masks = sorted(set(closed), key=lambda s: (s.bit_count(), s))
     pairs = tuple(TorsionPair(t, perp_right(R, t)) for t in masks)
-    for t, f in pairs:
-        if t & f:
-            raise InternalInconsistency(
-                f"torsion class {t:b} meets its own perp {f:b}"
-            )
+    if 0 not in masks:
+        raise InternalInconsistency("the empty set is not among the torsion classes")
+    fsets = {f for _, f in pairs}
+    for i, (t, f) in enumerate(pairs):
+        if perp_left(R, f) != t:
+            raise InternalInconsistency(f"torsion class {i} is not the left perp of its own perp")
+        for b in _bits(R.full_mask & ~t):
+            if f & ~R.row_masks[b] not in fsets:
+                raise InternalInconsistency(
+                    f"torsion class {i} and brick {b} close outside the classes"
+                )
     poset = FinitePoset(_superset_classes(masks, R.m))
-    tables = []
-    for kind, sets in (("torsion", masks), ("torsion-free", [p.fset for p in pairs])):
-        table, gap = _intersection_table(sets)
-        if gap:
-            raise InternalInconsistency(
-                f"{kind} classes {gap[0]} and {gap[1]} intersect outside the family"
-            )
-        tables.append(table)
-    meet, join = tables
-    _check_tables(poset, join, meet)
-    return TorsLattice(R, pairs, FiniteLattice(poset, join, meet, 0, len(masks) - 1))
+    lattice = FiniteLattice(poset, 0, len(masks) - 1, [f for _, f in pairs], masks)
+    return TorsLattice(R, pairs, lattice)
 
 
 def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -306,29 +303,6 @@ def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, .
             acc &= holding[b]
         out.append(acc)
     return tuple(out)
-
-
-# bytes of 0/1 flags to the ASCII digits int(..., 2) reads
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _check_tables(poset: FinitePoset, join, meet) -> None:
-    """join[i][j] == j exactly for the j above i, and meet[i][j] == j
-    exactly for the j below i; InternalInconsistency names the first
-    class pair where that fails."""
-    ids = range(poset.n)
-    for kind, table, sets in (("join", join, poset.up), ("meet", meet, poset.down)):
-        for i, row in enumerate(table):
-            # the bitset of the j with row[j] == j, read as a binary numeral
-            fixed = int(bytes(map(operator.eq, row, ids)).translate(_DIGITS)[::-1], 2)
-            wrong = fixed ^ sets[i]
-            if not wrong:
-                continue
-            j = (wrong & -wrong).bit_length() - 1
-            raise InternalInconsistency(
-                f"torsion classes {i} and {j}: the {kind} table gives {row[j]},"
-                " against the inclusion order"
-            )
 
 
 def _derived(R: BrickRelation, literal: bool):
@@ -458,18 +432,18 @@ def four_class_diagram(TL: TorsLattice, b: int) -> tuple[int, int, int, int]:
     {b}, miSide is the left perp of {b}, bottom is the unique lower cover
     of jiSide, and top is the unique upper cover of miSide.  The defining
     equalities jiSide v miSide = top and jiSide ^ miSide = bottom are
-    verified.
+    verified on the torsion-free (torsion) sets' intersection.
     """
-    L = TL.lattice
+    L, index = TL.lattice, TL.index_of_tset
     ji_side = ji_of_brick(TL, b)
     mi_side = mi_of_brick(TL, b)
     bottom = j_star(L, ji_side)
     top = m_star(L, mi_side)
-    if L.join[ji_side][mi_side] != top:
+    if index[perp_left(TL.relation, TL.fset(ji_side) & TL.fset(mi_side))] != top:
         raise InternalInconsistency(
             f"brick {b}: jiSide v miSide is not the upper cover of miSide"
         )
-    if L.meet[ji_side][mi_side] != bottom:
+    if index[TL.tset(ji_side) & TL.tset(mi_side)] != bottom:
         raise InternalInconsistency(
             f"brick {b}: jiSide ^ miSide is not the lower cover of jiSide"
         )

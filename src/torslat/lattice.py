@@ -3,18 +3,18 @@
 Elements are integers ``0..n-1``, and a set of elements is a Python int
 used as a bitset: bit y is set iff y is in the set, so there is no width
 limit.  A poset holds the up-set and the down-set of every element
-(``up[x]`` has bit y iff x <= y); a lattice adds the join and meet tables
-as tuples of tuples.  Everything here is sized for exhaustive small-case
-work (up to a few thousand elements), and no pass is cubic in the number
-of elements: a join is the element whose up-set is the intersection of
-two up-sets, one dict lookup, and the covers, irreducibles and label
-table are single passes over the comparable pairs or the covers.
-Derived quantities (covers, irreducibles, the label table, the sorted
-element invariants, semidistributivity witnesses) are computed once per
-lattice and cached on it.  The irreducibles are cross-checked once per
-lattice against a second characterization, their cover counts against a
-fold of the join (meet) table over the elements below (above) each
-element; the invariant suite checks gamma against mu through kappa.
+(``up[x]`` has bit y iff x <= y); a lattice adds its bottom and top, and
+builds its join and meet tables only when read.  Everything here is sized
+for exhaustive small-case work (up to a few thousand elements), and no
+pass is cubic in the number of elements: a join is the element whose
+up-set is the intersection of two up-sets, one dict lookup, and the
+covers, irreducibles and label table are single passes over the
+comparable pairs or the covers, on bitsets.  Derived quantities (covers,
+irreducibles, the label table, the sorted element invariants,
+semidistributivity witnesses) are computed once per lattice and cached on
+it.  The irreducibles' cover counts are cross-checked once per lattice
+against the definition read on up-sets (down-sets); the invariant suite
+checks gamma against mu through kappa.
 Semidistributivity is read off the label table: a lattice is join-
 (meet-) semidistributive iff every cover has exactly one gamma (mu)
 candidate.  Only a lattice that is not gets searched for its first
@@ -183,18 +183,27 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
 
 
 class FiniteLattice:
-    """A finite lattice: a poset together with its join and meet tables.
+    """A finite lattice: a poset together with its bottom and top.
 
-    ``join[x][y]`` is the join of x and y; the tables are n x n tuples of
-    tuples of ints, stored as given.
+    ``join[x][y]`` is the join of x and y, built on first read as the
+    intersection table of ``join_keys`` (by default the up-sets), and the
+    meet table likewise from ``meet_keys`` (by default the down-sets).
     """
 
-    def __init__(self, poset: FinitePoset, join, meet, bottom: int, top: int):
+    def __init__(self, poset: FinitePoset, bottom: int, top: int, join_keys=None, meet_keys=None):
         self.poset = poset
-        self.join = join
-        self.meet = meet
         self.bottom = bottom
         self.top = top
+        self.join_keys = poset.up if join_keys is None else join_keys
+        self.meet_keys = poset.down if meet_keys is None else meet_keys
+
+    @cached_property
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        return _keyed_table(self.join_keys, "join")
+
+    @cached_property
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        return _keyed_table(self.meet_keys, "meet")
 
     @property
     def n(self) -> int:
@@ -229,7 +238,7 @@ class FiniteLattice:
 
 
 def try_lattice(p: FinitePoset) -> FiniteLattice:
-    """Check that every pair has a join and a meet; return the tables.
+    """Check that every pair has a join and a meet; return the lattice.
 
     Raises NotALattice naming the first offending pair otherwise: pairs
     (x, y) with x <= y in lexicographic order, the join before the meet;
@@ -248,7 +257,9 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     if gaps:
         raise NotALattice(*min(gaps))
     full = (1 << p.n) - 1
-    return FiniteLattice(p, join, meet, p.up.index(full), p.down.index(full))
+    L = FiniteLattice(p, p.up.index(full), p.down.index(full))
+    L.join, L.meet = join, meet
+    return L
 
 
 def _intersection_table(sets: tuple[int, ...] | list[int]):
@@ -266,12 +277,20 @@ def _intersection_table(sets: tuple[int, ...] | list[int]):
     return tuple(table), None
 
 
+def _keyed_table(keys, kind: str) -> tuple[tuple[int, ...], ...]:
+    """The intersection table of the keys, or NotALattice naming its gap."""
+    table, gap = _intersection_table(keys)
+    if gap:
+        raise NotALattice(gap, kind)
+    return table
+
+
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover.
 
     Cross-checked against the definition (not a join of strictly smaller
     elements) when first computed for L; a mismatch would mean a bug in
-    the cover or join tables.
+    the cover sets or the order.
     """
     return L._join_irreducibles
 
@@ -283,10 +302,8 @@ def meet_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
 
 def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
     p = L.poset
-    kind, covers, skip = (
-        ("meet", p.upper_cover_sets, L.top) if dual else ("join", p.lower_cover_sets, L.bottom)
-    )
-    by_cover = tuple(x for x, c in enumerate(covers) if c.bit_count() == 1 and x != skip)
+    kind, covers = ("meet", p.upper_cover_sets) if dual else ("join", p.lower_cover_sets)
+    by_cover = tuple(x for x, c in enumerate(covers) if c.bit_count() == 1)
     by_def = _irreducibles_by_definition(L, dual)
     if by_cover != by_def:
         raise InternalInconsistency(
@@ -296,20 +313,19 @@ def _irreducibles(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
 
 
 def _irreducibles_by_definition(L: FiniteLattice, dual: bool) -> tuple[int, ...]:
-    """Elements other than the bottom that are not the join of the elements
-    strictly below them (dual: top, meet, above).
-
-    Each element's join is folded through the join table, from the bottom
-    (the empty join) over the elements below it in ascending order: one
-    lookup per comparable pair.
+    """Elements that are not the join of the elements strictly below them
+    (dual: meet, above), the bottom being their empty join.  A join's
+    up-set is the intersection of those joined, so x is that join iff the
+    up-sets of the elements strictly below x meet in up[x].
     """
-    op, skip, below = (L.meet, L.top, L.poset.up) if dual else (L.join, L.bottom, L.poset.down)
+    up, below = (L.poset.down, L.poset.up) if dual else (L.poset.up, L.poset.down)
+    full = (1 << L.n) - 1
     out = []
     for x, s in enumerate(below):
-        acc = skip
+        acc = full
         for y in _bits(s & ~(1 << x)):
-            acc = op[acc][y]
-        if acc != x and x != skip:
+            acc &= up[y]
+        if acc != up[x]:
             out.append(x)
     return tuple(out)
 
@@ -453,22 +469,24 @@ def _label_table(L: FiniteLattice) -> dict[CoverEdge, tuple[list[int], list[int]
     """Each cover's gamma and mu candidates, ascending, one pass over the covers.
 
     For x <| y the gamma candidates are the join-irreducibles j with
-    x v j = y and x v j_* = x, and the mu candidates the meet-irreducibles
-    m with y ^ m = x and y ^ m^* = y.  A label means something only where
-    exactly one candidate qualifies.
+    x v j = y and x v j_* = x.  Because x < x v j <= y and x <| y,
+    x v j = y exactly when j <= y and j is not <= x, so they are
+    ``low[x] & down[y] & ~down[x]``, low[x] holding the j with j_* <= x.
+    Dually the mu candidates, the m with y ^ m = x and y ^ m^* = y, are
+    ``high[y] & up[x] & ~up[y]``, high[y] holding the m with y <= m^*.
+    A label means something only where exactly one candidate qualifies.
     """
     p = L.poset
-    jstar = [(j, p.lower_cover_sets[j].bit_length() - 1) for j in join_irreducibles(L)]
-    mstar = [(m, p.upper_cover_sets[m].bit_length() - 1) for m in meet_irreducibles(L)]
-    table = {}
-    for c in p.covers:
-        x, y = c
-        jx, my = L.join[x], L.meet[y]
-        table[c] = (
-            [j for j, s in jstar if jx[j] == y and jx[s] == x],
-            [m for m, s in mstar if my[m] == x and my[s] == y],
+    ji, mi = set(join_irreducibles(L)), set(meet_irreducibles(L))
+    low = _transpose([p.up[j_star(L, j)] if j in ji else 0 for j in range(p.n)], p.n)
+    high = _transpose([p.down[m_star(L, m)] if m in mi else 0 for m in range(p.n)], p.n)
+    return {
+        c: (
+            list(_bits(low[c.lower] & p.down[c.upper] & ~p.down[c.lower])),
+            list(_bits(high[c.upper] & p.up[c.lower] & ~p.up[c.upper])),
         )
-    return table
+        for c in p.covers
+    }
 
 
 def kappa(L: FiniteLattice, j: int) -> int:

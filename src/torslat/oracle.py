@@ -38,6 +38,7 @@ from .lattice import (
     InternalInconsistency,
     NotALattice,
     _bits,
+    _transpose,
     are_isomorphic,
     is_semidistributive,
     join_irreducibles,
@@ -115,7 +116,9 @@ def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
     full = (1 << n) - 1
     bottom = next(x for x in range(n) if up[x] == full)
     top = next(x for x in range(n) if down[x] == full)
-    return FiniteLattice(p, tuple(map(tuple, join)), tuple(map(tuple, meet)), bottom, top)
+    L = FiniteLattice(p, bottom, top)
+    L.join, L.meet = tuple(map(tuple, join)), tuple(map(tuple, meet))
+    return L
 
 
 def _least_member(up: tuple[int, ...], members: int) -> int | None:
@@ -297,20 +300,18 @@ def lattice_census(max_size: int) -> list[FiniteLattice]:
     if max_size > MAX_CENSUS_ELEMENTS:
         raise BudgetExceeded(f"census is capped at {MAX_CENSUS_ELEMENTS} elements")
     out: list[FiniteLattice] = []
+    kept: dict[tuple, list[FiniteLattice]] = {}  # by invariant key
     for n in range(1, max_size + 1):
-        found: list[FiniteLattice] = []
         for downs in _natural_posets(n, deadline):
-            up = [1 << x for x in range(n)]
-            for y, d in enumerate(downs):
-                for x in _bits(d):
-                    up[x] |= 1 << y
+            up = [u | 1 << x for x, u in enumerate(_transpose(downs, n))]
             try:
                 L = try_lattice(FinitePoset(up))
             except NotALattice:
                 continue
-            if not any(are_isomorphic(L, other) for other in found):
-                found.append(L)
-        out.extend(found)
+            bucket = kept.setdefault(L._invariant_key, [])
+            if not any(are_isomorphic(L, other) for other in bucket):
+                bucket.append(L)
+                out.append(L)
     return out
 
 

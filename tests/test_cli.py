@@ -1,6 +1,7 @@
 """End-to-end tests for the command line, including byte-exact goldens."""
 
 import ast
+import errno
 import gc
 import json
 import os
@@ -514,6 +515,26 @@ def test_closed_stdout_exits_two_with_one_line():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: stdout: cannot write: it is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("extra", [(), ("--dot", "-")])
+@pytest.mark.parametrize("name", ["a2.json", "a3.json"])
+def test_full_stdout_exits_two_with_one_line(monkeypatch, unbuffered, extra, name):
+    """A write or flush to stdout that fails (/dev/full: no space left on
+    device) is one error line and exit 2, with stdout buffered or not."""
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+
+    def full_stdout():
+        os.dup2(os.open("/dev/full", os.O_WRONLY), 1)
+
+    proc = child(
+        "-m", "torslat.cli", "build-tors", str(DATA / name), *extra,
+        timeout=30, preexec_fn=full_stdout,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: stdout: cannot write: {os.strerror(errno.ENOSPC)}\n"
 
 
 def write_json(tmp_path, obj) -> Path:

@@ -10,14 +10,16 @@ lattice and read by the interval and quotient checks, the invariant
 suite builds no lattice besides the one it checks and checks no interval
 one pair at a time, `quotient` checks no fiber one pair at a time,
 semidistributivity is read off the label table with no triple search
-unless the lattice fails it, and tampered tables still trip the "two
-characterizations must agree" checks.
+unless the lattice fails it, no command builds the join or meet table of
+a semidistributive torsion lattice, and tampered cover sets still trip
+the "two characterizations must agree" checks.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import json
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -36,6 +38,7 @@ from torslat.galois import all_torsion_pairs, relation_from_arrows, verify_tors_
 from torslat.lattice import (
     FiniteLattice,
     InternalInconsistency,
+    is_semidistributive,
     join_irreducibles,
     join_semidistributivity_violation,
     meet_semidistributivity_violation,
@@ -52,6 +55,7 @@ from torslat.quiver import (
 )
 
 LINEAR_A4 = QuiverPresentation(4, ("left",) * 3)
+DATA = Path(__file__).parent / "data"
 
 
 def test_irreducible_scan_runs_once_per_lattice(monkeypatch):
@@ -94,11 +98,12 @@ def test_check_solves_few_hom_spaces(monkeypatch, tmp_path):
     assert 0 < solves[0] <= 200
 
 
-def test_tampered_join_table_trips_cross_checks():
-    L = try_lattice(poset_from_pairs(3, [(0, 1), (1, 2)]))
-    join = [list(row) for row in L.join]
-    join[0][0] = 2  # the bottom's self-join rewritten to the top
-    bad = FiniteLattice(L.poset, join, L.meet, L.bottom, L.top)
+def test_tampered_cover_sets_trip_cross_checks():
+    """The chain 0 < 1 < 2 told that 2 covers 0 as well as 1: by cover
+    count 2 is not join-irreducible, by definition it still is."""
+    poset = poset_from_pairs(3, [(0, 1), (1, 2)])
+    poset.lower_cover_sets = (0b000, 0b001, 0b011)
+    bad = FiniteLattice(poset, 0, 2)
     with pytest.raises(InternalInconsistency, match="join-irreducible"):
         join_irreducibles(bad)
     with pytest.raises(InternalInconsistency, match="join-irreducible"):
@@ -252,6 +257,40 @@ def test_gamma_mu_table_is_built_once_per_lattice(monkeypatch, tmp_path, argv, l
         assert main(argv) == 0
     assert len(built) == lattices
     assert len({id(L) for L in built}) == lattices
+
+
+@pytest.mark.parametrize(
+    "name",
+    # every tests/data quiver and relation but shift4_rel.json, whose lattice
+    # is not semidistributive (its witness search reads the tables)
+    ["A5", "A6", "a2.json", "a3.json", "a4_mixed_rel.json", "a2_rel.json", "mask228_rel.json"],
+)
+def test_semidistributive_torsion_lattices_build_no_tables(monkeypatch, tmp_path, name):
+    """The commands read a semidistributive torsion lattice through its
+    order and its torsion sets: neither the join nor the meet table is
+    built."""
+    built = []
+    real_build = galois_mod._tors_from_closed
+
+    def recording_build(R, closed):
+        built.append(real_build(R, closed))
+        return built[-1]
+
+    monkeypatch.setattr(galois_mod, "_tors_from_closed", recording_build)
+    path = DATA / name
+    if name.startswith("A"):
+        n = int(name[1:])
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({"vertices": n, "orientation": ["left"] * (n - 1)}))
+    quiver = "vertices" in json.loads(path.read_text())
+    for command in ("build-tors" if quiver else "build-rel", "labels", "kappa", "check"):
+        with redirect_stdout(io.StringIO()):
+            main([command, str(path)])
+    assert len(built) == 4
+    for TL in built:
+        assert is_semidistributive(TL.lattice)
+        assert "join" not in TL.lattice.__dict__
+        assert "meet" not in TL.lattice.__dict__
 
 
 def test_invariant_suite_builds_no_lattice(monkeypatch):

@@ -8,11 +8,12 @@ witness, on every census lattice up to 7 elements, on torsion lattices of
 random relations up to 8 bricks, and on random posets that are mostly not
 lattices.  The table-read witnesses must equal the oracle's triple loop
 on every relation of 4 bricks, every A2-A5 orientation and the census
-lattices.  Cached irreducibles must equal a scan of the definition
-that reads only the order relation.  The covers of every interval, read
-off the lattice by interval_covers, must be those of the interval rebuilt
-as a lattice of its own by interval_sublattice, with the same
-join-irreducibles.
+lattices, and there the bitset label table and by-definition
+irreducibles must equal the same read off the join and meet tables.
+Cached irreducibles must equal a scan of the definition that reads only
+the order relation.  The covers of every interval, read off the lattice
+by interval_covers, must be those of the interval rebuilt as a lattice of
+its own by interval_sublattice, with the same join-irreducibles.
 
 The invariant suite checks whole lattices row by row on bitsets; its
 problem list (or the exception it raises) must equal that of the same
@@ -58,6 +59,7 @@ from torslat.lattice import (
     NotComparable,
     NotIrreducible,
     NotSemidistributive,
+    _irreducibles_by_definition,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
@@ -263,16 +265,14 @@ def reference_suite(TL):
     return problems
 
 
-def rebuilt(TL, pairs=None, join=None, meet=None):
-    """A copy of TL with nothing cached, optionally with replaced parts."""
+def rebuilt(TL, pairs=None, up=None, label_table=None):
+    """A copy of TL with nothing cached, optionally with replaced pairs,
+    up-sets or gamma/mu table."""
     L = TL.lattice
-    lattice = FiniteLattice(
-        FinitePoset(L.poset.up),
-        L.join if join is None else join,
-        L.meet if meet is None else meet,
-        L.bottom,
-        L.top,
-    )
+    poset = FinitePoset(L.poset.up if up is None else up)
+    lattice = FiniteLattice(poset, L.bottom, L.top)
+    if label_table is not None:
+        lattice._labels = label_table
     return TorsLattice(TL.relation, TL.pairs if pairs is None else pairs, lattice)
 
 
@@ -357,15 +357,21 @@ def all_relations(m):
     return [_relation_of_rows(r) for r in rows_of(range(1 << (m * (m - 1))), m)]
 
 
+def ladder_lattices():
+    """The torsion lattices of all 4,096 relations of 4 bricks and of every
+    A2-A5 orientation, then the census lattices."""
+    lattices = [all_torsion_pairs(R).lattice for R in all_relations(4)]
+    lattices += [tors_of_algebra(q).lattice for q in TYPE_A]
+    return lattices + CENSUS
+
+
 def test_semidistributivity_read_off_label_tables_names_the_triple_witness():
     """A lattice is join- (meet-) semidistributive iff every cover has one
     gamma (mu) candidate: the table-read witnesses, searched by a meet
     (join) fold per row, equal the oracle's plain triple loop on all 4,096
     relations of 4 bricks, every A2-A5 orientation and the census
     lattices, most of the relations failing."""
-    lattices = [all_torsion_pairs(R).lattice for R in all_relations(4)]
-    lattices += [tors_of_algebra(q).lattice for q in TYPE_A]
-    lattices += CENSUS
+    lattices = ladder_lattices()
     failing = 0
     for L in lattices:
         join_w = brute_semidistributivity_violation(L)
@@ -375,6 +381,54 @@ def test_semidistributivity_read_off_label_tables_names_the_triple_witness():
         failing += join_w is not None or meet_w is not None
     assert len(lattices) == 4096 + 30 + 78
     assert failing >= 1000
+
+
+def label_table_from_tables(L):
+    """Each cover's gamma and mu candidates read off the join and meet
+    tables: for x <| y, the join-irreducibles j with x v j = y and
+    x v j_* = x, and the meet-irreducibles m with y ^ m = x and
+    y ^ m^* = y."""
+    p = L.poset
+    jstar = [(j, p.lower_cover_sets[j].bit_length() - 1) for j in join_irreducibles(L)]
+    mstar = [(m, p.upper_cover_sets[m].bit_length() - 1) for m in meet_irreducibles(L)]
+    table = {}
+    for c in p.covers:
+        x, y = c
+        jx, my = L.join[x], L.meet[y]
+        table[c] = (
+            [j for j, s in jstar if jx[j] == y and jx[s] == x],
+            [m for m, s in mstar if my[m] == x and my[s] == y],
+        )
+    return table
+
+
+def irreducibles_from_table_fold(L, dual):
+    """The elements other than the bottom (dual: top) that are not the
+    join (meet) of the elements below (above) them, folded through the
+    join (meet) table from the bottom (top)."""
+    op, skip, below = (L.meet, L.top, L.poset.up) if dual else (L.join, L.bottom, L.poset.down)
+    out = []
+    for x, s in enumerate(below):
+        acc = skip
+        for y in range(L.n):
+            if s >> y & 1 and y != x:
+                acc = op[acc][y]
+        if acc != x and x != skip:
+            out.append(x)
+    return tuple(out)
+
+
+def test_bitset_label_table_and_irreducibles_match_the_table_reads():
+    """The gamma/mu table and the by-definition irreducibles read bitsets
+    of the order; they equal the same quantities read off the join and
+    meet tables, on every lattice semidistributive or not."""
+    lattices = ladder_lattices()
+    for L in lattices:
+        for dual in (False, True):
+            got = _irreducibles_by_definition(L, dual)
+            assert got == irreducibles_from_table_fold(L, dual)
+        assert L._labels == label_table_from_tables(L)
+    assert len(lattices) == 4096 + 30 + 78
 
 
 TAMPER_BASES = [
@@ -405,15 +459,22 @@ def tampered_labels(TL):
                 yield {"labels": {**labels, c: other}}
 
 
-def tampered_tables(TL):
-    """Every single entry of the join and of the meet table rewritten
-    (both triangles, since the tables are read unsymmetrized)."""
-    for which in ("join", "meet"):
-        table = getattr(TL.lattice, which)
-        for x, y in itertools.product(range(TL.n), repeat=2):
-            bad = [list(row) for row in table]
-            bad[x][y] = (table[x][y] + 1) % TL.n
-            yield {which: bad}
+def tampered_label_table(TL):
+    """Every cover's mu label replaced by each other meet-irreducible."""
+    table = TL.lattice._labels
+    for c, (gamma, mu) in table.items():
+        for m in meet_irreducibles(TL.lattice):
+            if [m] != mu:
+                yield {"label_table": {**table, c: (gamma, [m])}}
+
+
+def tampered_order(TL):
+    """Every cover x <| y taken out of the order; nothing lies strictly
+    between x and y, so what is left is still an order."""
+    for x, y in TL.lattice.poset.covers:
+        up = list(TL.lattice.poset.up)
+        up[x] &= ~(1 << y)
+        yield {"up": up}
 
 
 def test_tampered_lattices_fail_alike():
@@ -423,14 +484,14 @@ def test_tampered_lattices_fail_alike():
     fired = Counter()
     for make in TAMPER_BASES:
         TL = make()
-        for tamper in (tampered_pairs, tampered_labels, tampered_tables):
+        tampers = (tampered_pairs, tampered_labels, tampered_label_table, tampered_order)
+        for tamper in tampers:
             for parts in tamper(TL):
                 outcome = assert_suites_agree(TL, **parts)
                 if isinstance(outcome, tuple):
                     fired[outcome[0]] += 1
                     continue
-                if tamper is not tampered_tables:
-                    assert outcome, parts  # a swapped pair or label is caught
+                assert outcome, parts  # every tampering is caught
                 fired.update(line.split(": ")[-1] for line in outcome)
     for kind in (
         "gap/strictness equivalence fails",

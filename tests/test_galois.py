@@ -10,8 +10,6 @@ All masks below use bit b for brick b.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from torslat.galois import (
@@ -269,11 +267,10 @@ def test_class_budget_boundary(monkeypatch):
         all_torsion_pairs(relation_from_arrows(list("abcd"), []))
 
 
-def test_join_table_from_the_torsion_free_side_is_checked_against_the_order(
-    monkeypatch,
-):
-    """The order comes from the torsion sets and the join from the
-    torsion-free sets; a wrong torsion-free set trips the cross-check."""
+def test_a_wrong_torsion_free_side_fails_the_class_certificate(monkeypatch):
+    """The join comes from the torsion-free sets; with class 1 ({x}) given
+    the wrong torsion-free set {} for {y}, the perp {y} of the empty class
+    plus brick x is no class's, and the build fails there."""
     real_perp = galois.perp_right
 
     def wrong_perp(R, tset):
@@ -282,51 +279,64 @@ def test_join_table_from_the_torsion_free_side_is_checked_against_the_order(
     monkeypatch.setattr(galois, "perp_right", wrong_perp)
     with pytest.raises(
         InternalInconsistency,
-        match=r"^torsion classes 0 and 1: the join table gives 3, against the inclusion order$",
+        match=r"^torsion class 0 and brick 0 close outside the classes$",
     ):
         all_torsion_pairs(relation_from_arrows(["x", "y"], []))
 
 
-@pytest.mark.parametrize(
-    "which, x, y, message",
-    [
-        ("join", 1, 2, "torsion classes 1 and 2: the join table gives 2"),
-        ("meet", 3, 1, "torsion classes 3 and 1: the meet table gives 1"),
-    ],
-)
-def test_table_cross_check_names_the_first_disagreement(
-    r_pentagon, which, x, y, message
-):
-    L = all_torsion_pairs(r_pentagon).lattice
-    tables = {"join": [list(r) for r in L.join], "meet": [list(r) for r in L.meet]}
-    tables[which][x][y] = y  # claims y <= x (meet) or x <= y (join)
-    galois._check_tables(L.poset, L.join, L.meet)  # the built tables pass
-    with pytest.raises(InternalInconsistency, match=f"^{message}, against"):
-        galois._check_tables(L.poset, tables["join"], tables["meet"])
+def torsion_classes(R):
+    return {s for s in range(1 << R.m) if tors_closure(R, s) == s}
 
 
-def first_table_disagreement(poset, join, meet):
-    """The pair _check_tables must name, found entry by entry."""
-    for kind, table, sets in (("join", join, poset.up), ("meet", meet, poset.down)):
-        for i, row in enumerate(table):
-            for j in range(poset.n):
-                if (row[j] == j) != bool(sets[i] >> j & 1):
-                    return f"torsion classes {i} and {j}: the {kind} table gives {row[j]}"
+def first_uncertified(R, family):
+    """The message the class certificate must give for a family of brick
+    sets, found set by set and brick by brick through tors_closure."""
+    if 0 not in family:
+        return "the empty set is not among the torsion classes"
+    for i, t in enumerate(sorted(family, key=lambda s: (s.bit_count(), s))):
+        if tors_closure(R, t) != t:
+            return f"torsion class {i} is not the left perp of its own perp"
+        for b in range(R.m):
+            if not t >> b & 1 and tors_closure(R, t | 1 << b) not in family:
+                return f"torsion class {i} and brick {b} close outside the classes"
     return None
 
 
-@pytest.mark.parametrize("arrows", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)], []])
-def test_table_cross_check_matches_an_entry_by_entry_scan(arrows):
-    """Tampering entries j and n - 1 - j of any row of either table is
-    named as the entry scan names it: the first class pair in row-major
-    order."""
-    L = all_torsion_pairs(relation_from_arrows(list("abc"), arrows)).lattice
-    assert first_table_disagreement(L.poset, L.join, L.meet) is None
-    for which, i, j in itertools.product(("join", "meet"), range(L.n), range(L.n)):
-        tables = {"join": [list(r) for r in L.join], "meet": [list(r) for r in L.meet]}
-        row = tables[which][i]
-        for k in {j, L.n - 1 - j}:
-            row[k] = (k + 1) % L.n if row[k] == k else k
-        message = first_table_disagreement(L.poset, tables["join"], tables["meet"])
-        with pytest.raises(InternalInconsistency, match=f"^{message}, against"):
-            galois._check_tables(L.poset, tables["join"], tables["meet"])
+CERTIFIED_RELATIONS = [
+    [(0, 1), (1, 2)],
+    [(0, 1), (1, 2), (2, 0)],
+    [],
+    [(0, 1), (0, 2), (2, 1)],
+]
+
+
+@pytest.mark.parametrize("arrows", CERTIFIED_RELATIONS)
+def test_class_certificate_names_a_set_that_is_not_closed(arrows):
+    """Each subset that is not a torsion class, added to the classes, is
+    named by its place among them."""
+    R = relation_from_arrows(list("abc"), arrows)
+    classes = torsion_classes(R)
+    assert first_uncertified(R, classes) is None
+    assert galois._tors_from_closed(R, classes).n == len(classes)
+    for s in sorted(set(range(1 << R.m)) - classes):
+        family = classes | {s}
+        i = sorted(family, key=lambda x: (x.bit_count(), x)).index(s)
+        message = f"torsion class {i} is not the left perp of its own perp"
+        assert first_uncertified(R, family) == message
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            galois._tors_from_closed(R, family)
+
+
+@pytest.mark.parametrize("arrows", CERTIFIED_RELATIONS)
+def test_class_certificate_names_the_class_before_a_dropped_one(arrows):
+    """Each torsion class dropped from the family is missed at the first
+    class that, with one brick, closes to it; the empty one is missed at
+    once."""
+    R = relation_from_arrows(list("abc"), arrows)
+    classes = torsion_classes(R)
+    for dropped in sorted(classes):
+        family = classes - {dropped}
+        message = first_uncertified(R, family)
+        assert message is not None
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            galois._tors_from_closed(R, family)

@@ -324,8 +324,6 @@ def test_isomorphism_past_the_recursion_limit():
     q = sorted(range(n), key=p.__getitem__)  # and copy element a is q[a]
     moved = FiniteLattice(
         FinitePoset([sum(1 << p[y] for y in range(n) if chain.leq(x, y)) for x in q]),
-        tuple(tuple(p[chain.join[x][y]] for y in q) for x in q),
-        tuple(tuple(p[chain.meet[x][y]] for y in q) for x in q),
         p[chain.bottom],
         p[chain.top],
     )

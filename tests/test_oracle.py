@@ -185,6 +185,23 @@ def test_census_contains_classics():
     assert sum(not is_semidistributive(L) for L in census) == 1  # only M3
 
 
+def test_census_compares_only_lattices_with_equal_invariants(monkeypatch):
+    """Each candidate is tested for isomorphism against the kept lattices
+    sharing its sorted element invariants, not against every kept lattice
+    of its size: 293 tests to 7 elements, where the latter took 6,731."""
+    pairs = []
+    real_test = oracle_mod.are_isomorphic
+
+    def counting_test(L1, L2):
+        pairs.append((L1, L2))
+        return real_test(L1, L2)
+
+    monkeypatch.setattr(oracle_mod, "are_isomorphic", counting_test)
+    assert len(lattice_census(7)) == 78
+    assert len(pairs) == 293
+    assert all(L1._invariant_key == L2._invariant_key for L1, L2 in pairs)
+
+
 def test_census_budget_cap():
     with pytest.raises(BudgetExceeded):
         lattice_census(8)
