@@ -4,7 +4,8 @@
 the Galois layer (torsion pairs of the hom-nonzero relation).  Killing
 extra monomial paths gives a quotient algebra; restricting each torsion
 class to the surviving bricks induces a surjective lattice map onto the
-quotient's torsion lattice.  ``fiber_check`` and
+quotient's torsion lattice, checked on the pairs (class, irreducible
+class) so that no join or meet table is built.  ``fiber_check`` and
 ``label_preservation_check`` test the structure theory of that map:
 collapsing is detected by the killed bricks between two classes, and
 surviving covers keep their brick labels.

@@ -13,11 +13,12 @@ Brick subsets, a relation's rows and columns, and sets of torsion classes
 are plain Python ints used as bitsets, so there is no cap on the number
 of bricks beyond what exhaustive search can afford.  The lattice is built
 from the class masks without a search for least upper bounds: class i
-lies below class j iff tset(i) is inside tset(j), the meet of two classes
-is the class whose torsion set is the intersection of theirs, and the
-join the class whose torsion-free set is the intersection of theirs; the
-tables are built only when read, and ``_tors_from_closed`` certifies the
-classes first, which makes them agree with the order.
+lies below class j iff tset(i) is inside tset(j), and joins and meets
+follow the one rule of every lattice, read on up-sets and down-sets of
+classes when first asked for.  ``_tors_from_closed`` certifies the
+classes first, so the meet of two classes is also the class whose
+torsion set is the intersection of theirs, and the join the class whose
+torsion-free set is the intersection of theirs.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -268,9 +269,8 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
     the member t inside S is not S, the closure of t and a brick of S
     outside t is a member inside S and larger than t.  So the members are
     all the closed sets of the Galois connection, and the intersection of
-    two torsion (torsion-free) sets is a member's: their meet (join), the
-    tables the lattice builds when read.  InternalInconsistency names the
-    first member failing (a) or (c).
+    two torsion (torsion-free) sets is a member's: their meet (join).
+    InternalInconsistency names the first member failing (a) or (c).
     """
     masks = sorted(set(closed), key=lambda s: (s.bit_count(), s))
     pairs = tuple(TorsionPair(t, perp_right(R, t)) for t in masks)
@@ -286,7 +286,7 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
                     f"torsion class {i} and brick {b} close outside the classes"
                 )
     poset = FinitePoset(_superset_classes(masks, R.m))
-    lattice = FiniteLattice(poset, 0, len(masks) - 1, [f for _, f in pairs], masks)
+    lattice = FiniteLattice(poset, 0, len(masks) - 1)
     return TorsLattice(R, pairs, lattice)
 
 

@@ -3,18 +3,20 @@
 Elements are integers ``0..n-1``, and a set of elements is a Python int
 used as a bitset: bit y is set iff y is in the set, so there is no width
 limit.  A poset holds the up-set and the down-set of every element
-(``up[x]`` has bit y iff x <= y); a lattice adds its bottom and top, and
-builds its join and meet tables only when read.  Everything here is sized
-for exhaustive small-case work (up to a few thousand elements), and no
-pass is cubic in the number of elements: a join is the element whose
-up-set is the intersection of two up-sets, one dict lookup, and the
+(``up[x]`` has bit y iff x <= y); a lattice adds its bottom and top.
+There is one join rule: a join is the element whose up-set is the
+intersection of two up-sets, one dict lookup (a meet, of down-sets), and
+the join and meet tables hold those lookups, built only when read.
+Everything here is sized for exhaustive small-case work (up to a few
+thousand elements), and no pass is cubic in the number of elements: the
 covers, irreducibles and label table are single passes over the
-comparable pairs or the covers, on bitsets.  Derived quantities (covers,
-irreducibles, the label table, the sorted element invariants,
-semidistributivity witnesses) are computed once per lattice and cached on
-it.  The irreducibles' cover counts are cross-checked once per lattice
-against the definition read on up-sets (down-sets); the invariant suite
-checks gamma against mu through kappa.
+comparable pairs or the covers, on bitsets, and ``is_lattice_quotient``
+checks a map on the pairs (element, irreducible) without a table.
+Derived quantities (covers, irreducibles, the label table, the sorted
+element invariants, semidistributivity witnesses) are computed once per
+lattice and cached on it.  The irreducibles' cover counts are
+cross-checked once per lattice against the definition read on up-sets
+(down-sets); the invariant suite checks gamma against mu through kappa.
 Semidistributivity is read off the label table: a lattice is join-
 (meet-) semidistributive iff every cover has exactly one gamma (mu)
 candidate.  Only a lattice that is not gets searched for its first
@@ -186,24 +188,23 @@ class FiniteLattice:
     """A finite lattice: a poset together with its bottom and top.
 
     ``join[x][y]`` is the join of x and y, built on first read as the
-    intersection table of ``join_keys`` (by default the up-sets), and the
-    meet table likewise from ``meet_keys`` (by default the down-sets).
+    intersection table of the up-sets (the join is the element whose
+    up-set is up[x] & up[y]), and the meet table likewise from the
+    down-sets.
     """
 
-    def __init__(self, poset: FinitePoset, bottom: int, top: int, join_keys=None, meet_keys=None):
+    def __init__(self, poset: FinitePoset, bottom: int, top: int):
         self.poset = poset
         self.bottom = bottom
         self.top = top
-        self.join_keys = poset.up if join_keys is None else join_keys
-        self.meet_keys = poset.down if meet_keys is None else meet_keys
 
     @cached_property
     def join(self) -> tuple[tuple[int, ...], ...]:
-        return _keyed_table(self.join_keys, "join")
+        return _op_table(self.poset.up, "join")
 
     @cached_property
     def meet(self) -> tuple[tuple[int, ...], ...]:
-        return _keyed_table(self.meet_keys, "meet")
+        return _op_table(self.poset.down, "meet")
 
     @property
     def n(self) -> int:
@@ -277,9 +278,9 @@ def _intersection_table(sets: tuple[int, ...] | list[int]):
     return tuple(table), None
 
 
-def _keyed_table(keys, kind: str) -> tuple[tuple[int, ...], ...]:
-    """The intersection table of the keys, or NotALattice naming its gap."""
-    table, gap = _intersection_table(keys)
+def _op_table(sets: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], ...]:
+    """The intersection table of the sets, or NotALattice naming its gap."""
+    table, gap = _intersection_table(sets)
     if gap:
         raise NotALattice(gap, kind)
     return table
@@ -603,8 +604,16 @@ def is_lattice_quotient(
 ) -> bool:
     """Whether f: L1 -> L2 is surjective and preserves joins and meets.
 
-    For finite lattices, preserving binary joins and meets gives
-    preservation of all joins and meets.
+    Checked on irreducible pairs: f(x v j) = f(x) v f(j) for every x and
+    every join-irreducible j of L1, and dually f(x ^ m) = f(x) ^ f(m) for
+    every meet-irreducible m.  That suffices: an element y other than the
+    bottom is a join of join-irreducibles, so induction on their number
+    gives f(x v y) = f(x) v f(y) for every x.  For y the bottom, the check
+    at x = bottom puts f(bottom) below every f(j), so below every f(x),
+    which is f(bottom) or a join of them.  Meets are the dual.  A join is
+    the element whose up-set is the intersection of two up-sets, so each
+    is one lookup in an {up-set: element} dict, and a meet likewise in a
+    {down-set: element} dict.
     """
     fm = list(f)
     if len(fm) != L1.n:
@@ -613,10 +622,16 @@ def is_lattice_quotient(
         raise ValueError("map image out of range")
     if set(fm) != set(range(L2.n)):
         return False
-    for op1, op2 in ((L1.join, L2.join), (L1.meet, L2.meet)):
-        for x in range(L1.n):
-            row2 = op2[fm[x]]
-            if [fm[z] for z in op1[x][x:]] != [row2[fm[y]] for y in range(x, L1.n)]:
+    for sets1, sets2, irreducibles in (
+        (L1.poset.up, L2.poset.up, join_irreducibles(L1)),
+        (L1.poset.down, L2.poset.down, meet_irreducibles(L1)),
+    ):
+        at1 = {s: x for x, s in enumerate(sets1)}
+        at2 = {s: y for y, s in enumerate(sets2)}
+        images = [sets2[y] for y in fm]
+        for j in irreducibles:
+            sj, fj = sets1[j], images[j]
+            if any(fm[at1[s & sj]] != at2[t & fj] for s, t in zip(sets1, images)):
                 return False
     return True
 

@@ -240,10 +240,6 @@ def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def is_brick(Q: QuiverPresentation, M: IntervalModule) -> bool:
-    return hom_dim(Q, M, M).dim == 1
-
-
 def bricks(Q: QuiverPresentation) -> tuple[IntervalModule, ...]:
     """Indecomposables with one-dimensional endomorphism ring.
 
@@ -311,20 +307,6 @@ def exists_surjection(
         raise UnexpectedHomDim(hom.dim)
     vec = hom.basis[0]
     return all(vec[v - 1] != 0 for v in N.vertices)
-
-
-def torsion_subobject(
-    Q: QuiverPresentation, T: Iterable[IntervalModule], X: IntervalModule
-) -> tuple[int, ...]:
-    """Vertex set of the largest submodule of X with all summands in T."""
-    tset = set(T)
-    best: set[int] = set()
-    for sub in submodules(Q, X):
-        if all(s in tset for s in summands(sub)):
-            best.update(sub)
-    if not all(s in tset for s in summands(best)):
-        raise ValueError("summand set is not closed under submodule sums")
-    return tuple(sorted(best))
 
 
 def annihilated_by(

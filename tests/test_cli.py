@@ -122,6 +122,16 @@ def test_quotient_dot_golden(capsys):
     assert out == golden("a2_quotient.dot")
 
 
+def test_quotient_a3_goldens(capsys):
+    """Linear A3 modulo the path 1,0: two fibers of two classes collapse."""
+    rc, out, _ = run(capsys, "quotient", DATA / "a3.json", "--ideal", "1,0")
+    assert rc == 0
+    assert out == golden("a3_quotient.json")
+    rc, out, _ = run(capsys, "quotient", DATA / "a3.json", "--ideal", "1,0", "--dot", "-")
+    assert rc == 0
+    assert out == golden("a3_quotient.dot")
+
+
 def test_build_rel_pentagon_matches_quiver_lattice(capsys):
     rc, out, _ = run(capsys, "build-rel", DATA / "a2_rel.json")
     assert rc == 0

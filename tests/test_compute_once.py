@@ -399,3 +399,25 @@ def test_triple_search_runs_only_on_failing_lattices(monkeypatch, tmp_path):
     assert meet_semidistributivity_violation(m3) == (1, 2, 3)
     assert len(searches) == 2
     assert searches[0] is m3.join and searches[1] is m3.meet
+
+
+def test_quotient_builds_no_join_or_meet_table(monkeypatch, tmp_path):
+    """`quotient --ideal 1,0` on linear A5 checks its lattice map on
+    irreducible pairs: neither the source nor the target lattice builds its
+    join or meet table."""
+    maps = []
+    real_map = cli_mod.quotient_map
+
+    def recording_map(Q, ideal):
+        maps.append(real_map(Q, ideal))
+        return maps[-1]
+
+    monkeypatch.setattr(cli_mod, "quotient_map", recording_map)
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({"vertices": 5, "orientation": ["left"] * 4}))
+    with redirect_stdout(io.StringIO()):
+        assert main(["quotient", str(path), "--ideal", "1,0"]) == 0
+    (qm,) = maps
+    for TL in (qm.source, qm.target):
+        assert "join" not in TL.lattice.__dict__
+        assert "meet" not in TL.lattice.__dict__

@@ -22,6 +22,11 @@ public per-item functions, on every A2-A5 orientation, monomial
 quotients, every factorizable relation up to 4 bricks, random relations
 and tampered torsion lattices.  The gamma, mu and kappa tables must equal
 a search over the irreducibles cover by cover.
+
+is_lattice_quotient checks a map on pairs (element, irreducible) only; its
+verdict must be the definition's, read off the oracle's tables, on every
+map between small census lattices and on maps one entry away from a
+quotient map of an A4 orientation.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torslat.bridge import tors_of_algebra
+from torslat.bridge import quotient_map, tors_of_algebra
 from torslat.galois import (
     TorsLattice,
     TorsionPair,
@@ -66,6 +71,7 @@ from torslat.lattice import (
     interval_covers,
     interval_sublattice,
     is_join_semidistributive,
+    is_lattice_quotient,
     is_meet_semidistributive,
     is_semidistributive,
     join_irreducibles,
@@ -564,3 +570,71 @@ def test_tf_dual_check_matches_loop(q):
     assert tf_dual_check(TL)
     pairs[1] = TorsionPair(pairs[1].tset, pairs[0].fset)
     assert not tf_dual_check(rebuilt(TL, pairs=tuple(pairs)))
+
+
+def preserves(f, op1, op2) -> bool:
+    """f(op1[x][y]) == op2[f(x)][f(y)] for every pair x, y."""
+    return all(
+        f[z] == op2[f[x]][f[y]] for x, row in enumerate(op1) for y, z in enumerate(row)
+    )
+
+
+def quotient_verdicts(maps):
+    """(is_lattice_quotient, surjective, preserves joins, preserves meets)
+    per map, the last three read off the oracle's tables, counted."""
+    verdicts = Counter()
+    for f, L1, L2, T1, T2 in maps:
+        verdicts[
+            is_lattice_quotient(f, L1, L2),
+            set(f) == set(range(L2.n)),
+            preserves(f, T1.join, T2.join),
+            preserves(f, T1.meet, T2.meet),
+        ] += 1
+    return verdicts
+
+
+def assert_quotient_matches_definition(verdicts):
+    assert all(fast == all(parts) for fast, *parts in verdicts)
+
+
+def test_is_lattice_quotient_matches_definition_on_census_maps():
+    """Every map from a census lattice of at most 5 elements onto one no
+    larger (a larger target cannot be covered)."""
+    census = [(L, brute_try_lattice(L.poset)) for L in CENSUS if L.n <= 5]
+    maps = [
+        (list(f), L1, L2, T1, T2)
+        for L1, T1 in census
+        for L2, T2 in census
+        if L2.n <= L1.n
+        for f in itertools.product(range(L2.n), repeat=L1.n)
+    ]
+    assert len(maps) == 91_007
+    verdicts = quotient_verdicts(maps)
+    assert_quotient_matches_definition(verdicts)
+    # 37 surjections keep only meets and 37 only joins, so dropping either
+    # half of the check is seen
+    assert verdicts[False, True, False, True] == verdicts[False, True, True, False] == 37
+    assert verdicts[True, True, True, True] == 69
+
+
+def test_is_lattice_quotient_matches_definition_near_quotient_maps():
+    """Every map that sets one entry of a one-arrow quotient map of an A4
+    orientation to any target class: 24 maps onto 42 classes each."""
+    maps = []
+    for q in TYPE_A:
+        if q.n != 4:
+            continue
+        for k in range(3):
+            qm = quotient_map(q, ((k,),))
+            L1, L2 = qm.source.lattice, qm.target.lattice
+            T1, T2 = brute_try_lattice(L1.poset), brute_try_lattice(L2.poset)
+            for i in range(L1.n):
+                for v in range(L2.n):
+                    f = list(qm.element_map)
+                    f[i] = v
+                    maps.append((f, L1, L2, T1, T2))
+    assert len(maps) == 27_216
+    verdicts = quotient_verdicts(maps)
+    assert_quotient_matches_definition(verdicts)
+    # only the unchanged maps, one per entry, are quotients
+    assert verdicts[True, True, True, True] == 24 * 42

@@ -10,6 +10,9 @@ All masks below use bit b for brick b.
 
 from __future__ import annotations
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from torslat.galois import (
@@ -36,7 +39,10 @@ from torslat.galois import (
     verify_tors_lattice,
 )
 from torslat import galois
+from torslat.bridge import tors_of_algebra
+from torslat.cli import _read_tors
 from torslat.lattice import CoverEdge, InternalInconsistency, NotComparable, are_isomorphic
+from torslat.quiver import QuiverPresentation
 
 
 @pytest.fixture
@@ -340,3 +346,30 @@ def test_class_certificate_names_the_class_before_a_dropped_one(arrows):
         assert message is not None
         with pytest.raises(InternalInconsistency, match=f"^{message}$"):
             galois._tors_from_closed(R, family)
+
+
+def intersection_table(sets):
+    """table[i][j]: the index of sets[i] & sets[j] among the sets."""
+    index = {s: i for i, s in enumerate(sets)}
+    return tuple(tuple(index[s & t] for t in sets) for s in sets)
+
+
+DATA = Path(__file__).parent / "data"
+TORSION_FILES = ["a2.json", "a3.json", "a2_rel.json", "a4_mixed_rel.json", "mask228_rel.json", "shift4_rel.json"]
+TYPE_A_UP_TO_4 = [
+    QuiverPresentation(n, o)
+    for n in (2, 3, 4)
+    for o in itertools.product(("left", "right"), repeat=n - 1)
+]
+
+
+@pytest.mark.parametrize("source", TORSION_FILES + TYPE_A_UP_TO_4, ids=repr)
+def test_join_intersects_torsion_free_sets_and_meet_torsion_sets(source):
+    """The join of two classes is the class whose torsion-free set is the
+    intersection of theirs, and the meet likewise of torsion sets."""
+    if isinstance(source, str):
+        TL = _read_tors(str(DATA / source))[1]
+    else:
+        TL = tors_of_algebra(source)
+    assert TL.lattice.join == intersection_table([p.fset for p in TL.pairs])
+    assert TL.lattice.meet == intersection_table([p.tset for p in TL.pairs])

@@ -24,12 +24,10 @@ from torslat.quiver import (
     hom_dim,
     hom_relation,
     indecomposables,
-    is_brick,
     path_vertices,
     quotients,
     submodules,
     summands,
-    torsion_subobject,
 )
 
 from test_monomial_algebras import ALGEBRAS
@@ -225,7 +223,6 @@ def test_hom_dim_at_most_one():
 def test_bricks_equal_indecomposables_here():
     for q in (A2L, A3R, A3_RAD2):
         assert bricks(q) == indecomposables(q)
-    assert is_brick(A2L, P12)
 
 
 def test_hom_relation_pentagon():
@@ -253,17 +250,6 @@ def test_surjections():
     assert not exists_surjection(A2L, S1, P12)
     assert not exists_surjection(A2L, S1, S2)
     assert exists_surjection(A2L, P12, P12)
-
-
-def test_torsion_subobject():
-    big = {P12, S2}
-    assert torsion_subobject(A2L, big, S1) == ()
-    assert torsion_subobject(A2L, big, P12) == (1, 2)
-    assert torsion_subobject(A2L, big, S2) == (2,)
-    small = {S1}
-    assert torsion_subobject(A2L, small, P12) == (1,)
-    # {P12} alone is not extension/sum closed enough to accept S1's copy
-    assert torsion_subobject(A2L, {P12}, P12) == (1, 2)
 
 
 def test_annihilated_by():
