@@ -13,12 +13,13 @@ Brick subsets, a relation's rows and columns, and sets of torsion classes
 are plain Python ints used as bitsets, so there is no cap on the number
 of bricks beyond what exhaustive search can afford.  The lattice is built
 from the class masks without a search for least upper bounds: class i
-lies below class j iff tset(i) is inside tset(j), and joins and meets
-follow the one rule of every lattice, read on up-sets and down-sets of
-classes when first asked for.  ``_tors_from_closed`` certifies the
-classes first, so the meet of two classes is also the class whose
-torsion set is the intersection of theirs, and the join the class whose
-torsion-free set is the intersection of theirs.
+lies below class j iff tset(i) is inside tset(j), and ``lattice.join``
+and ``lattice.meet`` look a join or meet up by the up-sets or down-sets
+of classes, as in every lattice; no table is built.
+``_tors_from_closed`` certifies the classes first, so the meet of two
+classes is also the class whose torsion set is the intersection of
+theirs, and the join the class whose torsion-free set is the
+intersection of theirs.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -286,8 +287,7 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
                     f"torsion class {i} and brick {b} close outside the classes"
                 )
     poset = FinitePoset(_superset_classes(masks, R.m))
-    lattice = FiniteLattice(poset, 0, len(masks) - 1)
-    return TorsLattice(R, pairs, lattice)
+    return TorsLattice(R, pairs, FiniteLattice(poset))
 
 
 def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, ...]:

@@ -3,24 +3,25 @@
 Elements are integers ``0..n-1``, and a set of elements is a Python int
 used as a bitset: bit y is set iff y is in the set, so there is no width
 limit.  A poset holds the up-set and the down-set of every element
-(``up[x]`` has bit y iff x <= y); a lattice adds its bottom and top.
-There is one join rule: a join is the element whose up-set is the
-intersection of two up-sets, one dict lookup (a meet, of down-sets), and
-the join and meet tables hold those lookups, built only when read.
+(``up[x]`` has bit y iff x <= y), and a lattice is a poset in which
+every pair has a join and a meet.  There is one join rule: a join is the
+element whose up-set is the intersection of two up-sets, one lookup in
+the poset's ``element_at`` index (a meet, of down-sets), and no join or
+meet table is built here; only ``oracle.brute_try_lattice`` builds them.
 Everything here is sized for exhaustive small-case work (up to a few
 thousand elements), and no pass is cubic in the number of elements: the
 covers, irreducibles and label table are single passes over the
 comparable pairs or the covers, on bitsets, and ``is_lattice_quotient``
-checks a map on the pairs (element, irreducible) without a table.
-Derived quantities (covers, irreducibles, the label table, the sorted
-element invariants, semidistributivity witnesses) are computed once per
+checks a map on the pairs (element, irreducible).
+Derived quantities (covers, irreducibles, the label table, the element
+invariants, semidistributivity witnesses) are computed once per
 lattice and cached on it.  The irreducibles' cover counts are
 cross-checked once per lattice against the definition read on up-sets
 (down-sets); the invariant suite checks gamma against mu through kappa.
 Semidistributivity is read off the label table: a lattice is join-
 (meet-) semidistributive iff every cover has exactly one gamma (mu)
 candidate.  Only a lattice that is not gets searched for its first
-witness, by a meet fold per row of the join table (see
+witness, by a meet fold per row of joins (see
 ``_semidistributivity_violation``).
 
 The labelling machinery (``gamma_label``, ``mu_label``, ``kappa``,
@@ -167,6 +168,13 @@ class FinitePoset:
             CoverEdge(x, y) for x, s in enumerate(self.upper_cover_sets) for y in _bits(s)
         )
 
+    @cached_property
+    def element_at(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The element with a given up-set (entry 0) or down-set (entry 1):
+        the join of x and y is ``element_at[0][up[x] & up[y]]`` when the
+        common upper bounds have a least member, and a meet is the dual."""
+        return {u: x for x, u in enumerate(self.up)}, {d: x for x, d in enumerate(self.down)}
+
 
 def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     """Build a poset from generating pairs x <= y, taking the closure."""
@@ -185,26 +193,13 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
 
 
 class FiniteLattice:
-    """A finite lattice: a poset together with its bottom and top.
-
-    ``join[x][y]`` is the join of x and y, built on first read as the
-    intersection table of the up-sets (the join is the element whose
-    up-set is up[x] & up[y]), and the meet table likewise from the
-    down-sets.
+    """A finite lattice: a poset in which every pair has a join and a meet
+    (``try_lattice`` checks that).  ``join(L, x, y)`` and ``meet(L, x, y)``
+    are lookups in the poset's ``element_at`` index; no table is kept.
     """
 
-    def __init__(self, poset: FinitePoset, bottom: int, top: int):
+    def __init__(self, poset: FinitePoset):
         self.poset = poset
-        self.bottom = bottom
-        self.top = top
-
-    @cached_property
-    def join(self) -> tuple[tuple[int, ...], ...]:
-        return _op_table(self.poset.up, "join")
-
-    @cached_property
-    def meet(self) -> tuple[tuple[int, ...], ...]:
-        return _op_table(self.poset.down, "meet")
 
     @property
     def n(self) -> int:
@@ -234,8 +229,39 @@ class FiniteLattice:
         return _label_table(self)
 
     @cached_property
+    def _invariants(self) -> list[tuple[int, int, int, int]]:
+        return _element_invariants(self)
+
+    @cached_property
     def _invariant_key(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple(sorted(_element_invariants(self)))
+        return tuple(sorted(self._invariants))
+
+
+def join(L: FiniteLattice, x: int, y: int) -> int:
+    """The join of x and y: the element whose up-set is up[x] & up[y]."""
+    return _op(L.poset, x, y, dual=False)
+
+
+def meet(L: FiniteLattice, x: int, y: int) -> int:
+    """The meet of x and y: the element whose down-set is down[x] & down[y]."""
+    return _op(L.poset, x, y, dual=True)
+
+
+def _op(p: FinitePoset, x: int, y: int, dual: bool) -> int:
+    """The join (dual: meet) of x and y, or NotALattice if there is none."""
+    sets = p.down if dual else p.up
+    z = p.element_at[dual].get(sets[x] & sets[y])
+    if z is None:
+        raise NotALattice((x, y), "meet" if dual else "join")
+    return z
+
+
+def _row(p: FinitePoset, x: int, dual: bool) -> list[int | None]:
+    """The joins (dual: meets) of x with 0, 1, ..., n - 1, each looked up
+    in ``p.element_at``; None where there is none."""
+    sets = p.down if dual else p.up
+    sx = sets[x]
+    return list(map(p.element_at[dual].get, [sx & s for s in sets]))
 
 
 def try_lattice(p: FinitePoset) -> FiniteLattice:
@@ -246,44 +272,19 @@ def try_lattice(p: FinitePoset) -> FiniteLattice:
     the empty poset raises with the empty pair.
 
     The common upper bounds of x and y are up[x] & up[y], and their least
-    element is the one with exactly that up-set, so the join table is the
-    intersection table of the up-sets and the meet table that of the
-    down-sets.
+    element is the one with exactly that up-set, so x and y have a join iff
+    that intersection is in ``p.element_at``; meets likewise on down-sets.
+    Row x is looked up whole: a gap before column x would have been found
+    in an earlier row.
     """
     if p.n == 0:
         raise NotALattice((), "join")
-    join, join_gap = _intersection_table(p.up)
-    meet, meet_gap = _intersection_table(p.down)
-    gaps = [(gap, kind) for gap, kind in ((join_gap, "join"), (meet_gap, "meet")) if gap]
-    if gaps:
-        raise NotALattice(*min(gaps))
-    full = (1 << p.n) - 1
-    L = FiniteLattice(p, p.up.index(full), p.down.index(full))
-    L.join, L.meet = join, meet
-    return L
-
-
-def _intersection_table(sets: tuple[int, ...] | list[int]):
-    """(table, None) with table[i][j] the index of sets[i] & sets[j] in
-    the family, or (None, (i, j)) for the first i <= j in row-major order
-    whose intersection is not a member.  Row i holds every j at once; a
-    missing entry before column i would have failed in an earlier row."""
-    index = {s: i for i, s in enumerate(sets)}
-    table = []
-    for i, s in enumerate(sets):
-        row = tuple(map(index.get, [s & t for t in sets]))
-        if None in row:
-            return None, (i, row.index(None, i))
-        table.append(row)
-    return tuple(table), None
-
-
-def _op_table(sets: tuple[int, ...], kind: str) -> tuple[tuple[int, ...], ...]:
-    """The intersection table of the sets, or NotALattice naming its gap."""
-    table, gap = _intersection_table(sets)
-    if gap:
-        raise NotALattice(gap, kind)
-    return table
+    for x in range(p.n):
+        joins, meets = (_row(p, x, dual) + [None] for dual in (False, True))
+        y = min(joins.index(None), meets.index(None))
+        if y < p.n:
+            raise NotALattice((x, y), "join" if joins[y] is None else "meet")
+    return FiniteLattice(p)
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple[int, ...]:
@@ -368,7 +369,7 @@ def join_semidistributivity_violation(
     """
     if all(len(gamma) == 1 for gamma, _ in L._labels.values()):
         return None
-    return _semidistributivity_violation(L.join, L.meet)
+    return _semidistributivity_violation(L, False)
 
 
 def meet_semidistributivity_violation(
@@ -381,36 +382,37 @@ def meet_semidistributivity_violation(
     """
     if all(len(mu) == 1 for _, mu in L._labels.values()):
         return None
-    return _semidistributivity_violation(L.meet, L.join)
+    return _semidistributivity_violation(L, True)
 
 
-def _semidistributivity_violation(op, dual) -> tuple[int, int, int] | None:
-    """First (x, y, z) in lexicographic order with op[x][y] == op[x][z] but
-    op[x][dual[y][z]] != op[x][y], in O(n^2).
+def _semidistributivity_violation(L: FiniteLattice, dual: bool) -> tuple[int, int, int] | None:
+    """First (x, y, z) in lexicographic order with x v y = x v z but
+    x v (y ^ z) != x v y (dual: meets and joins swapped), in O(n^2)
+    lookups, one row of joins x v z at a time.
 
-    For each x, the class Z(x, t) = {z : op[x][z] = t} is closed under
-    pairwise dual (meets, for op the join) iff the dual of all its members
-    lies in it: the dual of two members lies above that of all of them
-    and below each.  So one dual fold per class finds the first x with a
-    violation, and only that row is scanned for its first (y, z).  On a
-    hand-tampered table a flagged row may hold no triple; the scan then
-    moves on.
+    For each x, the class Z(x, t) = {z : x v z = t} is closed under
+    pairwise meets iff the meet of all its members lies in it: the meet
+    of two members lies above that of all of them and below each.  So one
+    meet fold per class finds the first x with a violation, and only that
+    row is scanned for its first (y, z).  Under a hand-tampered label
+    table no row may be flagged; the result is then None.
     """
-    n = len(op)
-    for x in range(n):
-        row = op[x]
+    p = L.poset
+    for x in range(p.n):
+        row = _row(p, x, dual)
+        if None in row:
+            raise NotALattice((x, row.index(None)), "meet" if dual else "join")
         least: dict[int, int] = {}
         members: dict[int, list[int]] = {}
         for z, t in enumerate(row):
             w = least.get(t)
-            least[t] = z if w is None else dual[w][z]
+            least[t] = z if w is None else _op(p, w, z, not dual)
             members.setdefault(t, []).append(z)
         if all(row[w] == t for t, w in least.items()):
             continue
         for y, t in enumerate(row):
-            dy = dual[y]
             for z in members[t]:
-                if row[dy[z]] != t:
+                if row[_op(p, y, z, not dual)] != t:
                     return (x, y, z)
     return None
 
@@ -557,8 +559,7 @@ def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
     cached sorted invariants (which differ when the sizes do) agree."""
     if L1._invariant_key != L2._invariant_key:
         return False
-    inv1 = _element_invariants(L1)
-    inv2 = _element_invariants(L2)
+    inv1, inv2 = L1._invariants, L2._invariants
     order = sorted(range(L1.n), key=lambda x: (inv1[x], x))
     buckets = {inv: [y for y in range(L2.n) if inv2[y] == inv] for inv in set(inv1)}
     up1, up2 = L1.poset.up, L2.poset.up
@@ -610,10 +611,8 @@ def is_lattice_quotient(
     bottom is a join of join-irreducibles, so induction on their number
     gives f(x v y) = f(x) v f(y) for every x.  For y the bottom, the check
     at x = bottom puts f(bottom) below every f(j), so below every f(x),
-    which is f(bottom) or a join of them.  Meets are the dual.  A join is
-    the element whose up-set is the intersection of two up-sets, so each
-    is one lookup in an {up-set: element} dict, and a meet likewise in a
-    {down-set: element} dict.
+    which is f(bottom) or a join of them.  Meets are the dual.  Each join
+    or meet is one lookup in the poset's ``element_at`` index.
     """
     fm = list(f)
     if len(fm) != L1.n:
@@ -622,12 +621,10 @@ def is_lattice_quotient(
         raise ValueError("map image out of range")
     if set(fm) != set(range(L2.n)):
         return False
-    for sets1, sets2, irreducibles in (
-        (L1.poset.up, L2.poset.up, join_irreducibles(L1)),
-        (L1.poset.down, L2.poset.down, meet_irreducibles(L1)),
-    ):
-        at1 = {s: x for x, s in enumerate(sets1)}
-        at2 = {s: y for y, s in enumerate(sets2)}
+    p1, p2 = L1.poset, L2.poset
+    for dual, irreducibles in ((False, join_irreducibles(L1)), (True, meet_irreducibles(L1))):
+        sets1, sets2 = (p1.down, p2.down) if dual else (p1.up, p2.up)
+        at1, at2 = p1.element_at[dual], p2.element_at[dual]
         images = [sets2[y] for y in fm]
         for j in irreducibles:
             sj, fj = sets1[j], images[j]

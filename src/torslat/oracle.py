@@ -91,8 +91,9 @@ def same_tors(a: TorsLattice, b: TorsLattice) -> bool:
     return a.pairs == b.pairs and a.lattice.poset.up == b.lattice.poset.up
 
 
-def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
-    """try_lattice by scanning bound sets; same tables, same first failure.
+def brute_try_lattice(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The (join, meet) tables of a lattice by scanning bound sets, or the
+    NotALattice try_lattice raises, for the same first failure.
 
     For each pair x <= y in lexicographic order, the common upper bounds
     are scanned for one below all the others, then the common lower
@@ -113,12 +114,7 @@ def brute_try_lattice(p: FinitePoset) -> FiniteLattice:
                 raise NotALattice((x, y), "meet")
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = m
-    full = (1 << n) - 1
-    bottom = next(x for x in range(n) if up[x] == full)
-    top = next(x for x in range(n) if down[x] == full)
-    L = FiniteLattice(p, bottom, top)
-    L.join, L.meet = tuple(map(tuple, join)), tuple(map(tuple, meet))
-    return L
+    return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
 def _least_member(up: tuple[int, ...], members: int) -> int | None:
@@ -133,8 +129,10 @@ def brute_semidistributivity_violation(
     L: FiniteLattice, meet: bool = False
 ) -> tuple[int, int, int] | None:
     """First triple (x, y, z) against join- (meet=True: meet-)
-    semidistributivity, by the plain triple loop over all elements."""
-    op, dual = (L.meet, L.join) if meet else (L.join, L.meet)
+    semidistributivity, by the plain triple loop over all elements, on
+    the tables of brute_try_lattice."""
+    tables = brute_try_lattice(L.poset)
+    op, dual = reversed(tables) if meet else tables
     for x in range(L.n):
         row = op[x]
         for y in range(L.n):
@@ -426,11 +424,4 @@ def surjection_dichotomy_sweep(Q: QuiverPresentation) -> dict:
         for x in _bits(closure & R.col_masks[b]):  # the members X with Hom(X, B) != 0
             if not exists_surjection(Q, bs[x], B):
                 violations.append({"brick": B.label(Q.n), "member": bs[x].label(Q.n)})
-    return {
-        "vertices": Q.n,
-        "orientation": list(Q.orientation),
-        "relations": [list(p) for p in Q.relations],
-        "bricks": R.m,
-        "pairs_checked": checked,
-        "violations": violations,
-    }
+    return {"pairs_checked": checked, "violations": violations}

@@ -74,6 +74,16 @@ def test_build_tors_a3_goldens(capsys):
     assert out == golden("a3_tors.dot")
 
 
+def test_build_rel_m3_goldens(capsys):
+    """The 3-cycle's lattice is M3, which is not semidistributive: the
+    witness search runs and build-rel exits 1 naming the unfactorized arrow."""
+    for argv, name in (([], "m3_rel_tors.json"), (["--dot", "-"], "m3_rel_tors.dot")):
+        rc, out, err = run(capsys, "build-rel", DATA / "m3_rel.json", *argv)
+        assert rc == 1
+        assert out == golden(name)
+        assert err == "violation: ('unfactorized-arrow', 0, 1)\n"
+
+
 def test_build_tors_repeated_runs_are_identical(capsys):
     _, first, _ = run(capsys, "build-tors", DATA / "a3.json")
     _, second, _ = run(capsys, "build-tors", DATA / "a3.json")

@@ -10,9 +10,10 @@ lattice and read by the interval and quotient checks, the invariant
 suite builds no lattice besides the one it checks and checks no interval
 one pair at a time, `quotient` checks no fiber one pair at a time,
 semidistributivity is read off the label table with no triple search
-unless the lattice fails it, no command builds the join or meet table of
-a semidistributive torsion lattice, and tampered cover sets still trip
-the "two characterizations must agree" checks.
+unless the lattice fails it, a non-semidistributive build holds no
+n x n state, each lattice's element invariants are computed once, and
+tampered cover sets still trip the "two characterizations must agree"
+checks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -37,6 +39,7 @@ from torslat.cli import main
 from torslat.galois import all_torsion_pairs, relation_from_arrows, verify_tors_lattice
 from torslat.lattice import (
     FiniteLattice,
+    are_isomorphic,
     InternalInconsistency,
     is_semidistributive,
     join_irreducibles,
@@ -103,7 +106,7 @@ def test_tampered_cover_sets_trip_cross_checks():
     count 2 is not join-irreducible, by definition it still is."""
     poset = poset_from_pairs(3, [(0, 1), (1, 2)])
     poset.lower_cover_sets = (0b000, 0b001, 0b011)
-    bad = FiniteLattice(poset, 0, 2)
+    bad = FiniteLattice(poset)
     with pytest.raises(InternalInconsistency, match="join-irreducible"):
         join_irreducibles(bad)
     with pytest.raises(InternalInconsistency, match="join-irreducible"):
@@ -261,14 +264,11 @@ def test_gamma_mu_table_is_built_once_per_lattice(monkeypatch, tmp_path, argv, l
 
 @pytest.mark.parametrize(
     "name",
-    # every tests/data quiver and relation but shift4_rel.json, whose lattice
-    # is not semidistributive (its witness search reads the tables)
+    # every tests/data quiver and relation whose lattice is semidistributive
     ["A5", "A6", "a2.json", "a3.json", "a4_mixed_rel.json", "a2_rel.json", "mask228_rel.json"],
 )
 def test_semidistributive_torsion_lattices_build_no_tables(monkeypatch, tmp_path, name):
-    """The commands read a semidistributive torsion lattice through its
-    order and its torsion sets: neither the join nor the meet table is
-    built."""
+    """Each command builds its semidistributive torsion lattice once."""
     built = []
     real_build = galois_mod._tors_from_closed
 
@@ -289,8 +289,6 @@ def test_semidistributive_torsion_lattices_build_no_tables(monkeypatch, tmp_path
     assert len(built) == 4
     for TL in built:
         assert is_semidistributive(TL.lattice)
-        assert "join" not in TL.lattice.__dict__
-        assert "meet" not in TL.lattice.__dict__
 
 
 def test_invariant_suite_builds_no_lattice(monkeypatch):
@@ -383,9 +381,9 @@ def test_triple_search_runs_only_on_failing_lattices(monkeypatch, tmp_path):
     searches = []
     real_search = lattice_mod._semidistributivity_violation
 
-    def counting_search(op, dual):
-        searches.append(op)
-        return real_search(op, dual)
+    def counting_search(lattice, side):
+        searches.append((lattice, side))
+        return real_search(lattice, side)
 
     monkeypatch.setattr(lattice_mod, "_semidistributivity_violation", counting_search)
     with redirect_stdout(io.StringIO()):
@@ -397,27 +395,43 @@ def test_triple_search_runs_only_on_failing_lattices(monkeypatch, tmp_path):
     )
     assert join_semidistributivity_violation(m3) == (1, 2, 3)
     assert meet_semidistributivity_violation(m3) == (1, 2, 3)
-    assert len(searches) == 2
-    assert searches[0] is m3.join and searches[1] is m3.meet
+    assert searches == [(m3, False), (m3, True)]
 
 
-def test_quotient_builds_no_join_or_meet_table(monkeypatch, tmp_path):
-    """`quotient --ideal 1,0` on linear A5 checks its lattice map on
-    irreducible pairs: neither the source nor the target lattice builds its
-    join or meet table."""
-    maps = []
-    real_map = cli_mod.quotient_map
+def test_non_semidistributive_build_holds_no_square_state(tmp_path):
+    """build-rel on the 3-cycle plus 7 free bricks: 640 classes whose
+    lattice, M3 times a cube of dimension 7, is searched for its witness by
+    lookups, one row at a time.  Join and meet tables took 9 MB here."""
+    labels = [f"b{i}" for i in range(10)]
+    path = tmp_path / "m3_free7.json"
+    path.write_text(json.dumps({"labels": labels, "arrows": [[0, 1], [1, 2], [2, 0]]}))
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["build-rel", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(out.getvalue())
+    assert report["pairs"] == 640 and report["semidistributive"] is False
+    assert peak < 5 * 2**20
 
-    def recording_map(Q, ideal):
-        maps.append(real_map(Q, ideal))
-        return maps[-1]
 
-    monkeypatch.setattr(cli_mod, "quotient_map", recording_map)
-    path = tmp_path / "a5.json"
-    path.write_text(json.dumps({"vertices": 5, "orientation": ["left"] * 4}))
-    with redirect_stdout(io.StringIO()):
-        assert main(["quotient", str(path), "--ideal", "1,0"]) == 0
-    (qm,) = maps
-    for TL in (qm.source, qm.target):
-        assert "join" not in TL.lattice.__dict__
-        assert "meet" not in TL.lattice.__dict__
+def test_element_invariants_are_computed_once_per_lattice(monkeypatch):
+    """are_isomorphic reads each lattice's cached per-element invariants:
+    five calls among three lattices compute them three times."""
+    calls = Counter()
+    real_invariants = lattice_mod._element_invariants
+
+    def counting_invariants(L):
+        calls[id(L)] += 1
+        return real_invariants(L)
+
+    monkeypatch.setattr(lattice_mod, "_element_invariants", counting_invariants)
+    pentagon = try_lattice(poset_from_pairs(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)]))
+    relabeled = try_lattice(poset_from_pairs(5, [(0, 2), (0, 1), (1, 4), (4, 3), (2, 3)]))
+    m3 = try_lattice(poset_from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
+    for L1, L2 in ((pentagon, relabeled), (relabeled, pentagon), (pentagon, pentagon)):
+        assert are_isomorphic(L1, L2)
+    assert not are_isomorphic(pentagon, m3) and not are_isomorphic(m3, relabeled)
+    assert sorted(calls.values()) == [1, 1, 1]

@@ -74,10 +74,12 @@ from torslat.lattice import (
     is_lattice_quotient,
     is_meet_semidistributive,
     is_semidistributive,
+    join,
     join_irreducibles,
     join_semidistributivity_violation,
     kappa,
     kappa_dual,
+    meet,
     meet_irreducibles,
     meet_semidistributivity_violation,
     mu_label,
@@ -95,12 +97,17 @@ from torslat.quiver import QuiverPresentation
 
 
 def outcome(build, poset):
-    """Tables and extremes of a lattice, or the (pair, kind) it fails on."""
+    """The join and meet tables of a lattice, or the (pair, kind) it fails
+    on: the oracle's own tables, or the fast path's join() and meet() reads."""
     try:
         L = build(poset)
     except NotALattice as exc:
         return ("not a lattice", exc.pair, exc.kind)
-    return (L.join, L.meet, L.bottom, L.top)
+    if build is brute_try_lattice:
+        return L
+    return tuple(
+        tuple(tuple(op(L, x, y) for y in range(L.n)) for x in range(L.n)) for op in (join, meet)
+    )
 
 
 def leq_matrix(L) -> np.ndarray:
@@ -276,7 +283,7 @@ def rebuilt(TL, pairs=None, up=None, label_table=None):
     up-sets or gamma/mu table."""
     L = TL.lattice
     poset = FinitePoset(L.poset.up if up is None else up)
-    lattice = FiniteLattice(poset, L.bottom, L.top)
+    lattice = FiniteLattice(poset)
     if label_table is not None:
         lattice._labels = label_table
     return TorsLattice(TL.relation, TL.pairs if pairs is None else pairs, lattice)
@@ -395,12 +402,13 @@ def label_table_from_tables(L):
     x v j_* = x, and the meet-irreducibles m with y ^ m = x and
     y ^ m^* = y."""
     p = L.poset
+    join_table, meet_table = brute_try_lattice(p)
     jstar = [(j, p.lower_cover_sets[j].bit_length() - 1) for j in join_irreducibles(L)]
     mstar = [(m, p.upper_cover_sets[m].bit_length() - 1) for m in meet_irreducibles(L)]
     table = {}
     for c in p.covers:
         x, y = c
-        jx, my = L.join[x], L.meet[y]
+        jx, my = join_table[x], meet_table[y]
         table[c] = (
             [j for j, s in jstar if jx[j] == y and jx[s] == x],
             [m for m, s in mstar if my[m] == x and my[s] == y],
@@ -412,7 +420,13 @@ def irreducibles_from_table_fold(L, dual):
     """The elements other than the bottom (dual: top) that are not the
     join (meet) of the elements below (above) them, folded through the
     join (meet) table from the bottom (top)."""
-    op, skip, below = (L.meet, L.top, L.poset.up) if dual else (L.join, L.bottom, L.poset.down)
+    join_table, meet_table = brute_try_lattice(L.poset)
+    full = (1 << L.n) - 1
+    op, skip, below = (
+        (meet_table, L.poset.down.index(full), L.poset.up)
+        if dual
+        else (join_table, L.poset.up.index(full), L.poset.down)
+    )
     out = []
     for x, s in enumerate(below):
         acc = skip
@@ -518,14 +532,14 @@ def loop_label(L, c, dual):
     if dual:
         if not is_meet_semidistributive(L):
             return NotSemidistributive
-        irr, op, near, far = meet_irreducibles(L), L.meet, y, x
+        irr, op, near, far = meet_irreducibles(L), meet, y, x
         star = [L.poset.upper_cover_sets[k].bit_length() - 1 for k in irr]
     else:
         if not is_join_semidistributive(L):
             return NotSemidistributive
-        irr, op, near, far = join_irreducibles(L), L.join, x, y
+        irr, op, near, far = join_irreducibles(L), join, x, y
         star = [L.poset.lower_cover_sets[k].bit_length() - 1 for k in irr]
-    hits = [k for k, s in zip(irr, star) if op[near][k] == far and op[near][s] == near]
+    hits = [k for k, s in zip(irr, star) if op(L, near, k) == far and op(L, near, s) == near]
     return hits[0] if len(hits) == 1 else len(hits)
 
 
@@ -587,8 +601,8 @@ def quotient_verdicts(maps):
         verdicts[
             is_lattice_quotient(f, L1, L2),
             set(f) == set(range(L2.n)),
-            preserves(f, T1.join, T2.join),
-            preserves(f, T1.meet, T2.meet),
+            preserves(f, T1[0], T2[0]),
+            preserves(f, T1[1], T2[1]),
         ] += 1
     return verdicts
 

@@ -41,7 +41,14 @@ from torslat.galois import (
 from torslat import galois
 from torslat.bridge import tors_of_algebra
 from torslat.cli import _read_tors
-from torslat.lattice import CoverEdge, InternalInconsistency, NotComparable, are_isomorphic
+from torslat.lattice import (
+    CoverEdge,
+    InternalInconsistency,
+    NotComparable,
+    are_isomorphic,
+    join,
+    meet,
+)
 from torslat.quiver import QuiverPresentation
 
 
@@ -371,5 +378,8 @@ def test_join_intersects_torsion_free_sets_and_meet_torsion_sets(source):
         TL = _read_tors(str(DATA / source))[1]
     else:
         TL = tors_of_algebra(source)
-    assert TL.lattice.join == intersection_table([p.fset for p in TL.pairs])
-    assert TL.lattice.meet == intersection_table([p.tset for p in TL.pairs])
+    L = TL.lattice
+    for op, sets in ((join, [p.fset for p in TL.pairs]), (meet, [p.tset for p in TL.pairs])):
+        assert tuple(tuple(op(L, x, y) for y in range(L.n)) for x in range(L.n)) == (
+            intersection_table(sets)
+        )

@@ -31,11 +31,13 @@ from torslat.lattice import (
     is_meet_semidistributive,
     is_semidistributive,
     j_star,
+    join,
     join_irreducibles,
     join_semidistributivity_violation,
     kappa,
     kappa_dual,
     m_star,
+    meet,
     meet_irreducibles,
     meet_semidistributivity_violation,
     mu_label,
@@ -123,9 +125,20 @@ def test_try_lattice_rejects_no_unique_bound():
         try_lattice(p)
 
 
+def test_join_and_meet_name_a_missing_bound():
+    """On a hand-built lattice over the bowtie, join and meet raise what
+    try_lattice raises for the pair."""
+    bowtie = FiniteLattice(poset_from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    assert join(bowtie, 0, 2) == 2 and meet(bowtie, 0, 2) == 0
+    for op, pair, kind in ((join, (0, 1), "join"), (meet, (2, 3), "meet")):
+        with pytest.raises(NotALattice) as exc:
+            op(bowtie, *pair)
+        assert (exc.value.pair, exc.value.kind) == (pair, kind)
+
+
 def test_singleton_lattice():
     L = lattice_from_covers(1, [])
-    assert L.bottom == L.top == 0
+    assert join(L, 0, 0) == meet(L, 0, 0) == 0
     assert join_irreducibles(L) == ()
     assert meet_irreducibles(L) == ()
     assert check_kappa_bijection(L)
@@ -133,12 +146,12 @@ def test_singleton_lattice():
 
 def test_pentagon_tables(pentagon):
     L = pentagon
-    assert L.bottom == 0 and L.top == 4
+    assert L.poset.up[0] == L.poset.down[4] == 0b11111  # bottom 0, top 4
     assert sorted(L.poset.covers) == [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
-    assert L.join[1][2] == 4
-    assert L.join[1][3] == 4
-    assert L.meet[1][3] == 0
-    assert L.meet[2][3] == 2
+    assert join(L, 1, 2) == 4
+    assert join(L, 1, 3) == 4
+    assert meet(L, 1, 3) == 0
+    assert meet(L, 2, 3) == 2
 
 
 def test_pentagon_irreducibles(pentagon):
@@ -323,9 +336,7 @@ def test_isomorphism_past_the_recursion_limit():
     p = [i * 7 % n for i in range(n)]  # element i of the copy is named p[i]
     q = sorted(range(n), key=p.__getitem__)  # and copy element a is q[a]
     moved = FiniteLattice(
-        FinitePoset([sum(1 << p[y] for y in range(n) if chain.leq(x, y)) for x in q]),
-        p[chain.bottom],
-        p[chain.top],
+        FinitePoset([sum(1 << p[y] for y in range(n) if chain.leq(x, y)) for x in q])
     )
     assert are_isomorphic(chain, chain)
     assert are_isomorphic(chain, moved)
