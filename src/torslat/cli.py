@@ -438,7 +438,7 @@ def _cmd_quotient(args):
     ideal = []
     for spec_str in args.ideal or []:
         try:
-            ideal.append(tuple(_int(k) for k in spec_str.split(",") if k != ""))
+            ideal.append(tuple(_int(k) for k in spec_str.split(",")))
         except ValueError:
             raise InputFileError(f"bad --ideal value {spec_str!r}")
     try:

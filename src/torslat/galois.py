@@ -71,8 +71,9 @@ from .lattice import (
 # Torsion classes a lattice may have.  The order, the covers and the
 # invariant suite's passes grow with the comparable pairs: measured on a
 # 2-core machine (Python 3.11), building the 2,048 classes of 11 bricks
-# without arrows takes about 0.2 s and 17 MB, linear A7 (1,430 classes)
-# about 0.2 s and 16 MB, and linear A8 (4,862, over the cap) 2 s and 26 MB.
+# without arrows, covers included, takes about 0.14 s and 20 MB, linear
+# A7 (1,430 classes) about 0.1 s and 18 MB, and linear A8 (4,862, over
+# the cap) 1.1 s and 35 MB.
 MAX_TORS_CLASSES = 1 << 11
 
 

@@ -10,10 +10,10 @@ the poset's ``element_at`` index (a meet, of down-sets), and no join or
 meet table is built here; only ``oracle.brute_try_lattice`` builds them.
 Everything here is sized for exhaustive small-case work (up to a few
 thousand elements), and no pass is cubic in the number of elements: the
-covers, irreducibles and label table are single passes over the
-comparable pairs or the covers, on bitsets, and ``is_lattice_quotient``
-checks a map on the pairs (element, irreducible).
-Derived quantities (covers, irreducibles, the label table, the element
+covers come from the pass that checks the order, the irreducibles and
+label table are single passes over the covers, on bitsets, and
+``is_lattice_quotient`` checks a map on the pairs (element, irreducible).
+Derived quantities (irreducibles, the label table, the element
 invariants, semidistributivity witnesses) are computed once per
 lattice and cached on it.  The irreducibles' cover counts are
 cross-checked once per lattice against the definition read on up-sets
@@ -114,7 +114,15 @@ class FinitePoset:
     ``FinitePoset(up)`` takes the up-sets, ``up[x]`` having bit y iff
     x <= y, and checks that each lies inside the n elements and that the
     relation is reflexive, antisymmetric (naming the first clash
-    x <= y <= x in row-major order) and transitive.
+    x <= y <= x in row-major order) and transitive.  One pass over the
+    comparable pairs checks transitivity and finds the covers: ``above``,
+    the union of the strict up-sets of the elements strictly above x, lies
+    inside ``up[x]`` iff the order is transitive at x, and x's upper
+    covers are the rest of its strict up-set.  So ``upper_cover_sets``
+    holds per element x the bitset of its upper covers, the minimal
+    elements of its strict up-set; ``lower_cover_sets`` per element y the
+    bitset of its lower covers; and ``covers`` the cover pairs (x, y) with
+    x < y and nothing strictly between, in row-major order.
     """
 
     def __init__(self, up: Iterable[int]):
@@ -130,43 +138,24 @@ class FinitePoset:
             clash = up[x] & down[x] & ~(1 << x)
             if clash:
                 raise AntisymmetryViolation(x, (clash & -clash).bit_length() - 1)
-        for u in up:
-            for y in _bits(u):
-                if up[y] & ~u:
-                    raise ValueError("order relation must be transitive")
+        strict = [u ^ (1 << x) for x, u in enumerate(up)]
+        upper = []
+        for x, s in enumerate(strict):
+            above = 0
+            for y in _bits(s):
+                above |= strict[y]
+            if above & ~up[x]:
+                raise ValueError("order relation must be transitive")
+            upper.append(s & ~above)
         self.n = n
         self.up = up
         self.down = down
+        self.upper_cover_sets = tuple(upper)
+        self.lower_cover_sets = _transpose(upper, n)
+        self.covers = tuple(CoverEdge(x, y) for x, s in enumerate(upper) for y in _bits(s))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
-
-    @cached_property
-    def upper_cover_sets(self) -> tuple[int, ...]:
-        """Per element x, the bitset of its upper covers: the minimal
-        elements of its strict up-set."""
-        up = self.up
-        out = []
-        for x, u in enumerate(up):
-            strict = u & ~(1 << x)
-            above = 0
-            for y in _bits(strict):
-                above |= up[y] & ~(1 << y)
-            out.append(strict & ~above)
-        return tuple(out)
-
-    @cached_property
-    def lower_cover_sets(self) -> tuple[int, ...]:
-        """Per element y, the bitset of its lower covers."""
-        return _transpose(self.upper_cover_sets, self.n)
-
-    @cached_property
-    def covers(self) -> tuple[CoverEdge, ...]:
-        """Cover pairs (x, y) with x < y and nothing strictly between, in
-        row-major order."""
-        return tuple(
-            CoverEdge(x, y) for x, s in enumerate(self.upper_cover_sets) for y in _bits(s)
-        )
 
     @cached_property
     def element_at(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -237,13 +226,23 @@ class FiniteLattice:
         return tuple(sorted(self._invariants))
 
 
+def _in_range(L: FiniteLattice, what: str, *xs: int) -> None:
+    """Raise ValueError for an element outside 0..n-1 (a negative index
+    would count from the end)."""
+    for x in xs:
+        if not 0 <= x < L.n:
+            raise ValueError(f"{what} {x} out of range for {L.n} elements")
+
+
 def join(L: FiniteLattice, x: int, y: int) -> int:
     """The join of x and y: the element whose up-set is up[x] & up[y]."""
+    _in_range(L, "element", x, y)
     return _op(L.poset, x, y, dual=False)
 
 
 def meet(L: FiniteLattice, x: int, y: int) -> int:
     """The meet of x and y: the element whose down-set is down[x] & down[y]."""
+    _in_range(L, "element", x, y)
     return _op(L.poset, x, y, dual=True)
 
 
@@ -521,12 +520,9 @@ def check_mu_eq_kappa_gamma(L: FiniteLattice) -> bool:
 
 
 def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> int:
-    """Raise ValueError for an endpoint outside 0..n-1 (a negative index
-    would count from the end), then NotComparable unless u <= v; return
-    the interval [u, v] as a bitset."""
-    for e in (u, v):
-        if not 0 <= e < L.n:
-            raise ValueError(f"interval endpoint {e} out of range for {L.n} elements")
+    """Raise ValueError for an endpoint outside 0..n-1, then NotComparable
+    unless u <= v; return the interval [u, v] as a bitset."""
+    _in_range(L, "interval endpoint", u, v)
     if not L.leq(u, v):
         raise NotComparable(f"{u} is not below {v}")
     return L.poset.up[u] & L.poset.down[v]

@@ -142,6 +142,16 @@ def test_quotient_a3_goldens(capsys):
     assert out == golden("a3_quotient.dot")
 
 
+@pytest.mark.parametrize("command", ["labels", "kappa", "check"])
+def test_cover_readers_a3_goldens(capsys, monkeypatch, command):
+    """The commands that read the covers, on linear A3; run from the repo
+    root so that check's "input" field reads as in the golden."""
+    monkeypatch.chdir(DATA.parents[1])
+    rc, out, _ = run(capsys, command, "tests/data/a3.json")
+    assert rc == 0
+    assert out == golden(f"a3_{command}.json")
+
+
 def test_build_rel_pentagon_matches_quiver_lattice(capsys):
     rc, out, _ = run(capsys, "build-rel", DATA / "a2_rel.json")
     assert rc == 0
@@ -877,7 +887,7 @@ def test_negative_size_flag_still_reaches_the_range_check(capsys):
     assert "--max-bricks must be at least 1, got -3" in err
 
 
-@pytest.mark.parametrize("spec", [" 0 ", "1_0", "０", "+0", "0, 1"])
+@pytest.mark.parametrize("spec", [" 0 ", "1_0", "０", "+0", "0, 1", "", "0,", ",0", "1,,0"])
 def test_ideal_entries_take_ascii_digits_only(capsys, spec):
     rc, out, err = run(capsys, "quotient", DATA / "a2.json", "--ideal", spec)
     assert one_line_error(rc, out, err)

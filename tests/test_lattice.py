@@ -110,6 +110,59 @@ def test_poset_transitive_closure():
     assert p.leq(0, 2)
 
 
+def test_poset_accepts_exactly_the_partial_orders_on_four_elements():
+    """Every reflexive relation on 4 elements, against the definitions:
+    the 219 partial orders are accepted with their covers, a relation
+    that is not antisymmetric raises AntisymmetryViolation, and one that
+    is antisymmetric but not transitive raises the transitivity error."""
+    E = range(4)
+    off = [(x, y) for x in E for y in E if x != y]
+    counts = {"accepted": 0, "antisymmetry": 0, "transitivity": 0}
+    for mask in range(1 << len(off)):
+        rel = {(x, x) for x in E} | {p for i, p in enumerate(off) if mask >> i & 1}
+        up = [sum(1 << y for y in E if (x, y) in rel) for x in E]
+        antisymmetric = not any((y, x) in rel for x, y in rel if x != y)
+        transitive = all((x, z) in rel for x, y in rel for y2, z in rel if y == y2)
+        if not antisymmetric:
+            counts["antisymmetry"] += 1
+            with pytest.raises(AntisymmetryViolation):
+                FinitePoset(up)
+        elif not transitive:
+            counts["transitivity"] += 1
+            with pytest.raises(ValueError, match="order relation must be transitive"):
+                FinitePoset(up)
+        else:
+            counts["accepted"] += 1
+            below = {(x, y) for x, y in rel if x != y}
+            covers = [
+                sum(
+                    1 << y for y in E
+                    if (x, y) in below and not any((x, z) in below and (z, y) in below for z in E)
+                )
+                for x in E
+            ]
+            assert FinitePoset(up).upper_cover_sets == tuple(covers)
+    assert counts == {"accepted": 219, "antisymmetry": 3367, "transitivity": 510}
+
+
+def test_poset_checks_antisymmetry_before_transitivity_and_reflexivity_first():
+    # 0 <= 1 <= 0 clashes, and 1 <= 2 without 0 <= 2 is not transitive
+    with pytest.raises(AntisymmetryViolation) as exc:
+        FinitePoset([0b011, 0b111, 0b100])
+    assert exc.value.pair == (0, 1)
+    with pytest.raises(ValueError, match="order relation must be reflexive"):
+        FinitePoset([0b11, 0b00])
+
+
+def test_join_and_meet_reject_elements_out_of_range(pentagon):
+    """A negative element would otherwise be read from the end, and
+    join(L, -1, 0) would be the top."""
+    for op in (join, meet):
+        for pair in ((-1, 0), (0, 99), (5, 0)):
+            with pytest.raises(ValueError, match="out of range for 5 elements"):
+                op(pentagon, *pair)
+
+
 def test_try_lattice_rejects_two_maximal():
     p = poset_from_pairs(3, [(0, 1), (0, 2)])
     with pytest.raises(NotALattice) as exc:
