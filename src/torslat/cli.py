@@ -70,8 +70,8 @@ from .oracle import (
 from .quiver import QuiverPresentation
 
 # A lattice realized by m bricks has at most 2^m elements, and realize
-# cannot get through 8 bricks (2^56 candidate relations), so larger
-# lattice files are refused before any O(n^2) table is allocated.
+# cannot get through 8 bricks (2^56 candidate relations): larger lattice
+# files are refused before their order is built.
 MAX_LATTICE_ELEMENTS = 1 << 8
 # The simple modules' subsets generate distinct torsion classes, so an
 # algebra on n vertices has at least 2^n of them: past this many vertices
@@ -225,7 +225,7 @@ def lattice_from_json(path: str) -> FiniteLattice:
         raise InputFileError(f"{path}: 'elements' must not be negative, got {n}")
     if n > MAX_LATTICE_ELEMENTS:
         raise InputFileError(
-            f"{path}: refusing to allocate tables for {n} elements;"
+            f"{path}: refusing to allocate {n} elements, more than 8 bricks can realize;"
             f" at most {MAX_LATTICE_ELEMENTS} are supported"
         )
     pairs = _pairs(path, covers, "cover", "[l, u]", "joins an element to itself")

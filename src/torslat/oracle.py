@@ -153,38 +153,38 @@ def subset_is_torsion_closed(Q: QuiverPresentation, mask: int) -> bool:
     return _axiom_closure(_closure_tables(Q), mask) == mask
 
 
-def _closure_tables(Q: QuiverPresentation) -> list[tuple[int, tuple[int, ...]]]:
-    """Per indecomposable E, as masks over the indecomposables: the summands
-    of all quotients of E, and for each submodule the summands of it and of
-    its quotient (the parts of an extension with middle term E)."""
+def _closure_tables(Q: QuiverPresentation) -> list[tuple[int, int]]:
+    """The axioms as Horn rules (premise, conclusion) over masks of the
+    indecomposables: per E, each distinct summand set of a submodule and
+    its quotient (an extension's parts; {E} for the zero submodule) puts
+    in E and the summands of all quotients of E."""
     ind = indecomposables(Q)
     index = {M: i for i, M in enumerate(ind)}
 
     def mask_of(vertices) -> int:
         return sum(1 << index[S] for S in summands(vertices))
 
-    tables = []
-    for E in ind:
+    rules = []
+    for i, E in enumerate(ind):
         supp = set(E.vertices)
         quots, parts = 0, set()
         for sub in submodules(Q, E):
             q = mask_of(supp - set(sub))
             quots |= q
             parts.add(mask_of(sub) | q)
-        tables.append((quots, tuple(parts)))
-    return tables
+        rules += [(p, 1 << i | quots) for p in parts]
+    return rules
 
 
-def _axiom_closure(tables: list[tuple[int, tuple[int, ...]]], mask: int) -> int:
+def _axiom_closure(rules: list[tuple[int, int]], mask: int) -> int:
     """The smallest axiom-closed set of indecomposables holding ``mask``:
-    passes add E and its quotients' summands for every E in the set or
-    with the parts of one of its extensions inside it, until one adds
+    passes fire every rule whose premise lies in the set until one adds
     nothing.  A set satisfies the axioms iff it is its own closure."""
     while True:
         before = mask
-        for i, (quots, parts) in enumerate(tables):
-            if mask >> i & 1 or any(p & ~mask == 0 for p in parts):
-                mask |= 1 << i | quots
+        for premise, conclusion in rules:
+            if premise & ~mask == 0:
+                mask |= conclusion
         if mask == before:
             return mask
 
@@ -206,13 +206,13 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
         raise InternalInconsistency(
             "torsion lattice bricks do not match the algebra's indecomposables"
         )
-    tables = _closure_tables(Q)
+    rules = _closure_tables(Q)
     k = len(ind)
     enumerated = {p.tset for p in TL.pairs}
-    if any(s >> k or _axiom_closure(tables, s) != s for s in enumerated):
+    if any(s >> k or _axiom_closure(rules, s) != s for s in enumerated):
         return False
     steps = [0] + [s | 1 << i for s in enumerated for i in range(k) if not s >> i & 1]
-    return all(_axiom_closure(tables, s) in enumerated for s in steps)
+    return all(_axiom_closure(rules, s) in enumerated for s in steps)
 
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:

@@ -142,14 +142,19 @@ def test_quotient_a3_goldens(capsys):
     assert out == golden("a3_quotient.dot")
 
 
-@pytest.mark.parametrize("command", ["labels", "kappa", "check"])
-def test_cover_readers_a3_goldens(capsys, monkeypatch, command):
-    """The commands that read the covers, on linear A3; run from the repo
-    root so that check's "input" field reads as in the golden."""
+@pytest.mark.parametrize(
+    "stem, command",
+    [("a3", "labels"), ("a3", "kappa"), ("a3", "check"), ("a4_mixed_rel", "check")],
+    ids=["labels", "kappa", "check", "a4_mixed_rel-check"],
+)
+def test_cover_readers_a3_goldens(capsys, monkeypatch, stem, command):
+    """The commands that read the covers, on linear A3, and check on an A4
+    algebra with a relation; run from the repo root so that check's
+    "input" field reads as in the golden."""
     monkeypatch.chdir(DATA.parents[1])
-    rc, out, _ = run(capsys, command, "tests/data/a3.json")
+    rc, out, _ = run(capsys, command, f"tests/data/{stem}.json")
     assert rc == 0
-    assert out == golden(f"a3_{command}.json")
+    assert out == golden(f"{stem}_{command}.json")
 
 
 def test_build_rel_pentagon_matches_quiver_lattice(capsys):
@@ -694,7 +699,7 @@ READER_MESSAGES = [
     ("realize", {"elements": 0, "covers": []},
      "not a lattice: the empty order has no bottom and no top"),
     ("realize", {"elements": MAX_LATTICE_ELEMENTS + 1, "covers": [[0]]},
-     f"refusing to allocate tables for {MAX_LATTICE_ELEMENTS + 1} elements;"
+     f"refusing to allocate {MAX_LATTICE_ELEMENTS + 1} elements, more than 8 bricks can realize;"
      f" at most {MAX_LATTICE_ELEMENTS} are supported"),
     ("realize", {"elements": 2, "covers": [[0, 1, 1]]}, "cover [0, 1, 1] is not an [l, u] pair"),
     ("realize", {"elements": 2, "covers": [[1, 1], [0, 1], [0, 1]]},

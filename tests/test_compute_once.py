@@ -18,9 +18,11 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
+import operator
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
@@ -173,8 +175,13 @@ def test_closure_tables_keep_the_module_wise_answers(q):
     assert closure_axiom_check(q, tors_of_algebra(q))
     reference = axioms_by_module(q)
     tables = oracle_mod._closure_tables(q)  # what subset_is_torsion_closed reads
-    for mask in range(1 << len(indecomposables(q))):
-        assert (oracle_mod._axiom_closure(tables, mask) == mask) == reference(mask)
+    masks = range(1 << len(indecomposables(q)))
+    closed = [s for s in masks if reference(s)]
+    for mask in masks:
+        closure = oracle_mod._axiom_closure(tables, mask)
+        assert (closure == mask) == reference(mask)
+        # the least closed superset: the intersection of all of them
+        assert closure == functools.reduce(operator.and_, (s for s in closed if s | mask == s))
     full = (1 << len(indecomposables(q))) - 1
     for mask in (0, full, full >> 1, 0b101):
         assert subset_is_torsion_closed(q, mask) == reference(mask)

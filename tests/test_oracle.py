@@ -118,11 +118,11 @@ def test_closure_axioms_match_perp_enumeration(q):
     assert closure_axiom_check(q, tors_of_algebra(q))
 
 
-def tampered_a4_lattices():
-    """Linear A4's torsion lattice with one class dropped, and with one
-    subset added that is not axiom-closed, for every class and subset, and
-    with a set holding a brick that is not an indecomposable."""
-    TL = tors_of_algebra(QuiverPresentation(4, ("left",) * 3))
+def tampered_a4_lattices(q):
+    """The torsion lattice of the A4 algebra ``q`` with one class dropped,
+    and with one subset added that is not axiom-closed, for every class and
+    subset, and with a set holding a brick that is not an indecomposable."""
+    TL = tors_of_algebra(q)
     R, pairs = TL.relation, TL.pairs
     for i in range(TL.n):
         yield TorsLattice(R, pairs[:i] + pairs[i + 1 :], TL.lattice)
@@ -133,10 +133,18 @@ def tampered_a4_lattices():
             yield TorsLattice(R, pairs + (extra,), TL.lattice)
 
 
-def test_closure_steps_reject_every_tampered_a4_lattice():
-    q = QuiverPresentation(4, ("left",) * 3)
-    tampered = list(tampered_a4_lattices())
-    assert len(tampered) == 42 + 982 + 1  # dropped classes, added subsets
+@pytest.mark.parametrize(
+    "q, count",
+    [
+        (QuiverPresentation(4, ("left",) * 3), 42 + 982 + 1),
+        # tests/data/a4_mixed_rel.json
+        (QuiverPresentation(4, ("right", "right", "left"), ((0, 1),)), 33 + 223 + 1),
+    ],
+    ids=["linear", "mixed_rel"],
+)
+def test_closure_steps_reject_every_tampered_a4_lattice(q, count):
+    tampered = list(tampered_a4_lattices(q))
+    assert len(tampered) == count  # dropped classes, added subsets
     assert not any(closure_axiom_check(q, TL) for TL in tampered)
 
 
