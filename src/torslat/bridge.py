@@ -5,7 +5,8 @@ the Galois layer (torsion pairs of the hom-nonzero relation).  Killing
 extra monomial paths gives a quotient algebra; restricting each torsion
 class to the surviving bricks induces a surjective lattice map onto the
 quotient's torsion lattice, checked on the pairs (class, irreducible
-class) so that no join or meet table is built.  ``fiber_check`` and
+class) so that no join or meet table is built.  ``_fibers_agree`` (its
+per-pair reference is ``oracle.fiber_check``) and
 ``label_preservation_check`` test the structure theory of that map:
 collapsing is detected by the killed bricks between two classes, and
 surviving covers keep their brick labels.
@@ -13,7 +14,7 @@ surviving covers keep their brick labels.
 
 from __future__ import annotations
 
-from .galois import TorsLattice, all_torsion_pairs, interval_label_set
+from .galois import TorsLattice, all_torsion_pairs
 from .lattice import (
     CoverEdge,
     InternalInconsistency,
@@ -91,23 +92,8 @@ def quotient_map(
     return QuotientMap(source, target, tuple(element_map), brick_map)
 
 
-def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
-    """For source classes u <= v, the three collapse criteria must agree.
-
-    (i) u and v map to the same quotient class;
-    (ii) every brick in fset(u) & tset(v) is killed;
-    (iii) every cover between u and v has a killed label brick.
-    Returns True when all three have the same truth value.
-    """
-    TL = qm.source
-    labels = interval_label_set(TL, u, v)
-    alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
-    same_image = qm.element_map[u] == qm.element_map[v]
-    return same_image == (not TL.fset(u) & TL.tset(v) & alive) == (not labels & alive)
-
-
 def _fibers_agree(qm: QuotientMap) -> bool:
-    """fiber_check on every comparable pair, one bitset per lower end u.
+    """oracle.fiber_check on every comparable pair, one bitset per lower end u.
 
     With f the element map, each u needs, for all v >= u, f(u) == f(v) iff
     no surviving brick of fset(u) lies in tset(v): (i) == (ii).  On a cover
@@ -115,7 +101,7 @@ def _fibers_agree(qm: QuotientMap) -> bool:
     killed.  ``quotient_map`` returns only lattice homomorphisms, so f(u) ==
     f(v) iff f is constant on [u, v] iff a maximal chain from u to v is
     contracted iff every cover inside [u, v] is: (iii).  The labels are read
-    first, so a labelling failure raises as in fiber_check.
+    first, so a labelling failure raises as in oracle.fiber_check.
     """
     TL = qm.source
     TL.cover_labels  # raises on a cover without exactly one label

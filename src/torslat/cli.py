@@ -325,6 +325,14 @@ def _emit(text: str, dest: str | None):
         raise InputFileError(f"{'stdout' if to_stdout else dest}: cannot write: {exc.strerror}")
 
 
+def _distinct_outputs(args):
+    """Refuse --json and --dot naming one file ('-' is stdout, not a file)."""
+    if {args.json, args.dot}.isdisjoint({None, "-"}) and (
+        os.path.realpath(args.json) == os.path.realpath(args.dot)
+    ):
+        raise InputFileError(f"--json and --dot both name {args.dot}")
+
+
 def _write(args, report: dict, dot: str | None = None):
     """DOT goes to --dot when given; the JSON report goes to --json, or to
     stdout unless the DOT took stdout."""
@@ -593,6 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         gc.freeze()
     try:
+        _distinct_outputs(args)
         args.run(args)
     except (InputFileError, TooManyClasses) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,16 +34,12 @@ relations at once with ``kernels.factorizable_lanes`` instead.
 
 The invariant suite ``verify_tors_lattice`` checks the interval identities
 of every comparable pair one lower end u at a time, as bitsets over the
-upper ends v (see ``_interval_failures``).  The per-pair functions
-``gap_nonempty_check``, ``interval_ji_check`` and ``interval_label_set``
-and the per-cover ``cover_brick_label`` state the same identities one
-item at a time and are the reference the suite is tested against.  A
-relation may have at most MAX_TORS_CLASSES torsion classes.
+upper ends v (see ``_interval_failures``); ``oracle`` states them one pair
+at a time.  A relation may have at most MAX_TORS_CLASSES torsion classes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -54,13 +50,11 @@ from .lattice import (
     InternalInconsistency,
     NotIrreducible,
     _bits,
-    _interval_endpoints,
     _is_cover,
     _transpose,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
-    interval_covers,
     is_semidistributive,
     j_star,
     join_irreducibles,
@@ -451,38 +445,6 @@ def four_class_diagram(TL: TorsLattice, b: int) -> tuple[int, int, int, int]:
     return (top, ji_side, mi_side, bottom)
 
 
-def interval_label_set(TL: TorsLattice, u: int, v: int) -> int:
-    """Bitmask of bricks labelling covers inside the interval [u, v].
-
-    Raises if any cover of the lattice, inside [u, v] or not, has no label.
-    """
-    labels = TL.cover_labels
-    return sum({1 << labels[c] for c in interval_covers(TL.lattice, u, v)})
-
-
-def interval_ji_check(TL: TorsLattice, u: int, v: int) -> bool:
-    """Bricks in fset(u) & tset(v) enumerate the interval's join-irreducibles.
-
-    Each such brick b maps to closure(tset(u) | {b}); the map must be a
-    bijection onto the join-irreducibles of the interval [u, v], the
-    elements with exactly one lower cover inside it.
-    """
-    lower_count = Counter(c.upper for c in interval_covers(TL.lattice, u, v))
-    sub_ji = {y for y, k in lower_count.items() if k == 1}
-    domain = TL.fset(u) & TL.tset(v)
-    image = []
-    for b in _bits(domain):
-        t = tors_closure(TL.relation, TL.tset(u) | (1 << b))
-        image.append(TL.index_of_tset[t])
-    return len(set(image)) == len(image) and set(image) == sub_ji
-
-
-def gap_nonempty_check(TL: TorsLattice, u: int, v: int) -> bool:
-    """For u <= v: the interval is proper iff some brick lies in fset(u) & tset(v)."""
-    _interval_endpoints(TL.lattice, u, v)
-    return (u != v) == bool(TL.fset(u) & TL.tset(v))
-
-
 def tf_dual_check(TL: TorsLattice) -> bool:
     """Ordering by torsion class inclusion reverses torsion-free inclusion.
 
@@ -504,8 +466,7 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
     after gamma, and the interval identities must hold on all comparable
     pairs.  The interval identities are checked one lower end at a time
     (see _interval_failures); problems come out pair by pair in row-major
-    order, as gap_nonempty_check, interval_ji_check and interval_label_set
-    would report them one pair at a time.
+    order, as the per-pair references in ``oracle`` would report them.
     """
     problems: list[str] = []
     L = TL.lattice
@@ -559,8 +520,8 @@ def verify_tors_lattice(TL: TorsLattice) -> list[str]:
 
 def _interval_failures(TL: TorsLattice, labelled: bool):
     """Per lower end u, the bitsets of the v >= u at which (u, v) fails
-    gap_nonempty_check, interval_ji_check and (when labelled) the
-    label-set identity, as a (gap, ji, label) triple.
+    oracle.gap_nonempty_check, oracle.interval_ji_check and (when
+    labelled) the label-set identity, as a (gap, ji, label) triple.
 
     With D(u, v) the bricks of fset(u) & tset(v), so that b is in D(u, v)
     iff v holds b in its torsion class, and c(u, b) the index of

@@ -75,10 +75,6 @@ class NotSemidistributive(Exception):
         super().__init__(message)
 
 
-class NotComparable(Exception):
-    """Raised when an interval endpoint pair is not comparable."""
-
-
 class InternalInconsistency(Exception):
     """Two characterizations that must agree did not; an implementation bug."""
 
@@ -517,37 +513,6 @@ def check_kappa_bijection(L: FiniteLattice) -> bool:
 def check_mu_eq_kappa_gamma(L: FiniteLattice) -> bool:
     """mu = kappa o gamma on every cover of a semidistributive lattice."""
     return all(mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers)
-
-
-def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> int:
-    """Raise ValueError for an endpoint outside 0..n-1, then NotComparable
-    unless u <= v; return the interval [u, v] as a bitset."""
-    _in_range(L, "interval endpoint", u, v)
-    if not L.leq(u, v):
-        raise NotComparable(f"{u} is not below {v}")
-    return L.poset.up[u] & L.poset.down[v]
-
-
-def interval_sublattice(
-    L: FiniteLattice, u: int, v: int
-) -> tuple[FiniteLattice, tuple[int, ...]]:
-    """The interval [u, v] as a lattice plus its elements in L's indexing."""
-    span = _interval_endpoints(L, u, v)
-    members = tuple(_bits(span))
-    pos = {a: i for i, a in enumerate(members)}
-    up = [sum(1 << pos[b] for b in _bits(L.poset.up[a] & span)) for a in members]
-    return try_lattice(FinitePoset(up)), members
-
-
-def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
-    """The covers x <| y of L with u <= x and y <= v, upper cover ascending.
-
-    An interval is convex, so these are exactly the covers of the lattice
-    [u, v]; its join-irreducibles are the y with one lower cover here.
-    """
-    span = _interval_endpoints(L, u, v)
-    lower = L.poset.lower_cover_sets
-    return tuple(CoverEdge(x, y) for y in _bits(span) for x in _bits(lower[y] & span))
 
 
 def are_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:

@@ -3,8 +3,12 @@
 Everything here re-derives results of the main modules by a slower,
 independent route: torsion pairs by scanning all subsets instead of
 generating the closure system, torsion classes by the module-category
-closure axioms instead of perp calculus, and semidistributivity plus
-the labelling identities over every reflexive relation of a given size.
+closure axioms instead of perp calculus, the interval identities and a
+quotient's fibers one comparable pair at a time (``interval_covers``,
+``interval_sublattice``, ``gap_nonempty_check``, ``interval_ji_check``,
+``interval_label_set``, ``fiber_check``) instead of one lower end at a
+time, and semidistributivity plus the labelling identities over every
+reflexive relation of a given size.
 A census of all small lattices up to isomorphism feeds the realization
 search: every semidistributive lattice should be the torsion lattice of
 some factorizable relation, and lattices like M3 should be reachable
@@ -19,7 +23,9 @@ once per relabelling orbit of the factorizable relations, in one process.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
+from .bridge import QuotientMap
 from .galois import (
     BrickRelation,
     TorsLattice,
@@ -33,11 +39,13 @@ from .galois import (
 )
 from .kernels import candidate_blocks, factorizable_orbits, rows_of
 from .lattice import (
+    CoverEdge,
     FiniteLattice,
     FinitePoset,
     InternalInconsistency,
     NotALattice,
     _bits,
+    _in_range,
     _transpose,
     are_isomorphic,
     is_semidistributive,
@@ -67,6 +75,10 @@ TIME_LIMIT = 600.0
 
 class BudgetExceeded(Exception):
     """A search exceeded its size cap or TIME_LIMIT."""
+
+
+class NotComparable(Exception):
+    """Raised when an interval endpoint pair is not comparable."""
 
 
 def _deadline(size: int) -> float:
@@ -143,6 +155,79 @@ def brute_semidistributivity_violation(
     return None
 
 
+def _interval_endpoints(L: FiniteLattice, u: int, v: int) -> int:
+    """Raise ValueError for an endpoint outside 0..n-1, then NotComparable
+    unless u <= v; return the interval [u, v] as a bitset."""
+    _in_range(L, "interval endpoint", u, v)
+    if not L.leq(u, v):
+        raise NotComparable(f"{u} is not below {v}")
+    return L.poset.up[u] & L.poset.down[v]
+
+
+def interval_sublattice(
+    L: FiniteLattice, u: int, v: int
+) -> tuple[FiniteLattice, tuple[int, ...]]:
+    """The interval [u, v] as a lattice plus its elements in L's indexing."""
+    span = _interval_endpoints(L, u, v)
+    members = tuple(_bits(span))
+    pos = {a: i for i, a in enumerate(members)}
+    up = [sum(1 << pos[b] for b in _bits(L.poset.up[a] & span)) for a in members]
+    return try_lattice(FinitePoset(up)), members
+
+
+def interval_covers(L: FiniteLattice, u: int, v: int) -> tuple[CoverEdge, ...]:
+    """The covers x <| y of L with u <= x and y <= v, upper cover ascending.
+
+    An interval is convex, so these are exactly the covers of the lattice
+    [u, v]; its join-irreducibles are the y with one lower cover here.
+    """
+    span = _interval_endpoints(L, u, v)
+    lower = L.poset.lower_cover_sets
+    return tuple(CoverEdge(x, y) for y in _bits(span) for x in _bits(lower[y] & span))
+
+
+def interval_label_set(TL: TorsLattice, u: int, v: int) -> int:
+    """Bitmask of bricks labelling covers inside the interval [u, v];
+    raises if any cover of the lattice, inside [u, v] or not, has no label."""
+    labels = TL.cover_labels
+    return sum({1 << labels[c] for c in interval_covers(TL.lattice, u, v)})
+
+
+def interval_ji_check(TL: TorsLattice, u: int, v: int) -> bool:
+    """Bricks in fset(u) & tset(v) enumerate the interval's join-irreducibles.
+
+    Each such brick b maps to closure(tset(u) | {b}); the map must be a
+    bijection onto the join-irreducibles of the interval [u, v], the
+    elements with exactly one lower cover inside it.
+    """
+    lower_count = Counter(c.upper for c in interval_covers(TL.lattice, u, v))
+    sub_ji = {y for y, k in lower_count.items() if k == 1}
+    domain = TL.fset(u) & TL.tset(v)
+    image = []
+    for b in _bits(domain):
+        t = tors_closure(TL.relation, TL.tset(u) | (1 << b))
+        image.append(TL.index_of_tset[t])
+    return len(set(image)) == len(image) and set(image) == sub_ji
+
+
+def gap_nonempty_check(TL: TorsLattice, u: int, v: int) -> bool:
+    """For u <= v: the interval is proper iff some brick lies in fset(u) & tset(v)."""
+    _interval_endpoints(TL.lattice, u, v)
+    return (u != v) == bool(TL.fset(u) & TL.tset(v))
+
+
+def fiber_check(qm: QuotientMap, u: int, v: int) -> bool:
+    """For source classes u <= v, whether the three collapse criteria agree:
+    (i) u and v map to the same quotient class; (ii) every brick in
+    fset(u) & tset(v) is killed; (iii) every cover between u and v has a
+    killed label brick."""
+    TL = qm.source
+    labels = interval_label_set(TL, u, v)
+    alive = sum(1 << b for b, t in enumerate(qm.brick_map) if t is not None)
+    same_image = qm.element_map[u] == qm.element_map[v]
+    return same_image == (not TL.fset(u) & TL.tset(v) & alive) == (not labels & alive)
+
+
 def subset_is_torsion_closed(Q: QuiverPresentation, mask: int) -> bool:
     """Closure axioms for a set of indecomposables, checked module-wise.
 
@@ -198,8 +283,9 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
     closure, and the closure of the empty set and of each class plus one
     indecomposable must be enumerated.  That reaches every axiom-closed S:
     closure(0) lies in S, and for a class C inside S and E in S but not C,
-    closure(C + E) is a larger class still inside S.  With n classes and k
-    indecomposables this is at most n (k + 1) + 1 closures, not 2^k tests.
+    closure(C + E) is a larger class still inside S.  A step that is a class
+    passed the first test, so only the others are closed, each once: with
+    n classes and k indecomposables at most n (k + 1) + 1 closures, not 2^k.
     """
     ind = indecomposables(Q)
     if TL.relation.labels != tuple(M.label(Q.n) for M in ind):
@@ -211,8 +297,8 @@ def closure_axiom_check(Q: QuiverPresentation, TL: TorsLattice) -> bool:
     enumerated = {p.tset for p in TL.pairs}
     if any(s >> k or _axiom_closure(rules, s) != s for s in enumerated):
         return False
-    steps = [0] + [s | 1 << i for s in enumerated for i in range(k) if not s >> i & 1]
-    return all(_axiom_closure(rules, s) in enumerated for s in steps)
+    steps = {0} | {s | 1 << i for s in enumerated for i in range(k) if not s >> i & 1}
+    return all(_axiom_closure(rules, s) in enumerated for s in steps - enumerated)
 
 
 def _relation_of_rows(rows: tuple[int, ...]) -> BrickRelation:

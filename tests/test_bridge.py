@@ -17,12 +17,12 @@ from test_monomial_algebras import QUOTIENTS
 from torslat.bridge import (
     InvalidIdeal,
     _fibers_agree,
-    fiber_check,
     label_preservation_check,
     quotient_map,
     tors_of_algebra,
 )
-from torslat.lattice import NotComparable, _bits, join_irreducibles, meet_irreducibles
+from torslat.lattice import _bits, join_irreducibles, meet_irreducibles
+from torslat.oracle import NotComparable, fiber_check
 from torslat.quiver import QuiverPresentation, annihilated_by, bricks
 
 A2L = QuiverPresentation(2, ("left",))

@@ -499,6 +499,14 @@ def test_census_counts(capsys):
     assert report["total"] == 10
 
 
+def test_census_7_golden(capsys):
+    """The census to 7 elements byte for byte, lattices in the order the
+    enumeration keeps them."""
+    rc, out, _ = run(capsys, "census", "--max-size", "7")
+    assert rc == 0
+    assert out == golden("census_7.json")
+
+
 def test_syntax_error_reports_line_and_column(capsys):
     rc, _, err = run(capsys, "build-rel", DATA / "bad_syntax.json")
     assert rc == 2
@@ -841,6 +849,26 @@ def test_unwritable_output_path_exits_two_naming_it(capsys, tmp_path, flag):
     rc, out, err = run(capsys, "build-tors", DATA / "a2.json", flag, dest)
     assert one_line_error(rc, out, err)
     assert err.startswith("error: ") and str(dest) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-tors", DATA / "a2.json"),
+        ("build-rel", DATA / "a2_rel.json"),
+        ("quotient", DATA / "a2.json", "--ideal", "0"),
+    ],
+    ids=["build-tors", "build-rel", "quotient"],
+)
+def test_json_and_dot_naming_one_file_exit_two_writing_neither(
+    capsys, monkeypatch, tmp_path, argv
+):
+    """Two spellings of one path would have the JSON overwrite the DOT:
+    the command exits 2 before it writes either."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv, "--dot", "q.out", "--json", "./q.out")
+    assert (rc, out, err) == (2, "", "error: --json and --dot both name q.out\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 import torslat.bridge as bridge_mod
-import torslat.cli as cli_mod
 import torslat.galois as galois_mod
 import torslat.lattice as lattice_mod
 import torslat.oracle as oracle_mod
@@ -206,6 +205,29 @@ def test_check_takes_few_closure_steps(monkeypatch, tmp_path):
     assert 0 < calls[0] <= 132 * (15 + 1) + 1
 
 
+def test_check_closes_each_step_set_once(monkeypatch, tmp_path):
+    """`check` on linear A5 closes its 132 classes, then each distinct
+    class-plus-one-indecomposable set that is not itself a class, once:
+    1,052 closures, where closing every step, repeats and classes
+    included, took 1,319."""
+    closed = []
+    real_closure = oracle_mod._axiom_closure
+
+    def recording_closure(tables, mask):
+        closed.append(mask)
+        return real_closure(tables, mask)
+
+    monkeypatch.setattr(oracle_mod, "_axiom_closure", recording_closure)
+    path = tmp_path / "a5.json"
+    path.write_text('{"vertices": 5, "orientation": ["left", "left", "left", "left"]}')
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", str(path)]) == 0
+    classes, steps = closed[:132], closed[132:]
+    assert len(set(classes)) == 132
+    assert len(set(steps)) == len(steps) and not set(steps) & set(classes)
+    assert len(closed) == 1_052
+
+
 def test_cover_labels_are_computed_once_per_lattice(monkeypatch):
     """The cover-to-brick table is one pass per lattice; labelling
     the 84 covers of linear A4 one call at a time took 84 calls."""
@@ -241,7 +263,7 @@ def test_unlabellable_cover_is_reported_once_and_raises_directly():
     with pytest.raises(galois_mod.LabelNotUnique):
         TL.cover_labels
     with pytest.raises(galois_mod.LabelNotUnique):
-        galois_mod.interval_label_set(TL, 0, TL.n - 1)
+        oracle_mod.interval_label_set(TL, 0, TL.n - 1)
 
 
 @pytest.mark.parametrize(
@@ -351,14 +373,13 @@ def test_invariant_suite_checks_no_interval_one_at_a_time(monkeypatch):
     def per_pair(*args):
         raise AssertionError("an interval was checked one at a time")
 
-    monkeypatch.setattr(lattice_mod, "interval_covers", per_pair)
     for name in (
         "interval_covers",
         "interval_ji_check",
         "interval_label_set",
         "gap_nonempty_check",
     ):
-        monkeypatch.setattr(galois_mod, name, per_pair)
+        monkeypatch.setattr(oracle_mod, name, per_pair)
     assert verify_tors_lattice(TL) == []
     assert sum(up.bit_count() for up in TL.lattice.poset.up) == 399
 
@@ -371,10 +392,8 @@ def test_quotient_checks_no_fiber_one_pair_at_a_time(monkeypatch, tmp_path):
     def per_pair(*args):
         raise AssertionError("a fiber was checked one pair at a time")
 
-    for mod in (lattice_mod, galois_mod, bridge_mod, cli_mod):
-        for name in ("interval_covers", "fiber_check"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, per_pair)
+    for name in ("interval_covers", "fiber_check"):
+        monkeypatch.setattr(oracle_mod, name, per_pair)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["quotient", write_a4(tmp_path), "--ideal", "1,0"]) == 0

@@ -46,9 +46,6 @@ from torslat.galois import (
     all_torsion_pairs,
     cover_brick_label,
     four_class_diagram,
-    gap_nonempty_check,
-    interval_ji_check,
-    interval_label_set,
     ji_of_brick,
     mi_of_brick,
     relation_from_arrows,
@@ -61,15 +58,12 @@ from torslat.lattice import (
     FinitePoset,
     InternalInconsistency,
     NotALattice,
-    NotComparable,
     NotIrreducible,
     NotSemidistributive,
     _irreducibles_by_definition,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
-    interval_covers,
-    interval_sublattice,
     is_join_semidistributive,
     is_lattice_quotient,
     is_meet_semidistributive,
@@ -88,9 +82,15 @@ from torslat.lattice import (
 )
 from torslat.kernels import factorizable_orbits, rows_of
 from torslat.oracle import (
+    NotComparable,
     _relation_of_rows,
     brute_semidistributivity_violation,
     brute_try_lattice,
+    gap_nonempty_check,
+    interval_covers,
+    interval_ji_check,
+    interval_label_set,
+    interval_sublattice,
     lattice_census,
 )
 from torslat.quiver import QuiverPresentation

@@ -25,12 +25,9 @@ from torslat.galois import (
     derived_mono,
     factorizability_violation,
     four_class_diagram,
-    interval_ji_check,
-    interval_label_set,
     is_factorizable,
     ji_of_brick,
     mi_of_brick,
-    gap_nonempty_check,
     perp_left,
     perp_right,
     relation_from_arrows,
@@ -44,10 +41,15 @@ from torslat.cli import _read_tors
 from torslat.lattice import (
     CoverEdge,
     InternalInconsistency,
-    NotComparable,
     are_isomorphic,
     join,
     meet,
+)
+from torslat.oracle import (
+    NotComparable,
+    gap_nonempty_check,
+    interval_ji_check,
+    interval_label_set,
 )
 from torslat.quiver import QuiverPresentation
 

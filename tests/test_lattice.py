@@ -17,15 +17,12 @@ from torslat.lattice import (
     FinitePoset,
     InternalInconsistency,
     NotALattice,
-    NotComparable,
     NotIrreducible,
     NotSemidistributive,
     are_isomorphic,
     check_kappa_bijection,
     check_mu_eq_kappa_gamma,
     gamma_label,
-    interval_covers,
-    interval_sublattice,
     is_join_semidistributive,
     is_lattice_quotient,
     is_meet_semidistributive,
@@ -45,6 +42,7 @@ from torslat.lattice import (
     to_dot,
     try_lattice,
 )
+from torslat.oracle import NotComparable, interval_covers, interval_sublattice
 
 
 def lattice_from_covers(n, pairs):

@@ -21,7 +21,6 @@ import itertools
 import pytest
 
 from torslat.bridge import (
-    fiber_check,
     label_preservation_check,
     quotient_map,
     tors_of_algebra,
@@ -30,6 +29,7 @@ from torslat.galois import is_factorizable, verify_tors_lattice
 from torslat.oracle import (
     brute_torsion_pairs,
     closure_axiom_check,
+    fiber_check,
     same_tors,
     surjection_dichotomy_sweep,
 )
