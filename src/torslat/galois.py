@@ -11,15 +11,14 @@ intersections of the principal left perps together with the full set.
 
 Brick subsets, a relation's rows and columns, and sets of torsion classes
 are plain Python ints used as bitsets, so there is no cap on the number
-of bricks beyond what exhaustive search can afford.  The lattice is built
-from the class masks without a search for least upper bounds: class i
-lies below class j iff tset(i) is inside tset(j), and ``lattice.join``
-and ``lattice.meet`` look a join or meet up by the up-sets or down-sets
-of classes, as in every lattice; no table is built.
-``_tors_from_closed`` certifies the classes first, so the meet of two
-classes is also the class whose torsion set is the intersection of
-theirs, and the join the class whose torsion-free set is the
-intersection of theirs.
+of bricks beyond what exhaustive search can afford.  The order,
+inclusion of torsion classes, is folded by ``FinitePoset`` from the
+closures of a class and one brick that ``_tors_from_closed`` looks up to
+certify the classes; ``lattice.join`` and ``lattice.meet`` look a join or
+meet up by the up-sets or down-sets of classes, and no table is built.
+As the classes are certified, the meet of two classes is also the class
+whose torsion set is the intersection of theirs, and the join the class
+whose torsion-free set is the intersection of theirs.
 
 Derived relations: ``x epi y`` iff every brick hit by y is hit by x
 (row containment), and ``x mono y`` iff every brick hitting x hits y
@@ -62,12 +61,12 @@ from .lattice import (
     meet_irreducibles,
 )
 
-# Torsion classes a lattice may have.  The order, the covers and the
-# invariant suite's passes grow with the comparable pairs: measured on a
-# 2-core machine (Python 3.11), building the 2,048 classes of 11 bricks
-# without arrows, covers included, takes about 0.14 s and 20 MB, linear
-# A7 (1,430 classes) about 0.1 s and 18 MB, and linear A8 (4,862, over
-# the cap) 1.1 s and 35 MB.
+# Torsion classes a lattice may have.  The invariant suite's passes grow
+# with the comparable pairs.  Measured on a 2-core machine (Python 3.11),
+# building the 2,048 classes of 11 bricks without arrows, covers
+# included, takes about 0.06 s (peak RSS 19 MB), linear A7 (1,430
+# classes) 0.06 s (17 MB), and over the cap, linear A8 (4,862) 0.3 s
+# (31 MB) and A9 (16,796) 3.3 s (170 MB).
 MAX_TORS_CLASSES = 1 << 11
 
 
@@ -260,29 +259,34 @@ def _tors_from_closed(R: BrickRelation, closed: Iterable[int]) -> TorsLattice:
     (a) each member t is perp_left(perp_right(t)); (b) the empty set is a
     member; (c) for each member t and brick b outside it, perp_right(t) &
     ~row[b], which is perp_right(t + b), is perp_right of a member, so by
-    (a) the closure of t + b is a member.  By (a) the members are torsion
-    classes.  A torsion class S is reached from the empty member: while
-    the member t inside S is not S, the closure of t and a brick of S
-    outside t is a member inside S and larger than t.  So the members are
-    all the closed sets of the Galois connection, and the intersection of
-    two torsion (torsion-free) sets is a member's: their meet (join).
-    InternalInconsistency names the first member failing (a) or (c).
+    (a) the closure cl(t + b) is a member.  By (a) the members are torsion
+    classes.  If a member t lies strictly inside a torsion class S, then
+    for b in S - t, cl(t + b) is a member inside S and larger than t, so
+    induction on |S - t| reaches S from t.  From the empty member, every
+    torsion class is a member: the members are all the closed sets of the
+    Galois connection, and the intersection of two torsion (torsion-free)
+    sets is a member's, their meet (join).  From any member t, inclusion
+    is the order that the cl(t + b), each strictly above t, generate, and
+    ``FinitePoset`` folds it from them.  InternalInconsistency names the
+    first member failing (a) or (c).
     """
     masks = sorted(set(closed), key=lambda s: (s.bit_count(), s))
     pairs = tuple(TorsionPair(t, perp_right(R, t)) for t in masks)
     if 0 not in masks:
         raise InternalInconsistency("the empty set is not among the torsion classes")
-    fsets = {f for _, f in pairs}
+    index = {f: i for i, (_, f) in enumerate(pairs)}
+    gen = [0] * len(pairs)
     for i, (t, f) in enumerate(pairs):
         if perp_left(R, f) != t:
             raise InternalInconsistency(f"torsion class {i} is not the left perp of its own perp")
         for b in _bits(R.full_mask & ~t):
-            if f & ~R.row_masks[b] not in fsets:
+            j = index.get(f & ~R.row_masks[b])
+            if j is None:
                 raise InternalInconsistency(
                     f"torsion class {i} and brick {b} close outside the classes"
                 )
-    poset = FinitePoset(_superset_classes(masks, R.m))
-    return TorsLattice(R, pairs, FiniteLattice(poset))
+            gen[i] |= 1 << j
+    return TorsLattice(R, pairs, FiniteLattice(FinitePoset(gen)))
 
 
 def _superset_classes(sets: list[int] | tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -446,15 +450,15 @@ def four_class_diagram(TL: TorsLattice, b: int) -> tuple[int, int, int, int]:
 
 
 def tf_dual_check(TL: TorsLattice) -> bool:
-    """Ordering by torsion class inclusion reverses torsion-free inclusion.
-
-    fset(j) lies in fset(i) iff the complement of fset(i) lies in that of
-    fset(j), so both orders are superset-class tables.
+    """The lattice order, folded from closure lookups, is torsion class
+    inclusion, which reverses torsion-free inclusion: fset(j) lies in
+    fset(i) iff the complement of fset(i) lies in that of fset(j), so
+    both inclusions are superset-class tables of the class masks.
     """
     m, full = TL.relation.m, TL.relation.full_mask
     t_incl = _superset_classes([p.tset for p in TL.pairs], m)
     f_incl = _superset_classes([full & ~p.fset for p in TL.pairs], m)
-    return t_incl == f_incl
+    return t_incl == f_incl == TL.lattice.poset.up
 
 
 def verify_tors_lattice(TL: TorsLattice) -> list[str]:

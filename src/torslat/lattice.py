@@ -10,7 +10,7 @@ the poset's ``element_at`` index (a meet, of down-sets), and no join or
 meet table is built here; only ``oracle.brute_try_lattice`` builds them.
 Everything here is sized for exhaustive small-case work (up to a few
 thousand elements), and no pass is cubic in the number of elements: the
-covers come from the pass that checks the order, the irreducibles and
+covers come from the pass that folds the order, the irreducibles and
 label table are single passes over the covers, on bitsets, and
 ``is_lattice_quotient`` checks a map on the pairs (element, irreducible).
 Derived quantities (irreducibles, the label table, the element
@@ -107,47 +107,53 @@ class FinitePoset:
     """A finite poset on 0..n-1, held as the up-set and down-set bitsets
     of every element.
 
-    ``FinitePoset(up)`` takes the up-sets, ``up[x]`` having bit y iff
-    x <= y, and checks that each lies inside the n elements and that the
-    relation is reflexive, antisymmetric (naming the first clash
-    x <= y <= x in row-major order) and transitive.  One pass over the
-    comparable pairs checks transitivity and finds the covers: ``above``,
-    the union of the strict up-sets of the elements strictly above x, lies
-    inside ``up[x]`` iff the order is transitive at x, and x's upper
-    covers are the rest of its strict up-set.  So ``upper_cover_sets``
-    holds per element x the bitset of its upper covers, the minimal
-    elements of its strict up-set; ``lower_cover_sets`` per element y the
-    bitset of its lower covers; and ``covers`` the cover pairs (x, y) with
-    x < y and nothing strictly between, in row-major order.
+    ``FinitePoset(gen)`` takes per element x any bitset of elements above
+    it (bit x ignored) that generates its strict up-set: its upper covers,
+    its up-set or anything between.  One topological pass rejects a cycle
+    with a ValueError and places each x after the elements of ``gen[x]``.
+    Then ``above``, the union of their strict up-sets, gives x's upper
+    covers ``gen[x] & ~above`` (a cover lies in ``gen[x]``, and what lies
+    above a member of it is no cover) and ``up[x] = x | gen[x] | above``;
+    down-sets are folded from the bottom along the lower covers.  Each OR
+    is per bit of ``gen`` or per cover.  ``upper_cover_sets``
+    (``lower_cover_sets``) holds per element the bitset of its upper
+    (lower) covers, and ``covers`` the cover pairs (x, y), row-major.
     """
 
-    def __init__(self, up: Iterable[int]):
-        up = tuple(up)
-        n = len(up)
-        for x, u in enumerate(up):
-            if u >> n:
-                raise ValueError(f"up-set of {x} reaches past the {n} elements")
-            if not u >> x & 1:
-                raise ValueError("order relation must be reflexive")
-        down = _transpose(up, n)
-        for x in range(n):
-            clash = up[x] & down[x] & ~(1 << x)
-            if clash:
-                raise AntisymmetryViolation(x, (clash & -clash).bit_length() - 1)
-        strict = [u ^ (1 << x) for x, u in enumerate(up)]
-        upper = []
-        for x, s in enumerate(strict):
-            above = 0
+    def __init__(self, gen: Iterable[int]):
+        strict = [g & ~(1 << x) for x, g in enumerate(gen)]
+        n = len(strict)
+        if any(g >> n for g in strict):
+            raise ValueError(f"a bitset of elements above reaches past the {n} elements")
+        # Kahn's pass from the top: x is placed after every member of gen[x]
+        below, left = _transpose(strict, n), [g.bit_count() for g in strict]
+        order = [x for x in range(n) if not left[x]]
+        for y in order:
+            for x in _bits(below[y]):
+                left[x] -= 1
+                if not left[x]:
+                    order.append(x)
+        if len(order) < n:
+            raise ValueError("order relation must be acyclic")
+        del below  # n bitsets of up to n bits, freed before the fold
+        # strict[x] turns into up[x] in place, after the entries of gen[x]
+        up, upper = strict, [0] * n
+        for x in order:
+            s, above = up[x], 0
             for y in _bits(s):
-                above |= strict[y]
-            if above & ~up[x]:
-                raise ValueError("order relation must be transitive")
-            upper.append(s & ~above)
+                above |= up[y] ^ 1 << y
+            upper[x] = s & ~above
+            up[x] = 1 << x | s | above
+        lower = self.lower_cover_sets = _transpose(upper, n)
+        down = [0] * n
+        for y in reversed(order):
+            down[y] = 1 << y
+            for x in _bits(lower[y]):
+                down[y] |= down[x]
         self.n = n
-        self.up = up
-        self.down = down
+        self.up = tuple(up)
+        self.down = tuple(down)
         self.upper_cover_sets = tuple(upper)
-        self.lower_cover_sets = _transpose(upper, n)
         self.covers = tuple(CoverEdge(x, y) for x, s in enumerate(upper) for y in _bits(s))
 
     def leq(self, x: int, y: int) -> bool:
@@ -162,7 +168,8 @@ class FinitePoset:
 
 
 def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
-    """Build a poset from generating pairs x <= y, taking the closure."""
+    """Build a poset from generating pairs x <= y, taking the closure; a
+    cycle raises AntisymmetryViolation naming its first clash, row-major."""
     if n < 0:
         raise ValueError(f"element count must not be negative, got {n}")
     up = [1 << x for x in range(n)]
@@ -174,6 +181,10 @@ def poset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     for k in range(n):
         bit, uk = 1 << k, up[k]
         up = [u | uk if u & bit else u for u in up]
+    for x, u in enumerate(up):
+        for y in _bits(u & ~(1 << x)):
+            if up[y] >> x & 1:
+                raise AntisymmetryViolation(x, y)
     return FinitePoset(up)
 
 

@@ -387,9 +387,8 @@ def lattice_census(max_size: int) -> list[FiniteLattice]:
     kept: dict[tuple, list[FiniteLattice]] = {}  # by invariant key
     for n in range(1, max_size + 1):
         for downs in _natural_posets(n, deadline):
-            up = [u | 1 << x for x, u in enumerate(_transpose(downs, n))]
             try:
-                L = try_lattice(FinitePoset(up))
+                L = try_lattice(FinitePoset(_transpose(downs, n)))
             except NotALattice:
                 continue
             bucket = kept.setdefault(L._invariant_key, [])

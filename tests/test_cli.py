@@ -507,6 +507,18 @@ def test_census_7_golden(capsys):
     assert out == golden("census_7.json")
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [("n5", []), ("m3", ["--max-bricks", "3", "--unfiltered"])],
+)
+def test_realize_golden(capsys, name, flags):
+    """`realize` byte for byte: the lattice file is read through
+    poset_from_pairs, and the first relation found is pinned."""
+    rc, out, _ = run(capsys, "realize", DATA / f"{name}_lattice.json", *flags)
+    assert rc == 0
+    assert out == golden(f"{name}_realize{'_unfiltered' if flags else ''}.json")
+
+
 def test_syntax_error_reports_line_and_column(capsys):
     rc, _, err = run(capsys, "build-rel", DATA / "bad_syntax.json")
     assert rc == 2

@@ -320,6 +320,31 @@ def test_semidistributive_torsion_lattices_build_no_tables(monkeypatch, tmp_path
         assert is_semidistributive(TL.lattice)
 
 
+def test_torsion_order_is_folded_from_the_class_certificate(monkeypatch, tmp_path):
+    """`build-tors`, `labels` and `kappa` on linear A6 take the order from
+    the closure lookups that certify the 429 classes.  Only `check` builds
+    superset-class tables: two for the derived epi and mono relations of
+    the bricks and two for its independent check that the order is
+    inclusion."""
+    calls = [0]
+    real_table = galois_mod._superset_classes
+
+    def counting_table(sets, m):
+        calls[0] += 1
+        return real_table(sets, m)
+
+    monkeypatch.setattr(galois_mod, "_superset_classes", counting_table)
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps({"vertices": 6, "orientation": ["left"] * 5}))
+    for command in ("build-tors", "labels", "kappa"):
+        with redirect_stdout(io.StringIO()):
+            assert main([command, str(path)]) == 0
+    assert calls[0] == 0
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", str(path)]) == 0
+    assert calls[0] == 4
+
+
 def test_invariant_suite_builds_no_lattice(monkeypatch):
     """Rebuilding every interval as a lattice took 399 builds on A4."""
     TL = tors_of_algebra(LINEAR_A4)

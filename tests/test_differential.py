@@ -256,7 +256,7 @@ def reference_suite(TL):
     if not all(mu_label(L, c) == kappa(L, gamma_label(L, c)) for c in L.poset.covers):
         problems.append("mu != kappa o gamma on some cover")
     if not all(
-        ((TL.tset(i) & ~TL.tset(j)) == 0) == ((TL.fset(j) & ~TL.fset(i)) == 0)
+        ((TL.tset(i) & ~TL.tset(j)) == 0) == ((TL.fset(j) & ~TL.fset(i)) == 0) == L.leq(i, j)
         for i in range(TL.n)
         for j in range(TL.n)
     ):

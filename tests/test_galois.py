@@ -11,6 +11,7 @@ All masks below use bit b for brick b.
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from torslat.lattice import (
     CoverEdge,
     InternalInconsistency,
     are_isomorphic,
+    is_semidistributive,
     join,
     meet,
 )
@@ -385,3 +387,31 @@ def test_join_intersects_torsion_free_sets_and_meet_torsion_sets(source):
         assert tuple(tuple(op(L, x, y) for y in range(L.n)) for x in range(L.n)) == (
             intersection_table(sets)
         )
+
+
+def test_order_is_inclusion_on_random_relations():
+    """The order folded from the class certificate's closure lookups is
+    inclusion of torsion classes, with its down-sets and covers, as a
+    plain loop over pairs of classes finds it, on 3,000 seeded random
+    relations of 1-9 bricks of random arrow density."""
+    rng = random.Random(0)
+    not_sd = 0
+    for _ in range(3000):
+        m = rng.randint(1, 9)
+        density = rng.random()
+        arrows = [(x, y) for x in range(m) for y in range(m) if x != y and rng.random() < density]
+        TL = all_torsion_pairs(relation_from_arrows([f"b{i}" for i in range(m)], arrows))
+        tsets = [p.tset for p in TL.pairs]
+        E = range(TL.n)
+        up = [sum(1 << j for j in E if s & ~tsets[j] == 0) for s in tsets]
+        strict = [[j for j in E if up[i] >> j & 1 and j != i] for i in E]
+        covers = [
+            sum(1 << j for j in above if not any(k != j and up[k] >> j & 1 for k in above))
+            for above in strict
+        ]
+        poset = TL.lattice.poset
+        assert poset.up == tuple(up)
+        assert poset.down == tuple(sum(1 << i for i in E if up[i] >> j & 1) for j in E)
+        assert poset.upper_cover_sets == tuple(covers)
+        not_sd += not is_semidistributive(TL.lattice)
+    assert not_sd > 1000  # the fold is not only tried on semidistributive lattices

@@ -88,18 +88,15 @@ def test_poset_rejects_cycles():
     [([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 1)), ([(1, 3), (1, 2)], (1, 2))],
 )
 def test_antisymmetry_names_the_first_clash_in_row_major_order(clashes, first):
-    up = [1 << x for x in range(4)]
-    for x, y in clashes:
-        up[x] |= 1 << y
-        up[y] |= 1 << x
+    pairs = [p for x, y in clashes for p in ((x, y), (y, x))]
     with pytest.raises(AntisymmetryViolation) as exc:
-        FinitePoset(up)
+        poset_from_pairs(4, pairs)
     assert exc.value.pair == first
 
 
 def test_poset_rejects_up_sets_past_its_elements():
     # bit 2 of a two-element poset made the constructor raise IndexError
-    with pytest.raises(ValueError, match="up-set of 0 reaches past the 2 elements"):
+    with pytest.raises(ValueError, match="a bitset of elements above reaches past the 2 elements"):
         FinitePoset([0b101, 0b10])
 
 
@@ -108,48 +105,49 @@ def test_poset_transitive_closure():
     assert p.leq(0, 2)
 
 
-def test_poset_accepts_exactly_the_partial_orders_on_four_elements():
-    """Every reflexive relation on 4 elements, against the definitions:
-    the 219 partial orders are accepted with their covers, a relation
-    that is not antisymmetric raises AntisymmetryViolation, and one that
-    is antisymmetric but not transitive raises the transitivity error."""
+def test_poset_folds_exactly_the_acyclic_relations_on_four_elements():
+    """Every relation on 4 elements, handed over as the bitsets of elements
+    above, against the definitions: the 543 acyclic ones give the order a
+    triple loop closes them to, with its covers, and the 219 partial
+    orders among them come back unchanged; the 3,553 cyclic ones raise."""
     E = range(4)
     off = [(x, y) for x in E for y in E if x != y]
-    counts = {"accepted": 0, "antisymmetry": 0, "transitivity": 0}
+    counts = {"acyclic": 0, "orders": 0, "cyclic": 0}
     for mask in range(1 << len(off)):
         rel = {(x, x) for x in E} | {p for i, p in enumerate(off) if mask >> i & 1}
-        up = [sum(1 << y for y in E if (x, y) in rel) for x in E]
-        antisymmetric = not any((y, x) in rel for x, y in rel if x != y)
-        transitive = all((x, z) in rel for x, y in rel for y2, z in rel if y == y2)
-        if not antisymmetric:
-            counts["antisymmetry"] += 1
-            with pytest.raises(AntisymmetryViolation):
-                FinitePoset(up)
-        elif not transitive:
-            counts["transitivity"] += 1
-            with pytest.raises(ValueError, match="order relation must be transitive"):
-                FinitePoset(up)
-        else:
-            counts["accepted"] += 1
-            below = {(x, y) for x, y in rel if x != y}
-            covers = [
-                sum(
-                    1 << y for y in E
-                    if (x, y) in below and not any((x, z) in below and (z, y) in below for z in E)
-                )
-                for x in E
-            ]
-            assert FinitePoset(up).upper_cover_sets == tuple(covers)
-    assert counts == {"accepted": 219, "antisymmetry": 3367, "transitivity": 510}
+        gen = [sum(1 << y for y in E if (x, y) in rel) for x in E]
+        closed = set(rel)
+        for z in E:
+            closed |= {(x, y) for x in E for y in E if (x, z) in closed and (z, y) in closed}
+        if any((y, x) in closed for x, y in closed if x != y):
+            counts["cyclic"] += 1
+            with pytest.raises(ValueError, match="order relation must be acyclic"):
+                FinitePoset(gen)
+            continue
+        counts["acyclic"] += 1
+        below = {(x, y) for x, y in closed if x != y}
+        covers = [
+            sum(
+                1 << y for y in E
+                if (x, y) in below and not any((x, z) in below and (z, y) in below for z in E)
+            )
+            for x in E
+        ]
+        p = FinitePoset(gen)
+        assert p.up == tuple(sum(1 << y for y in E if (x, y) in closed) for x in E)
+        assert p.down == tuple(sum(1 << x for x in E if (x, y) in closed) for y in E)
+        assert p.upper_cover_sets == tuple(covers)
+        if closed == rel:
+            counts["orders"] += 1
+            assert p.up == tuple(gen)
+    assert counts == {"acyclic": 543, "orders": 219, "cyclic": 3553}
 
 
-def test_poset_checks_antisymmetry_before_transitivity_and_reflexivity_first():
-    # 0 <= 1 <= 0 clashes, and 1 <= 2 without 0 <= 2 is not transitive
-    with pytest.raises(AntisymmetryViolation) as exc:
+def test_poset_raises_value_error_on_a_cycle_and_ignores_the_diagonal():
+    # 0 <= 1 <= 0: FinitePoset names no clash; poset_from_pairs does
+    with pytest.raises(ValueError, match="order relation must be acyclic"):
         FinitePoset([0b011, 0b111, 0b100])
-    assert exc.value.pair == (0, 1)
-    with pytest.raises(ValueError, match="order relation must be reflexive"):
-        FinitePoset([0b11, 0b00])
+    assert FinitePoset([0b10, 0b00]).up == FinitePoset([0b11, 0b10]).up == (0b11, 0b10)
 
 
 def test_join_and_meet_reject_elements_out_of_range(pentagon):
